@@ -65,11 +65,14 @@ from .rational import (
 )
 from .tree import (
     HARD_DEPTH_CAP,
+    HARD_POINT_CAP,
     Node,
     descend,
+    descend_runs,
     enumerate_tree,
     format_path,
     locate,
+    locate_runs,
     mirror,
     parse_path,
 )

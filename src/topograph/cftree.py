@@ -17,10 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import add, mul
 
 from .errors import DomainError
-from .rational import cf_concat, cf_eval, convergent_matrix, _validate_word
-from .tree import descend, locate, mirror
+from .rational import _convergents, _validate_word, cf_eval
+from .tree import check_point_size, descend_runs, locate_runs, mirror_runs
 
 WORD_SEED_LEFT = (2, 2)
 WORD_SEED_RIGHT = (1, 1)
@@ -30,7 +31,10 @@ def markov_cf(t: Fraction) -> tuple:
     """Even continued fraction word of 2 + markov_fraction(t).
 
     Built structurally: concatenation down the mirrored tree, without ever
-    expanding a fraction.  Boundaries give the seed words.
+    expanding a fraction, one tuple repetition per run of mirror_runs(
+    locate_runs(t)).  Boundaries give the seed words.  The tests compare it
+    with the step-by-step cf_concat descend on the mirrored path, and the
+    words suite compares the concatenation tree with cf_expand_even.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
@@ -39,7 +43,7 @@ def markov_cf(t: Fraction) -> tuple:
         return WORD_SEED_RIGHT
     if t == 1:
         return WORD_SEED_LEFT
-    return descend(WORD_SEED_LEFT, WORD_SEED_RIGHT, cf_concat, mirror(locate(t))).value
+    return descend_runs(WORD_SEED_LEFT, WORD_SEED_RIGHT, add, mul, mirror_runs(locate_runs(t)))
 
 
 # ============================================================
@@ -83,9 +87,7 @@ def periodic_value(word) -> QuadraticIrrational:
     q_k x^2 + (q_{k-1} - p_k) x - p_{k-1} = 0; the larger root is returned.
     Even length keeps the discriminant positive and the root above 1.
     """
-    w = _validate_word(word, even=True)
-    m = convergent_matrix(w)
-    pk, pk1, qk, qk1 = m.e11, m.e12, m.e21, m.e22
+    pk, pk1, qk, qk1 = _convergents(_validate_word(word, even=True))
     disc = (qk1 - pk) ** 2 + 4 * qk * pk1
     return make_qi(pk - qk1, 1, 2 * qk, disc)
 
@@ -105,9 +107,12 @@ def left_companion(t: Fraction, m: int) -> Fraction:
     """Rational approximant from m repetitions of the word at t.
 
     These sit above the periodization and walk down onto it as m grows.
+    The word has 2qm letters for t = p/q, so q * m beyond HARD_POINT_CAP
+    raises DepthLimitError before any work.
     """
     if not isinstance(m, int) or m < 1:
         raise DomainError(f"repetition count must be an int >= 1, got {m!r}")
+    check_point_size(Fraction(t).denominator * m)
     return cf_eval(markov_cf(t) * m)
 
 

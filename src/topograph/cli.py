@@ -9,8 +9,10 @@ Subcommands:
   verify  run cross-verification suites
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or parse error.  Tree and verify depths are capped (default 12,
-override with --max-depth or TOPOGRAPH_MAX_DEPTH, hard ceiling 24).
+2 usage or parse error, an exceeded cap, or an unwritable --out.  Tree and
+verify depths are capped (default 12, override with --max-depth or
+TOPOGRAPH_MAX_DEPTH, hard ceiling 24); point queries at t = p/q with
+companion repetition m are capped at q * m <= HARD_POINT_CAP.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 from .cftree import (
     format_qi,
@@ -238,15 +241,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextmanager
+def _any_int_digits():
+    """Lift the interpreter's int-to-decimal digit limit (Python >= 3.10.7).
+
+    Answers within the depth and point caps run to about 10^5 digits, and the
+    caps, not this guard, are what bound the work.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except TopographError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        with _any_int_digits():
+            return args.func(args)
+    except (TopographError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from typing import Optional
 from .errors import DomainError, InvariantError
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant
 from .rational import Mat2, farey_mediant, format_fraction
-from .tree import descend, enumerate_tree, locate
+from .tree import descend_runs, enumerate_tree, locate_runs
 
 
 @dataclass(frozen=True)
@@ -54,15 +54,13 @@ def cohn_B(a: int) -> CohnMatrix:
     )
 
 
-def _matmul(x: Mat2, y: Mat2) -> Mat2:
-    return x @ y
-
-
 def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
     """Cohn matrix at coordinate t in [0, 1] for parameter a.
 
     Boundaries return the seeds; interior coordinates multiply down the tree
-    along locate(t).
+    along locate_runs(t), one Mat2 power and product per run.  The tests
+    compare it with the step-by-step Mat2 @ descend along locate(t); the
+    index suite checks the enumerated Cohn tree against the Markov fractions.
     """
     t = Fraction(t)
     if not 0 <= t <= 1:
@@ -71,8 +69,8 @@ def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
         return cohn_A(a)
     if t == 1:
         return cohn_B(a)
-    node = descend(cohn_A(a).m, cohn_B(a).m, _matmul, locate(t))
-    return CohnMatrix(node.value, a, t)
+    m = descend_runs(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, Mat2.__pow__, locate_runs(t))
+    return CohnMatrix(m, a, t)
 
 
 def cohn_index(c) -> Fraction:
@@ -146,7 +144,7 @@ def verify_cohn_index(depth: int, a_values=(0,), *, parallel: bool = False) -> I
                 first = {"check": name, "a": a, "path": path or "-", "detail": detail}
 
     for a in a_values:
-        cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, _matmul, depth,
+        cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, depth,
                                     parallel=parallel)
         indexed = []
         for fnode, mnode, cnode in zip(farey_nodes, markov_nodes, cohn_nodes):

@@ -17,7 +17,6 @@ from math import gcd, isqrt
 
 from .errors import DomainError, InvariantError, PreconditionError
 from .rational import format_fraction
-from .tree import descend, locate
 
 
 # ============================================================
@@ -48,17 +47,16 @@ MARKOV_SEED_RIGHT = Fraction(1, 2)
 def markov_fraction(t: Fraction) -> Fraction:
     """The Markov fraction at Farey coordinate t in [0, 1].
 
-    Boundaries map to the seeds (0 -> 0/1, 1 -> 1/2); interior fractions map
-    to the weighted-mediant tree node at locate(t).
+    Read off as the index e11/e12 of the a = 0 Cohn matrix at t, which
+    cohn_at builds with one matrix power per run of the path.  Boundaries
+    map to the seeds (0 -> 0/1, 1 -> 1/2).  The tests compare it with the
+    weighted-mediant descend along locate(t); the verify suites check the
+    weighted-mediant tree, and the distinctness suite the Vieta walk of
+    markov_triple_at, neither of which uses Cohn matrices.
     """
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise DomainError(f"coordinate must lie in [0, 1], got {t}")
-    if t == 0:
-        return MARKOV_SEED_LEFT
-    if t == 1:
-        return MARKOV_SEED_RIGHT
-    return descend(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant, locate(t)).value
+    from .cohn import cohn_at, cohn_index  # cohn imports this module
+
+    return cohn_index(cohn_at(t, 0))
 
 
 # ============================================================

@@ -78,9 +78,12 @@ def _validate_word(word, *, even: bool = False) -> tuple:
     w = tuple(word)
     if not w:
         raise DomainError("continued fraction word must be nonempty")
-    for c in w:
-        if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-            raise DomainError(f"continued fraction quotients must be positive ints, got {c!r}")
+    # Fast path for plain ints; the loop names the first bad letter (and
+    # accepts int subclasses other than bool).
+    if not (set(map(type, w)) == {int} and min(w) >= 1):
+        for c in w:
+            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
+                raise DomainError(f"continued fraction quotients must be positive ints, got {c!r}")
     if even and len(w) % 2:
         raise PreconditionError(f"word length must be even, got {len(w)}")
     return w
@@ -109,14 +112,22 @@ def cf_expand_even(x: Fraction) -> tuple:
     return tuple(word)
 
 
+def _convergents(word) -> tuple:
+    """(p_k, p_{k-1}, q_k, q_{k-1}) of an already validated word, as plain ints.
+
+    The recurrence p_j = c_j p_{j-1} + p_{j-2} (same for q) from
+    p_{-1}, p_{-2}, q_{-1}, q_{-2} = 1, 0, 0, 1.
+    """
+    p, p_prev, q, q_prev = 1, 0, 0, 1
+    for c in word:
+        p, p_prev = c * p + p_prev, p
+        q, q_prev = c * q + q_prev, q
+    return p, p_prev, q, q_prev
+
+
 def cf_eval(word) -> Fraction:
-    """Exact value of a continued fraction word via the convergent recurrence."""
-    w = _validate_word(word)
-    p_prev, p = 1, w[0]
-    q_prev, q = 0, 1
-    for c in w[1:]:
-        p_prev, p = p, c * p + p_prev
-        q_prev, q = q, c * q + q_prev
+    """Exact value p_k / q_k of a continued fraction word."""
+    p, _, q, _ = _convergents(_validate_word(word))
     return Fraction(p, q)
 
 
@@ -203,10 +214,9 @@ def convergent_matrix(word) -> Mat2:
 
     Columns are the last two convergents: (p_k p_{k-1} / q_k q_{k-1}).
     Determinant is (-1)^len(word), and the map is a homomorphism from word
-    concatenation to matrix multiplication.
+    concatenation to matrix multiplication.  Built by the plain-int
+    convergent recurrence, not one Mat2 product per letter; the tests
+    compare it with that Mat2 fold, and the homomorphism suite checks it
+    against products of its own values.
     """
-    w = _validate_word(word)
-    m = Mat2.identity()
-    for c in w:
-        m = m @ Mat2(c, 1, 1, 0)
-    return m
+    return Mat2(*_convergents(_validate_word(word)))

@@ -11,6 +11,10 @@ stepping R is the mirror image.
 The walker is agnostic about the value type: it just threads the pair of
 parents and calls the supplied combine rule, wrapping any failure in a
 CombineError that records where in the tree it happened.
+
+Point queries take the run-length route instead: locate_runs reads the path
+of a coordinate off its continued fraction as runs of equal steps, and
+descend_runs crosses each run with one power of an associative combine.
 """
 
 from __future__ import annotations
@@ -22,12 +26,17 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator
 
 from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
-from .rational import farey_mediant
 
 # Hard ceiling on enumeration depth.  Values on balanced paths grow
 # doubly exponentially, so a runaway depth turns into gigabyte integers
 # long before it turns into an out-of-memory kill; refuse early instead.
 HARD_DEPTH_CAP = 24
+
+# Hard ceiling on q * m for a point query at t = p/q, where m is the
+# companion repetition count (1 for every other query).  Word queries build
+# 2qm letters and their values grow to about 1.39 bits per letter; at the cap
+# a periodization takes a few seconds and tens of MB.
+HARD_POINT_CAP = 2**17
 
 PATH_ALPHABET = frozenset("LR")
 
@@ -88,28 +97,66 @@ def descend(seed_left, seed_right, combine: Callable, path: str) -> Node:
     return Node(path, left, right, _combine_at(combine, left, right, path))
 
 
-def locate(t: Fraction) -> str:
-    """Path of the fraction t in the Farey tree seeded by (0/1, 1/1).
+def check_point_size(size: int) -> None:
+    """Refuse a point query whose size q * m exceeds HARD_POINT_CAP."""
+    if size > HARD_POINT_CAP:
+        raise DepthLimitError(f"point query size {size} exceeds cap {HARD_POINT_CAP}")
 
-    Brackets t between Farey neighbors, tightening the side the mediant
-    leaves loose; terminates because t is rational.  Only 0 < t < 1 sits
-    inside this tree.
+
+def locate_runs(t: Fraction) -> list:
+    """Path of t in the Farey tree as runs [(step, k), ...], from Euclid on t.
+
+    With t = [0; a1, a2, ..., an] the Stern-Brocot path from 1/1 is
+    L^a1 R^a2 L^a3 ... with the last exponent an - 1.  This tree is rooted at
+    1/2, one L below 1/1, so a1 loses 1 as well; empty runs are dropped.
+    Costs O(n) divisions, not O(path steps).  Coordinates with denominator
+    beyond HARD_POINT_CAP raise DepthLimitError before any work.
     """
     t = Fraction(t)
     if not 0 < t < 1:
         raise DomainError(f"locate needs 0 < t < 1, got {t}")
-    lo, hi = Fraction(0), Fraction(1)
-    steps = []
-    while True:
-        mid = farey_mediant(lo, hi)
-        if t == mid:
-            return "".join(steps)
-        if t < mid:
-            steps.append("L")
-            hi = mid
+    check_point_size(t.denominator)
+    quotients = []
+    num, den = t.denominator, t.numerator
+    while den:
+        a, r = divmod(num, den)
+        quotients.append(a)
+        num, den = den, r
+    quotients[0] -= 1
+    quotients[-1] -= 1
+    return [("LR"[i % 2], k) for i, k in enumerate(quotients) if k]
+
+
+def locate(t: Fraction) -> str:
+    """Path of the fraction t in the Farey tree seeded by (0/1, 1/1).
+
+    Spells out locate_runs(t); only 0 < t < 1 sits inside this tree.  The
+    tests check that descend along the result with farey_mediant reaches t.
+    """
+    return "".join(step * k for step, k in locate_runs(t))
+
+
+def mirror_runs(runs: list) -> list:
+    """Swap L and R in a run list, as mirror does on paths."""
+    return [("R" if step == "L" else "L", k) for step, k in runs]
+
+
+def descend_runs(seed_left, seed_right, combine: Callable, power: Callable, runs) -> Any:
+    """Value at the end of a run-length path, for an associative combine.
+
+    From the parent pair (X, Y) the node is X.Y; a run of k L steps leads to
+    the pair (X, X^k.Y) and a run of k R steps to (X.Y^k, Y), with power(X, k)
+    standing for X^k (Mat2.__pow__ for matrices, tuple repetition for words).
+    So a path of n runs costs n powers and n + 1 combines.  descend is the
+    step-by-step reference.  Combine failures propagate unwrapped.
+    """
+    left, right = seed_left, seed_right
+    for step, k in runs:
+        if step == "L":
+            right = combine(power(left, k), right)
         else:
-            steps.append("R")
-            lo = mid
+            left = combine(left, power(right, k))
+    return combine(left, right)
 
 
 def _bfs(seed_left, seed_right, combine, depth: int, prefix: str = "") -> Iterator[Node]:

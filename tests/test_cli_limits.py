@@ -1,0 +1,71 @@
+"""Caps and exit codes: oversized point queries and unwritable output exit 2 at once."""
+
+import time
+from fractions import Fraction
+
+import pytest
+
+from topograph import (
+    HARD_POINT_CAP,
+    DepthLimitError,
+    cohn_at,
+    left_companion,
+    locate,
+    markov_cf,
+    markov_fraction,
+)
+from topograph.cli import main
+
+# Generous: a refused query does no work, but the machine may be busy.
+AT_ONCE_S = 2.0
+
+
+def run_cli(capsys, *argv):
+    started = time.perf_counter()
+    code = main(list(argv))
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, elapsed
+
+
+@pytest.mark.parametrize("argv", [
+    ("mu", "1/100000000"),
+    ("cf", "1/2", "--mode", "companion", "--m", "1000000000"),
+    ("cohn", f"1/{HARD_POINT_CAP + 1}"),
+    ("cf", f"1/{HARD_POINT_CAP + 1}", "--mode", "periodic"),
+], ids=" ".join)
+def test_oversized_point_query_exits_2_at_once(capsys, argv):
+    code, out, err, elapsed = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "exceeds cap" in err
+    assert elapsed < AT_ONCE_S
+
+
+def test_point_cap_boundary():
+    q = HARD_POINT_CAP
+    for query in (locate, markov_fraction, markov_cf, lambda t: cohn_at(t, 1)):
+        with pytest.raises(DepthLimitError):
+            query(Fraction(1, q + 1))
+    with pytest.raises(DepthLimitError):
+        left_companion(Fraction(1, 2), q // 2 + 1)
+    assert markov_fraction(Fraction(q - 1, q)).denominator > 1
+
+
+def test_deep_answer_prints_in_full(capsys):
+    # The Markov number at 1/20000 has about 8,400 digits, past the
+    # interpreter's default int-to-str limit.
+    code, out, _, _ = run_cli(capsys, "mu", "1/20000")
+    assert code == 0
+    number = out.split("markov_number = ")[1].strip()
+    want = markov_fraction(Fraction(1, 20000)).denominator
+    assert len(number) > 8000 and number.isdigit()
+    assert int(number[-40:]) == want % 10**40
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "2",
+                                "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()

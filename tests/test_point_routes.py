@@ -1,0 +1,138 @@
+"""Differential tests: each fast point-query route against its reference walk.
+
+The fast routes work run by run (locate_runs, descend_runs) or with plain
+ints (the convergent recurrence); the references are the step-by-step
+descend with each tree's own combine rule, and a Mat2 fold per letter.
+"""
+
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from topograph import (
+    Mat2,
+    cf_concat,
+    cf_eval,
+    cohn_A,
+    cohn_at,
+    cohn_B,
+    convergent_matrix,
+    descend,
+    farey_mediant,
+    locate,
+    locate_runs,
+    markov_cf,
+    markov_fraction,
+    mirror,
+    periodic_value,
+    springborn_mediant,
+)
+from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT
+from topograph.verify import DEFAULT_A_VALUES
+
+QMAX = 3000
+LONG_RUN_N = (2, 3, 4, 7, 64, 500, QMAX)
+
+
+def coordinates_up_to(qmax):
+    return st.integers(2, qmax).flatmap(
+        lambda q: st.integers(1, q - 1).map(lambda p: Fraction(p, q)))
+
+
+coordinates = coordinates_up_to(QMAX)
+long_runs = pytest.mark.parametrize(
+    "t", [Fraction(k, n) for n in LONG_RUN_N for k in (1, n - 1)], ids=str)
+letters = st.integers(1, 9)
+words = st.lists(letters, min_size=1, max_size=12).map(tuple)
+# Small enough that sympy's sqrt factors the discriminant quickly.
+small_letters = st.integers(1, 5)
+small_even_words = st.lists(st.tuples(small_letters, small_letters), min_size=1, max_size=4).map(
+    lambda pairs: sum(pairs, ()))
+
+
+def check_locate(t):
+    runs = locate_runs(t)
+    assert all(k > 0 for _, k in runs)
+    assert all(a[0] != b[0] for a, b in zip(runs, runs[1:]))
+    path = locate(t)
+    assert path == "".join(step * k for step, k in runs)
+    assert descend(Fraction(0), Fraction(1), farey_mediant, path).value == t
+
+
+def check_cohn(t):
+    path = locate(t)
+    for a in DEFAULT_A_VALUES:
+        walked = descend(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, path).value
+        assert cohn_at(t, a).m == walked
+
+
+def check_markov_fraction(t):
+    walked = descend(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant, locate(t))
+    assert markov_fraction(t) == walked.value
+
+
+def check_markov_cf(t):
+    walked = descend((2, 2), (1, 1), cf_concat, mirror(locate(t)))
+    assert markov_cf(t) == walked.value
+
+
+ROUTES = (check_locate, check_cohn, check_markov_fraction, check_markov_cf)
+
+
+@pytest.mark.parametrize("check", ROUTES)
+@settings(max_examples=60, deadline=None)
+@given(coordinates)
+def test_route_matches_walk(check, t):
+    check(t)
+
+
+@pytest.mark.parametrize("check", ROUTES)
+@long_runs
+def test_route_matches_walk_on_long_runs(check, t):
+    check(t)
+
+
+def test_long_run_shapes():
+    assert locate_runs(Fraction(1, QMAX)) == [("L", QMAX - 2)]
+    assert locate_runs(Fraction(QMAX - 1, QMAX)) == [("R", QMAX - 2)]
+    assert locate_runs(Fraction(1, 2)) == []
+
+
+def mat2_fold(word):
+    return reduce(Mat2.__matmul__, (Mat2(c, 1, 1, 0) for c in word), Mat2.identity())
+
+
+def value_from_the_right(word):
+    value = Fraction(word[-1])
+    for c in reversed(word[:-1]):
+        value = c + 1 / value
+    return value
+
+
+@given(words)
+def test_convergent_matrix_matches_mat2_fold(word):
+    assert convergent_matrix(word) == mat2_fold(word)
+    assert cf_eval(word) == value_from_the_right(word)
+
+
+@long_runs
+def test_convergent_matrix_matches_mat2_fold_on_markov_words(t):
+    word = markov_cf(t)
+    assert convergent_matrix(word) == mat2_fold(word)
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+@settings(max_examples=25, deadline=None)
+@given(word=st.one_of(small_even_words, coordinates_up_to(8).map(markov_cf)))
+def test_periodic_value_matches_sympy(sympy, word):
+    x = periodic_value(word)
+    ours = (sympy.Integer(x.P) + x.B * sympy.sqrt(x.D)) / x.Q
+    theirs = sympy.continued_fraction_reduce([list(word)])
+    assert sympy.expand(ours) == sympy.expand(sympy.radsimp(theirs))
