@@ -21,13 +21,11 @@ from .cftree import (
 )
 from .cohn import (
     CohnMatrix,
-    IndexReport,
     cohn_A,
     cohn_B,
     cohn_at,
     cohn_index,
     trace_map,
-    verify_cohn_index,
 )
 from .errors import (
     CombineError,
@@ -39,15 +37,16 @@ from .errors import (
 )
 from .export import TREE_KINDS, TreeExport, build_export, from_json, render, to_csv, to_dot, to_json
 from .markov import (
+    HARD_TRIPLE_CAP,
     MarkovTriple,
     NodeRelations,
-    RelationReport,
     check_relations,
     markov_child,
     markov_fraction,
     markov_triple_at,
     springborn_mediant,
     vieta_flip,
+    vieta_walk,
 )
 from .rational import (
     Mat2,

@@ -12,7 +12,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error, an exceeded cap, or an unwritable --out.  Tree and
 verify depths are capped (default 12, override with --max-depth or
 TOPOGRAPH_MAX_DEPTH, hard ceiling 24); point queries at t = p/q with
-companion repetition m are capped at q * m <= HARD_POINT_CAP.
+companion repetition m are capped at q * m <= HARD_POINT_CAP, and a triple
+PATH at Farey denominator q <= HARD_TRIPLE_CAP.
 """
 
 from __future__ import annotations
@@ -131,8 +132,7 @@ def cmd_tree(args) -> int:
     cap = _depth_cap(args)
     if args.depth > cap:
         raise TopographError(f"depth {args.depth} exceeds cap {cap}")
-    export = build_export(args.kind, args.depth, args.a,
-                          max_depth=cap, parallel=args.parallel)
+    export = build_export(args.kind, args.depth, args.a, max_depth=cap)
     text = render(export, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -150,7 +150,7 @@ def cmd_verify(args) -> int:
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
     a_values = tuple(int(a) for a in args.a_values.split(","))
-    reports = run_suites(names, args.depth, a_values, parallel=args.parallel)
+    reports = run_suites(names, args.depth, a_values)
     if args.format == "json":
         print(json.dumps([
             {
@@ -158,6 +158,7 @@ def cmd_verify(args) -> int:
                 "depth": r.depth,
                 "params": r.params,
                 "checks": r.checks,
+                "failed": r.failed,
                 "failures": r.failures,
                 "first_counterexample": r.first_counterexample,
                 "wall_time": round(r.wall_time, 6),
@@ -219,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--a", type=int, default=0, help="Cohn parameter")
     add_format(p_tree, choices=("json", "dot", "csv"))
     p_tree.add_argument("--out", help="write to this file instead of stdout")
-    p_tree.add_argument("--parallel", action="store_true",
-                        help="enumerate root subtrees on worker threads")
     p_tree.add_argument("--max-depth", type=int, default=None,
                         help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
     p_tree.set_defaults(func=cmd_tree)
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a-values", default=",".join(str(a) for a in DEFAULT_A_VALUES),
                           help="comma-separated Cohn parameters for the index suite")
     add_format(p_verify)
-    p_verify.add_argument("--parallel", action="store_true")
     p_verify.add_argument("--max-depth", type=int, default=None,
                           help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
     p_verify.set_defaults(func=cmd_verify)

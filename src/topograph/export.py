@@ -64,7 +64,6 @@ def build_export(
     a: int = 0,
     *,
     max_depth: int = HARD_DEPTH_CAP,
-    parallel: bool = False,
 ) -> TreeExport:
     """Enumerate a tree to the given depth.
 
@@ -73,8 +72,7 @@ def build_export(
     """
     seed_left, seed_right, combine = _seeds_and_combine(kind, a)
     nodes = tuple(
-        enumerate_tree(seed_left, seed_right, combine, depth,
-                       max_depth=max_depth, parallel=parallel)
+        enumerate_tree(seed_left, seed_right, combine, depth, max_depth=max_depth)
     )
     if kind == "irrational":
         cache: dict = {}

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 
-from .errors import DomainError, InvariantError, PreconditionError
+from .cohn import cohn_at, cohn_index
+from .errors import DepthLimitError, DomainError, InvariantError, PreconditionError
 from .rational import format_fraction
 
 
@@ -52,10 +53,8 @@ def markov_fraction(t: Fraction) -> Fraction:
     map to the seeds (0 -> 0/1, 1 -> 1/2).  The tests compare it with the
     weighted-mediant descend along locate(t); the verify suites check the
     weighted-mediant tree, and the distinctness suite the Vieta walk of
-    markov_triple_at, neither of which uses Cohn matrices.
+    vieta_walk, neither of which uses Cohn matrices.
     """
-    from .cohn import cohn_at, cohn_index  # cohn imports this module
-
     return cohn_index(cohn_at(t, 0))
 
 
@@ -107,11 +106,39 @@ def vieta_flip(t: MarkovTriple, position: str) -> MarkovTriple:
     return MarkovTriple(*new)
 
 
+# Hard ceiling on the Farey denominator q of a triple path.  A path has
+# fewer than q steps, each a checked Vieta flip, and its Markov numbers grow
+# to a few bits per unit of q, so q bounds the whole walk.
+HARD_TRIPLE_CAP = 2**12
+
+
 def markov_triple_at(path: str) -> MarkovTriple:
+    """Markov triple at a tree path, by the Vieta walk of vieta_walk.
+
+    Paths whose Farey denominator q exceeds HARD_TRIPLE_CAP raise
+    DepthLimitError before any flip: q is tracked with two small ints per
+    step, stopping at the first step past the cap.
+    """
+    lo, hi = 1, 1  # denominators of the Farey parents 0/1 and 1/1
+    for step in path:
+        if step == "L":
+            hi += lo
+        elif step == "R":
+            lo += hi
+        else:
+            raise DomainError(f"path must be a string over 'L'/'R', got {path!r}")
+        if lo + hi > HARD_TRIPLE_CAP:
+            raise DepthLimitError(
+                f"triple path denominator {lo + hi} exceeds cap {HARD_TRIPLE_CAP}")
+    return vieta_walk(path)
+
+
+def vieta_walk(path: str) -> MarkovTriple:
     """Walk the triple tree from (1, 2, 5): L keeps x, R keeps y.
 
     Each step is a Vieta flip of the dropped component followed by the
-    reordering that makes the previous node a parent of the next.
+    reordering that makes the previous node a parent of the next.  Uncapped;
+    the distinctness suite uses it as an independent route on its window.
     """
     state = MarkovTriple(1, 2, 5)
     for step in path:
@@ -163,32 +190,15 @@ class NodeRelations:
     child_left: Fraction
 
 
-@dataclass(frozen=True)
-class RelationCheck:
-    name: str
-    passed: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class RelationReport:
-    checks: tuple
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failed_names(self):
-        return [c.name for c in self.checks if not c.passed]
-
-
 def _exact_div(num: int, den: int):
     q, r = divmod(num, den)
     return (q, True) if r == 0 else (None, False)
 
 
-def check_relations(rel: NodeRelations) -> RelationReport:
-    """Verify the bilinear identities tying a node to its neighbors.
+def check_relations(rel: NodeRelations, report, path: str = "") -> None:
+    """Record the bilinear identities tying a node to its neighbors.
+
+    Each check is counted in report (a verify.VerifyReport) at path.
 
     Writing the five fractions as p1/q1, p2/q2 (parents), p3/q3 (node),
     p1'/q1' (right child), p2'/q2' (left child), the checks are:
@@ -208,34 +218,28 @@ def check_relations(rel: NodeRelations) -> RelationReport:
     pr, qr = rel.child_right.numerator, rel.child_right.denominator
     pl, ql = rel.child_left.numerator, rel.child_left.denominator
 
-    checks = []
-
-    def record(name, passed, detail=""):
-        checks.append(RelationCheck(name, bool(passed), detail))
-
-    record("cross-left", p2 * q3 - p3 * q2 == q1,
-           f"p2*q3 - p3*q2 = {p2 * q3 - p3 * q2}, q1 = {q1}")
-    record("cross-right", p3 * q1 - p1 * q3 == q2,
-           f"p3*q1 - p1*q3 = {p3 * q1 - p1 * q3}, q2 = {q2}")
+    report.record("cross-left", p2 * q3 - p3 * q2 == q1, path,
+                  lambda: f"p2*q3 - p3*q2 = {p2 * q3 - p3 * q2}, q1 = {q1}")
+    report.record("cross-right", p3 * q1 - p1 * q3 == q2, path,
+                  lambda: f"p3*q1 - p1*q3 = {p3 * q1 - p1 * q3}, q2 = {q2}")
 
     det = p2 * q1 - p1 * q2
     med, exact = _exact_div(q1 * q1 + q2 * q2, q3)
-    record("mediant-divisor", exact and det == med and det == 3 * q1 * q2 - q3,
-           f"det = {det}, (q1^2+q2^2)/q3 = {med if exact else 'inexact'}, 3*q1*q2 - q3 = {3 * q1 * q2 - q3}")
+    report.record("mediant-divisor", exact and det == med and det == 3 * q1 * q2 - q3, path,
+                  lambda: f"det = {det}, (q1^2+q2^2)/q3 = {med if exact else 'inexact'}, "
+                          f"3*q1*q2 - q3 = {3 * q1 * q2 - q3}")
 
     num_r, exact_n = _exact_div(p2 * q2 + p3 * q3, q1)
     den_r, exact_d = _exact_div(q2 * q2 + q3 * q3, q1)
-    record("flip-left", exact_n and exact_d and (num_r, den_r) == (pr, qr),
-           f"expected {pr}/{qr}, formulas give "
-           f"{num_r if exact_n else 'inexact'}/{den_r if exact_d else 'inexact'}")
+    report.record("flip-left", exact_n and exact_d and (num_r, den_r) == (pr, qr), path,
+                  lambda: f"expected {pr}/{qr}, formulas give "
+                          f"{num_r if exact_n else 'inexact'}/{den_r if exact_d else 'inexact'}")
 
     num_l, exact_n = _exact_div(p1 * q1 + p3 * q3, q2)
     den_l, exact_d = _exact_div(q1 * q1 + q3 * q3, q2)
-    record("flip-right", exact_n and exact_d and (num_l, den_l) == (pl, ql),
-           f"expected {pl}/{ql}, formulas give "
-           f"{num_l if exact_n else 'inexact'}/{den_l if exact_d else 'inexact'}")
-
-    return RelationReport(tuple(checks))
+    report.record("flip-right", exact_n and exact_d and (num_l, den_l) == (pl, ql), path,
+                  lambda: f"expected {pl}/{ql}, formulas give "
+                          f"{num_l if exact_n else 'inexact'}/{den_l if exact_d else 'inexact'}")
 
 
 def reduction_factor(lo: Fraction, hi: Fraction) -> int:

@@ -20,7 +20,6 @@ descend_runs crosses each run with one power of an associative combine.
 from __future__ import annotations
 
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterator
@@ -159,20 +158,6 @@ def descend_runs(seed_left, seed_right, combine: Callable, power: Callable, runs
     return combine(left, right)
 
 
-def _bfs(seed_left, seed_right, combine, depth: int, prefix: str = "") -> Iterator[Node]:
-    # Level order with L emitted before R; paths are absolute, the subtree
-    # root sits at `prefix`.
-    queue = deque([(prefix, seed_left, seed_right)])
-    limit = len(prefix) + depth
-    while queue:
-        path, left, right = queue.popleft()
-        value = _combine_at(combine, left, right, path)
-        yield Node(path, left, right, value)
-        if len(path) < limit:
-            queue.append((path + "L", left, value))
-            queue.append((path + "R", value, right))
-
-
 def enumerate_tree(
     seed_left,
     seed_right,
@@ -180,39 +165,23 @@ def enumerate_tree(
     depth: int,
     *,
     max_depth: int = HARD_DEPTH_CAP,
-    parallel: bool = False,
 ) -> Iterator[Node]:
     """Yield all nodes with path length <= depth in breadth-first order.
 
-    Order is deterministic: by level, L before R within a level.  With
-    parallel=True the two root subtrees are enumerated on worker threads and
-    merged back into exactly the same order; output is byte-for-byte the
-    sequential output.  Depths beyond max_depth (never beyond HARD_DEPTH_CAP)
-    raise DepthLimitError before any work is done.
+    Order is deterministic: by level, L before R within a level.  Depths
+    beyond max_depth (never beyond HARD_DEPTH_CAP) raise DepthLimitError
+    before any work is done.
     """
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
     cap = min(max_depth, HARD_DEPTH_CAP)
     if depth > cap:
         raise DepthLimitError(f"depth {depth} exceeds cap {cap}")
-    if not parallel or depth < 2:
-        yield from _bfs(seed_left, seed_right, combine, depth)
-        return
-
-    root = descend(seed_left, seed_right, combine, "")
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        futures = [
-            pool.submit(lambda p, l, r: list(_bfs(l, r, combine, depth - 1, p)),
-                        prefix, left, right)
-            for prefix, left, right in (
-                ("L", seed_left, root.value),
-                ("R", root.value, seed_right),
-            )
-        ]
-        nodes = [root]
-        for fut in futures:
-            nodes.extend(fut.result())
-    # Stable reconstruction of global level order: 'L' < 'R' in ASCII, so
-    # (length, path) sorts each level with L-branches first.
-    nodes.sort(key=lambda n: (len(n.path), n.path))
-    yield from nodes
+    queue = deque([("", seed_left, seed_right)])
+    while queue:
+        path, left, right = queue.popleft()
+        value = _combine_at(combine, left, right, path)
+        yield Node(path, left, right, value)
+        if len(path) < depth:
+            queue.append((path + "L", left, value))
+            queue.append((path + "R", value, right))

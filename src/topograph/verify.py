@@ -1,9 +1,11 @@
 """Cross-verification suites tying the five structures together.
 
-Each suite enumerates a window of the tree and checks one family of
-identities, counting successes per named check and recording the first
-counterexample verbatim.  Suites never assert; they return a VerifyReport,
-and the CLI turns a failing report into exit code 1.
+run_suites builds one Window per call, the breadth-first Farey, Markov and
+word lists to the requested depth, and every tree suite reads it.  Each suite
+checks one family of identities, counting passes and failures per named
+check and recording the first counterexample verbatim.  Suites never assert;
+they return a VerifyReport, and the CLI turns a failing report into exit
+code 1.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .cftree import (
@@ -23,17 +26,18 @@ from .cftree import (
     qi_compare,
     qi_satisfies,
 )
-from .cohn import verify_cohn_index
+from .cohn import cohn_A, cohn_B, cohn_index
 from .errors import DomainError
 from .markov import (
     MARKOV_SEED_LEFT,
     MARKOV_SEED_RIGHT,
     NodeRelations,
     check_relations,
-    markov_triple_at,
     springborn_mediant,
+    vieta_walk,
 )
 from .rational import (
+    Mat2,
     cf_concat,
     cf_eval,
     cf_expand_even,
@@ -41,7 +45,7 @@ from .rational import (
     farey_mediant,
     format_fraction,
 )
-from .tree import enumerate_tree, mirror
+from .tree import enumerate_tree
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
 COMPANION_COORDINATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5))
@@ -52,122 +56,169 @@ RNG_SEED = 0x5EED
 
 @dataclass
 class VerifyReport:
+    """Pass and failure counts per named check, and the first counterexample."""
+
     suite: str
     depth: int
     params: dict = field(default_factory=dict)
     checks: dict = field(default_factory=dict)
-    failures: int = 0
+    failed: dict = field(default_factory=dict)
     first_counterexample: Optional[dict] = None
     wall_time: float = 0.0
 
     @property
-    def ok(self) -> bool:
-        return self.failures == 0
+    def failures(self) -> int:
+        return sum(self.failed.values())
 
-    def record(self, name: str, passed: bool, path: str = "-", detail: str = ""):
+    @property
+    def ok(self) -> bool:
+        return not self.failed
+
+    def record(self, name: str, passed: bool, path: str = "", detail="", **context):
+        """Count one check at a tree path ('' for none).
+
+        detail is the counterexample text, or a callable returning it; it is
+        only evaluated for the first failure, so passing checks build no text.
+        context (the index suite's a) is added to the counterexample.
+        """
         if passed:
             self.checks[name] = self.checks.get(name, 0) + 1
-        else:
-            self.failures += 1
-            if self.first_counterexample is None:
-                self.first_counterexample = {"check": name, "path": path, "detail": detail}
+            return
+        self.failed[name] = self.failed.get(name, 0) + 1
+        if self.first_counterexample is None:
+            self.first_counterexample = {
+                "check": name, **context, "path": path or "-",
+                "detail": detail() if callable(detail) else detail,
+            }
 
 
-def _enumerate_all(depth: int, parallel: bool):
-    """Positionally aligned enumerations of the Farey, Markov, and word trees."""
-    farey = list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, depth,
-                                parallel=parallel))
-    markov = list(enumerate_tree(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT,
-                                 springborn_mediant, depth, parallel=parallel))
-    return farey, markov
+class Window:
+    """The breadth-first window of the fraction tree to a given depth.
 
+    farey and markov are the Node lists of the Farey and Markov fraction
+    trees; words[i] is the word at the path of markov[i].  Each tree is
+    enumerated once, on first use, and never beyond depth.
+    """
 
-def _word_by_path(depth: int, parallel: bool):
-    """Map from fraction-tree path to word, undoing the mirror addressing."""
-    words = enumerate_tree((2, 2), (1, 1), cf_concat, depth, parallel=parallel)
-    return {mirror(n.path): n.value for n in words}
+    def __init__(self, depth: int):
+        self.depth = depth
+
+    @cached_property
+    def farey(self) -> list:
+        return list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, self.depth))
+
+    @cached_property
+    def markov(self) -> list:
+        return list(enumerate_tree(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT,
+                                   springborn_mediant, self.depth))
+
+    @cached_property
+    def words(self) -> list:
+        # The word tree is addressed by mirrored paths, and mirroring a path
+        # reverses its position within its level.
+        nodes = list(enumerate_tree((2, 2), (1, 1), cf_concat, self.depth))
+        return [node.value
+                for level in range(self.depth + 1)
+                for node in reversed(nodes[2 ** level - 1: 2 ** (level + 1) - 1])]
 
 
 # ============================================================
 # suites
 # ============================================================
 
-def suite_relations(depth: int, a_values, parallel: bool) -> VerifyReport:
-    """Bilinear identities around every interior node of the fraction tree."""
-    report = VerifyReport("relations", depth)
-    nodes = {
-        n.path: n
-        for n in enumerate_tree(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT,
-                                springborn_mediant, depth + 1, parallel=parallel)
-    }
-    for path, node in nodes.items():
-        if len(path) > depth:
-            continue
+def suite_relations(window: Window, a_values) -> VerifyReport:
+    """Bilinear identities around every node of the fraction tree."""
+    report = VerifyReport("relations", window.depth)
+    for node in window.markov:
         rel = NodeRelations(
             parent_left=node.left,
             parent_right=node.right,
             node=node.value,
-            child_right=nodes[path + "R"].value,
-            child_left=nodes[path + "L"].value,
+            child_right=springborn_mediant(node.value, node.right),
+            child_left=springborn_mediant(node.left, node.value),
         )
-        for check in check_relations(rel).checks:
-            report.record(check.name, check.passed, path or "-", check.detail)
+        check_relations(rel, report, node.path)
         q1, q2, q3 = (node.left.denominator, node.right.denominator,
                       node.value.denominator)
         report.record("markov-equation",
                       q1 * q1 + q2 * q2 + q3 * q3 == 3 * q1 * q2 * q3,
-                      path or "-", f"denominators {(q1, q2, q3)}")
+                      node.path, lambda: f"denominators {(q1, q2, q3)}")
     return report
 
 
-def suite_index(depth: int, a_values, parallel: bool) -> VerifyReport:
-    """Cohn matrix structure and the index identity, for each parameter a."""
-    report = VerifyReport("index", depth, params={"a_values": list(a_values)})
-    result = verify_cohn_index(depth, a_values, parallel=parallel)
-    report.checks = dict(result.checks)
-    report.failures = result.failures
-    if result.first_counterexample is not None:
-        report.first_counterexample = result.first_counterexample
+def suite_index(window: Window, a_values) -> VerifyReport:
+    """Cohn matrix structure and the index identity, for each parameter a.
+
+    Per node t and parameter a: det = 1; trace = 3 * e12; e12 is the Markov
+    denominator q at t; e11 = a*q + p for the Markov fraction p/q; the index
+    e11/e12 equals a + p/q (so for a = 0 it is the Markov fraction itself);
+    indexes are strictly increasing in t; and for a = 0 the bottom row obeys
+    e22 = 3q - p and e21 = (3pq - p^2 - 1)/q with exact division.
+    """
+    report = VerifyReport("index", window.depth, params={"a_values": list(a_values)})
+    for a in a_values:
+        cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, window.depth)
+        indexed = []
+        for fnode, mnode, cnode in zip(window.farey, window.markov, cohn_nodes):
+            m, mf, path = cnode.value, mnode.value, cnode.path
+            p, q = mf.numerator, mf.denominator
+            det, trace = m.det(), m.trace()
+            report.record("det", det == 1, path, lambda: f"det = {det}", a=a)
+            report.record("trace", trace == 3 * m.e12, path,
+                          lambda: f"trace = {trace}, e12 = {m.e12}", a=a)
+            report.record("top-row", (m.e11, m.e12) == (a * q + p, q), path,
+                          lambda: f"top row {(m.e11, m.e12)}, expected {(a * q + p, q)}", a=a)
+            idx = cohn_index(m)
+            report.record("index", idx == a + mf, path,
+                          lambda: f"index {format_fraction(idx)}, "
+                                  f"expected a + {format_fraction(mf)}", a=a)
+            if a == 0:
+                num = 3 * p * q - p * p - 1
+                div, rem = divmod(num, q)
+                report.record("bottom-row", rem == 0 and (m.e21, m.e22) == (div, 3 * q - p),
+                              path, lambda: f"bottom row {(m.e21, m.e22)}, "
+                                            f"expected ({num}/{q}, {3 * q - p})", a=a)
+            indexed.append((fnode.value, idx))
+        indexed.sort(key=lambda item: item[0])
+        increasing = all(
+            indexed[i][1] < indexed[i + 1][1] for i in range(len(indexed) - 1)
+        )
+        report.record("monotone", increasing, "", "indexes not strictly increasing in t", a=a)
     return report
 
 
-def suite_words(depth: int, a_values, parallel: bool) -> VerifyReport:
+def suite_words(window: Window, a_values) -> VerifyReport:
     """Word tree vs direct expansion: same letters, same value, every node."""
-    report = VerifyReport("words", depth)
-    farey, markov = _enumerate_all(depth, parallel)
-    words = _word_by_path(depth, parallel)
-    for fnode, mnode in zip(farey, markov):
-        word = words[fnode.path]
-        target = 2 + mnode.value
+    report = VerifyReport("words", window.depth)
+    for node, word in zip(window.markov, window.words):
+        target = 2 + node.value
         expanded = cf_expand_even(target)
-        report.record("letters", word == expanded, fnode.path or "-",
-                      f"tree gives {word}, expansion gives {expanded}")
-        report.record("value", cf_eval(word) == target, fnode.path or "-",
-                      f"word evaluates to {format_fraction(cf_eval(word))}, "
-                      f"expected {format_fraction(target)}")
+        report.record("letters", word == expanded, node.path,
+                      lambda: f"tree gives {word}, expansion gives {expanded}")
+        value = cf_eval(word)
+        report.record("value", value == target, node.path,
+                      lambda: f"word evaluates to {format_fraction(value)}, "
+                              f"expected {format_fraction(target)}")
     return report
 
 
-def suite_periodization(depth: int, a_values, parallel: bool) -> VerifyReport:
+def suite_periodization(window: Window, a_values) -> VerifyReport:
     """Periodized word equals the closed-form irrational, node by node."""
-    report = VerifyReport("periodization", depth)
-    farey, markov = _enumerate_all(depth, parallel)
-    words = _word_by_path(depth, parallel)
-    for fnode, mnode in zip(farey, markov):
-        word = words[fnode.path]
+    report = VerifyReport("periodization", window.depth)
+    for node, word in zip(window.markov, window.words):
         got = periodic_value(word)
-        want = markov_irrationality(mnode.value)
-        report.record("closed-form", got == want, fnode.path or "-",
-                      f"periodization {got}, formula {want}")
+        want = markov_irrationality(node.value)
+        report.record("closed-form", got == want, node.path,
+                      lambda: f"periodization {got}, formula {want}")
         m = convergent_matrix(word)
         report.record("quadratic", qi_satisfies(want, m.e21, m.e22 - m.e11, -m.e12),
-                      fnode.path or "-", "closed form fails the fixed-point quadratic")
+                      node.path, "closed form fails the fixed-point quadratic")
     return report
 
 
-def suite_companions(depth: int, a_values, parallel: bool) -> VerifyReport:
+def suite_companions(window: Window, a_values) -> VerifyReport:
     """Repeated words approach the periodization from above, monotonically."""
-    report = VerifyReport("companions", depth,
+    report = VerifyReport("companions", window.depth,
                           params={"coordinates": [format_fraction(t) for t in COMPANION_COORDINATES],
                                   "max_repeat": COMPANION_MAX_REPEAT})
     for t in COMPANION_COORDINATES:
@@ -177,37 +228,39 @@ def suite_companions(depth: int, a_values, parallel: bool) -> VerifyReport:
         prev = None
         for m in range(1, COMPANION_MAX_REPEAT + 1):
             approx = left_companion(t, m)
-            label = f"t={format_fraction(t)}, m={m}"
-            report.record("above", qi_compare(approx, target) == 1, "-",
-                          f"{label}: approximant not above the limit")
-            report.record("power", convergent_matrix(word * m) == base ** m, "-",
-                          f"{label}: convergent matrix is not the m-th power")
+
+            def label(what):
+                return lambda: f"t={format_fraction(t)}, m={m}: {what}"
+
+            report.record("above", qi_compare(approx, target) == 1, "",
+                          label("approximant not above the limit"))
+            report.record("power", convergent_matrix(word * m) == base ** m, "",
+                          label("convergent matrix is not the m-th power"))
             if prev is not None:
-                report.record("closer", compare_gap(approx, prev, target) == -1, "-",
-                              f"{label}: gap did not shrink")
+                report.record("closer", compare_gap(approx, prev, target) == -1, "",
+                              label("gap did not shrink"))
             prev = approx
     return report
 
 
-def suite_monotonicity(depth: int, a_values, parallel: bool) -> VerifyReport:
+def suite_monotonicity(window: Window, a_values) -> VerifyReport:
     """The coordinate-to-fraction map is a strictly increasing bijection."""
-    report = VerifyReport("monotonicity", depth)
-    farey, markov = _enumerate_all(depth, parallel)
-    pairs = [(fnode.value, mnode.value) for fnode, mnode in zip(farey, markov)]
+    report = VerifyReport("monotonicity", window.depth)
+    pairs = [(fnode.value, mnode.value) for fnode, mnode in zip(window.farey, window.markov)]
     pairs.append((Fraction(0), MARKOV_SEED_LEFT))
     pairs.append((Fraction(1), MARKOV_SEED_RIGHT))
     pairs.sort()
     for (t1, v1), (t2, v2) in zip(pairs, pairs[1:]):
-        report.record("increasing", v1 < v2, "-",
-                      f"{format_fraction(v1)} at t={format_fraction(t1)} not below "
-                      f"{format_fraction(v2)} at t={format_fraction(t2)}")
+        report.record("increasing", v1 < v2, "",
+                      lambda: f"{format_fraction(v1)} at t={format_fraction(t1)} not below "
+                              f"{format_fraction(v2)} at t={format_fraction(t2)}")
     for t, v in pairs:
-        report.record("range", 0 <= v <= Fraction(1, 2), "-",
-                      f"{format_fraction(v)} outside [0, 1/2]")
+        report.record("range", 0 <= v <= Fraction(1, 2), "",
+                      lambda: f"{format_fraction(v)} outside [0, 1/2]")
     return report
 
 
-def suite_distinctness(depth: int, a_values, parallel: bool) -> VerifyReport:
+def suite_distinctness(window: Window, a_values) -> VerifyReport:
     """Markov numbers from the enumeration window are pairwise distinct.
 
     Distinctness of tree values for all depths is an open conjecture; this
@@ -215,31 +268,28 @@ def suite_distinctness(depth: int, a_values, parallel: bool) -> VerifyReport:
     that three routes to the numbers (mediant denominators, Vieta walking,
     direct combine) agree on a sample of nodes.
     """
-    report = VerifyReport("distinctness", depth)
-    nodes = list(enumerate_tree(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT,
-                                springborn_mediant, depth, parallel=parallel))
+    report = VerifyReport("distinctness", window.depth)
+    nodes = window.markov
     seen: dict = {}
     for node in nodes:
         q = node.value.denominator
-        report.record("distinct", q not in seen, node.path or "-",
-                      f"Markov number {q} repeats at {seen.get(q)} and {node.path or '-'}")
+        report.record("distinct", q not in seen, node.path,
+                      lambda: f"Markov number {q} repeats at {seen.get(q)} and {node.path or '-'}")
         seen.setdefault(q, node.path or "-")
     rng = random.Random(RNG_SEED)
     sample = rng.sample(nodes, min(40, len(nodes)))
     for node in sample:
-        triple = markov_triple_at(node.path)
+        triple = vieta_walk(node.path).as_tuple()
         report.record("triple-route",
-                      triple.as_tuple() == (node.left.denominator,
-                                            node.right.denominator,
-                                            node.value.denominator),
-                      node.path or "-",
-                      f"Vieta walk gives {triple.as_tuple()}")
+                      triple == (node.left.denominator, node.right.denominator,
+                                 node.value.denominator),
+                      node.path, lambda: f"Vieta walk gives {triple}")
     return report
 
 
-def suite_homomorphism(depth: int, a_values, parallel: bool) -> VerifyReport:
+def suite_homomorphism(window: Window, a_values) -> VerifyReport:
     """Concatenation-to-product homomorphism and determinant parity, randomized."""
-    report = VerifyReport("homomorphism", depth,
+    report = VerifyReport("homomorphism", window.depth,
                           params={"cases": HOMOMORPHISM_CASES, "seed": RNG_SEED})
     rng = random.Random(RNG_SEED)
 
@@ -254,10 +304,10 @@ def suite_homomorphism(depth: int, a_values, parallel: bool) -> VerifyReport:
         report.record("product",
                       convergent_matrix(cf_concat(u, v))
                       == convergent_matrix(u) @ convergent_matrix(v),
-                      "-", f"case {case}: words {u} and {v}")
+                      "", lambda: f"case {case}: words {u} and {v}")
         w = random_word(even=bool(case % 2))
         report.record("parity", convergent_matrix(w).det() == (-1) ** len(w),
-                      "-", f"case {case}: word {w}")
+                      "", lambda: f"case {case}: word {w}")
     return report
 
 
@@ -273,14 +323,9 @@ SUITES: dict = {
 }
 
 
-def run_suites(
-    names,
-    depth: int,
-    a_values=DEFAULT_A_VALUES,
-    *,
-    parallel: bool = False,
-) -> list:
-    """Run the named suites (in listed order) and return their reports."""
+def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
+    """Run the named suites (in listed order) on one shared window."""
+    window = Window(depth)
     reports = []
     for name in names:
         if name not in SUITES:
@@ -288,7 +333,7 @@ def run_suites(
                 f"unknown suite {name!r}; expected one of {', '.join(SUITES)}"
             )
         started = time.perf_counter()
-        report = SUITES[name](depth, a_values, parallel)
+        report = SUITES[name](window, a_values)
         report.wall_time = time.perf_counter() - started
         reports.append(report)
     return reports

@@ -7,12 +7,14 @@ import pytest
 
 from topograph import (
     HARD_POINT_CAP,
+    HARD_TRIPLE_CAP,
     DepthLimitError,
     cohn_at,
     left_companion,
     locate,
     markov_cf,
     markov_fraction,
+    markov_triple_at,
 )
 from topograph.cli import main
 
@@ -49,6 +51,27 @@ def test_point_cap_boundary():
     with pytest.raises(DepthLimitError):
         left_companion(Fraction(1, 2), q // 2 + 1)
     assert markov_fraction(Fraction(q - 1, q)).denominator > 1
+
+
+@pytest.mark.parametrize("path", ["L" * 5000, "LR" * 20], ids=["L*5000", "(LR)*20"])
+def test_oversized_triple_path_exits_2_at_once(capsys, path):
+    code, out, err, elapsed = run_cli(capsys, "triple", path)
+    assert code == 2 and out == ""
+    assert "exceeds cap" in err
+    assert elapsed < 1.0
+
+
+def test_triple_cap_boundary(capsys):
+    # The path L^k ends at Farey coordinate 1/(k + 2).
+    k = HARD_TRIPLE_CAP - 2
+    with pytest.raises(DepthLimitError):
+        markov_triple_at("L" * (k + 1))
+    code, out, err, _ = run_cli(capsys, "triple", "L" * k)
+    assert code == 0 and err == ""
+    x, y, z = (int(c) for c in out.split("triple = (")[1].rstrip(")\n").split(", "))
+    # Parents 0/1 and the node at L^(k-1), by the run-length route
+    assert (x, y, z) == (1, markov_fraction(Fraction(1, k + 1)).denominator,
+                         markov_fraction(Fraction(1, k + 2)).denominator)
 
 
 def test_deep_answer_prints_in_full(capsys):

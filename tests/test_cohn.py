@@ -19,8 +19,8 @@ from topograph import (
     enumerate_tree,
     markov_fraction,
     mirror,
+    run_suites,
     trace_map,
-    verify_cohn_index,
 )
 
 
@@ -196,21 +196,15 @@ def test_mirror_transpose_identity_at_depth():
 # ============================================================
 
 def test_sweep_counts():
-    report = verify_cohn_index(2, (0,))
+    report = run_suites(["index"], 2, (0,))[0]
     assert report.ok
-    assert report.nodes_checked == 7
+    assert report.checks["bottom-row"] == 7
     assert report.checks["index"] == 7
     assert report.checks["monotone"] == 1
 
 
 def test_sweep_several_parameters():
-    report = verify_cohn_index(6, (-2, -1, 0, 1, 2, 3))
+    report = run_suites(["index"], 6, (-2, -1, 0, 1, 2, 3))[0]
     assert report.ok
     assert report.failures == 0
     assert report.checks["bottom-row"] == 127  # only counted for a = 0
-
-
-def test_sweep_parallel_agrees():
-    a = verify_cohn_index(5, (0, 1))
-    b = verify_cohn_index(5, (0, 1), parallel=True)
-    assert a.checks == b.checks and a.failures == b.failures == 0

@@ -107,12 +107,6 @@ def test_dot_output():
     assert dot == to_dot(build_export("markov", 1))
 
 
-def test_parallel_export_is_identical():
-    a = to_json(build_export("markov", 5))
-    b = to_json(build_export("markov", 5, parallel=True))
-    assert a == b
-
-
 def test_render_dispatch():
     export = build_export("farey", 1)
     assert render(export, "json") == to_json(export)
@@ -248,8 +242,8 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     import topograph.cli as cli_module
     from topograph.verify import VerifyReport
 
-    def broken(depth, a_values, parallel):
-        report = VerifyReport("relations", depth)
+    def broken(window, a_values):
+        report = VerifyReport("relations", window.depth)
         report.record("doomed", False, "-", "synthetic failure")
         return report
 

@@ -12,6 +12,7 @@ from topograph import (
     MarkovTriple,
     NodeRelations,
     PreconditionError,
+    VerifyReport,
     check_relations,
     enumerate_tree,
     farey_mediant,
@@ -183,10 +184,16 @@ ROOT_RELATIONS = NodeRelations(
 )
 
 
+def relations_report(rel, path=""):
+    report = VerifyReport("relations", 0)
+    check_relations(rel, report, path)
+    return report
+
+
 def test_relations_pass_at_root():
-    report = check_relations(ROOT_RELATIONS)
+    report = relations_report(ROOT_RELATIONS)
     assert report.ok
-    assert [c.name for c in report.checks] == [
+    assert list(report.checks) == [
         "cross-left", "cross-right", "mediant-divisor", "flip-left", "flip-right",
     ]
 
@@ -199,11 +206,11 @@ def test_relations_catch_a_corrupted_node():
         child_right=Fraction(12, 29),
         child_left=Fraction(5, 13),
     )
-    report = check_relations(bad)
+    report = relations_report(bad)
     assert not report.ok
-    assert "cross-right" in report.failed_names()
+    assert "cross-right" in list(report.failed)
     # inexact division shows up as a failed check, not an exception
-    assert "mediant-divisor" in report.failed_names()
+    assert "mediant-divisor" in list(report.failed)
 
 
 def test_relations_catch_swapped_children():
@@ -214,7 +221,7 @@ def test_relations_catch_swapped_children():
         child_right=Fraction(5, 13),
         child_left=Fraction(12, 29),
     )
-    assert set(check_relations(swapped).failed_names()) == {"flip-left", "flip-right"}
+    assert set(relations_report(swapped).failed) == {"flip-left", "flip-right"}
 
 
 def test_relations_hold_at_every_interior_node():
@@ -229,4 +236,4 @@ def test_relations_hold_at_every_interior_node():
             child_right=nodes[path + "R"].value,
             child_left=nodes[path + "L"].value,
         )
-        assert check_relations(rel).ok, path
+        assert relations_report(rel, path).ok, path

@@ -110,12 +110,6 @@ def test_combine_failures_carry_path():
         list(enumerate_tree(Fraction(0), Fraction(1), grumpy, 3))
 
 
-def test_parallel_matches_sequential():
-    seq = list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 7))
-    par = list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 7, parallel=True))
-    assert seq == par
-
-
 def test_path_serialization():
     assert format_path("") == "-"
     assert format_path("LRR") == "LRR"
