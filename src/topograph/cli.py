@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 
 from .cftree import (
     format_qi,
@@ -33,7 +34,7 @@ from .cftree import (
 )
 from .cohn import cohn_at, cohn_index, trace_map
 from .errors import TopographError
-from .export import TREE_KINDS, build_export, render
+from .export import EXPORT_FORMATS, TREE_KINDS, build_export, render
 from .markov import markov_fraction, markov_triple_at
 from .rational import (
     cf_eval,
@@ -49,7 +50,8 @@ DEFAULT_CLI_DEPTH_CAP = 12
 ENV_DEPTH_CAP = "TOPOGRAPH_MAX_DEPTH"
 
 
-def _depth_cap(args) -> int:
+def _check_depth(args) -> int:
+    """Refuse a --depth beyond this command's depth cap; return the cap."""
     cap = DEFAULT_CLI_DEPTH_CAP
     env = os.environ.get(ENV_DEPTH_CAP)
     if env is not None:
@@ -59,7 +61,10 @@ def _depth_cap(args) -> int:
             raise TopographError(f"{ENV_DEPTH_CAP} must be an integer, got {env!r}")
     if getattr(args, "max_depth", None) is not None:
         cap = args.max_depth
-    return min(cap, HARD_DEPTH_CAP)
+    cap = min(cap, HARD_DEPTH_CAP)
+    if args.depth > cap:
+        raise TopographError(f"depth {args.depth} exceeds cap {cap}")
+    return cap
 
 
 def _print_payload(payload: dict, as_json: bool):
@@ -129,10 +134,7 @@ def cmd_cf(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    cap = _depth_cap(args)
-    if args.depth > cap:
-        raise TopographError(f"depth {args.depth} exceeds cap {cap}")
-    export = build_export(args.kind, args.depth, args.a, max_depth=cap)
+    export = build_export(args.kind, args.depth, args.a, max_depth=_check_depth(args))
     text = render(export, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -143,29 +145,16 @@ def cmd_tree(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cap = _depth_cap(args)
-    if args.depth > cap:
-        raise TopographError(f"depth {args.depth} exceeds cap {cap}")
+    _check_depth(args)
     names = list(SUITES) if args.suites == "all" else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
     a_values = tuple(int(a) for a in args.a_values.split(","))
     reports = run_suites(names, args.depth, a_values)
     if args.format == "json":
-        print(json.dumps([
-            {
-                "suite": r.suite,
-                "depth": r.depth,
-                "params": r.params,
-                "checks": r.checks,
-                "failed": r.failed,
-                "failures": r.failures,
-                "first_counterexample": r.first_counterexample,
-                "wall_time": round(r.wall_time, 6),
-                "ok": r.ok,
-            }
-            for r in reports
-        ], sort_keys=True, indent=1))
+        print(json.dumps([{**asdict(r), "wall_time": round(r.wall_time, 6),
+                            "failures": r.failures, "ok": r.ok} for r in reports],
+                         sort_keys=True, indent=1))
     else:
         for report in reports:
             print(format_report(report))
@@ -218,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--kind", choices=TREE_KINDS, required=True)
     p_tree.add_argument("--depth", type=int, required=True)
     p_tree.add_argument("--a", type=int, default=0, help="Cohn parameter")
-    add_format(p_tree, choices=("json", "dot", "csv"))
+    add_format(p_tree, choices=tuple(EXPORT_FORMATS))
     p_tree.add_argument("--out", help="write to this file instead of stdout")
     p_tree.add_argument("--max-depth", type=int, default=None,
                         help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")

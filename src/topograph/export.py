@@ -4,6 +4,9 @@ All exports are deterministic: breadth-first node order, canonical JSON
 (sorted keys, fixed separators, trailing newline), and fixed templates for
 DOT and CSV.  Big integers are serialized as decimal strings so nothing
 downstream has to parse arbitrary-precision numbers.
+
+Each tree is one entry of KINDS: its seed pair and combine rule, and the
+codecs of its values.  The CLI, the exports and verify all read it.
 """
 
 from __future__ import annotations
@@ -13,9 +16,16 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from functools import lru_cache
+from typing import Callable, Optional
 
-from .cftree import QuadraticIrrational, format_qi, periodic_value
+from .cftree import (
+    WORD_SEED_LEFT,
+    WORD_SEED_RIGHT,
+    QuadraticIrrational,
+    format_qi,
+    periodic_value,
+)
 from .cohn import cohn_A, cohn_B
 from .errors import DomainError
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child, springborn_mediant
@@ -31,7 +41,69 @@ from .rational import (
 )
 from .tree import HARD_DEPTH_CAP, Node, enumerate_tree, format_path, parse_path
 
-TREE_KINDS = ("farey", "markov", "triple", "cohn", "cf", "irrational")
+
+@dataclass(frozen=True)
+class Kind:
+    """One value tree: how it grows and how its values serialize.
+
+    seeds(a) is the seed pair and combine fills in every node from its two
+    parent regions.  text renders a value for CSV cells and DOT labels;
+    encode and decode are the JSON codec.  lift, when set, maps every region
+    of the enumerated tree, seeds included, to the exported value.  Only a
+    kind that takes_a reads the parameter a, and only its exports record it.
+    """
+
+    seeds: Callable
+    combine: Callable
+    text: Callable
+    encode: Callable
+    decode: Callable
+    lift: Optional[Callable] = None
+    takes_a: bool = False
+
+
+def _decode_fraction(obj) -> Fraction:
+    # Strictly 'p/q': unlike parse_fraction, a bare integer is malformed here.
+    num, _, den = obj.partition("/")
+    return make_fraction(int(num), int(den))
+
+
+def _decode_mat2(obj) -> Mat2:
+    (e11, e12), (e21, e22) = obj
+    return Mat2(int(e11), int(e12), int(e21), int(e22))
+
+
+def _word_seeds(a: int) -> tuple:
+    return WORD_SEED_LEFT, WORD_SEED_RIGHT
+
+
+KINDS = {
+    "farey": Kind(lambda a: (Fraction(0), Fraction(1)), farey_mediant,
+                  format_fraction, format_fraction, _decode_fraction),
+    "markov": Kind(lambda a: (MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT), springborn_mediant,
+                   format_fraction, format_fraction, _decode_fraction),
+    "triple": Kind(lambda a: (1, 2), markov_child, str, str, int),
+    "cohn": Kind(lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__, format_mat2,
+                 lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]], _decode_mat2,
+                 takes_a=True),
+    "cf": Kind(_word_seeds, cf_concat, format_cf_word, format_cf_word, parse_cf_word),
+    # The word tree with every region periodized.  The lift looks up
+    # periodic_value at call time, so a traced run that wraps this module's
+    # attribute sees every call.
+    "irrational": Kind(_word_seeds, cf_concat, format_qi,
+                       lambda x: {f: str(getattr(x, f)) for f in "PBQD"},
+                       lambda obj: QuadraticIrrational(*(int(obj[f]) for f in "PBQD")),
+                       lift=lambda word: periodic_value(word)),
+}
+
+TREE_KINDS = tuple(KINDS)
+
+
+def _kind(name: str) -> Kind:
+    try:
+        return KINDS[name]
+    except KeyError:
+        raise DomainError(f"unknown tree kind {name!r}; expected one of {TREE_KINDS}") from None
 
 
 @dataclass(frozen=True)
@@ -44,20 +116,6 @@ class TreeExport:
     nodes: tuple
 
 
-def _seeds_and_combine(kind: str, a: int):
-    if kind == "farey":
-        return Fraction(0), Fraction(1), farey_mediant
-    if kind == "markov":
-        return MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant
-    if kind == "triple":
-        return 1, 2, markov_child
-    if kind == "cohn":
-        return cohn_A(a).m, cohn_B(a).m, lambda x, y: x @ y
-    if kind in ("cf", "irrational"):
-        return (2, 2), (1, 1), cf_concat
-    raise DomainError(f"unknown tree kind {kind!r}; expected one of {TREE_KINDS}")
-
-
 def build_export(
     kind: str,
     depth: int,
@@ -67,74 +125,20 @@ def build_export(
 ) -> TreeExport:
     """Enumerate a tree to the given depth.
 
-    The irrational tree is the word tree with every region periodized, so it
-    is built by mapping the word enumeration through periodic_value.
+    A kind with a lift is enumerated with its seeds and combine, then each
+    distinct region value is lifted once.
     """
-    seed_left, seed_right, combine = _seeds_and_combine(kind, a)
+    spec = _kind(kind)
+    seed_left, seed_right = spec.seeds(a)
     nodes = tuple(
-        enumerate_tree(seed_left, seed_right, combine, depth, max_depth=max_depth)
+        enumerate_tree(seed_left, seed_right, spec.combine, depth, max_depth=max_depth)
     )
-    if kind == "irrational":
-        cache: dict = {}
-
-        def pv(word):
-            if word not in cache:
-                cache[word] = periodic_value(word)
-            return cache[word]
-
+    if spec.lift is not None:
+        lift = lru_cache(maxsize=None)(spec.lift)
         nodes = tuple(
-            Node(n.path, pv(n.left), pv(n.right), pv(n.value)) for n in nodes
+            Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes
         )
-    return TreeExport(kind, depth, a if kind == "cohn" else None, nodes)
-
-
-# ============================================================
-# value serialization
-# ============================================================
-
-def _value_to_json(kind: str, v):
-    if kind in ("farey", "markov"):
-        return format_fraction(v)
-    if kind == "triple":
-        return str(v)
-    if kind == "cohn":
-        return [[str(v.e11), str(v.e12)], [str(v.e21), str(v.e22)]]
-    if kind == "cf":
-        return format_cf_word(v)
-    if kind == "irrational":
-        return {"P": str(v.P), "B": str(v.B), "Q": str(v.Q), "D": str(v.D)}
-    raise DomainError(f"unknown tree kind {kind!r}")
-
-
-def _value_from_json(kind: str, obj):
-    if kind in ("farey", "markov"):
-        num, _, den = obj.partition("/")
-        return make_fraction(int(num), int(den))
-    if kind == "triple":
-        return int(obj)
-    if kind == "cohn":
-        (e11, e12), (e21, e22) = obj
-        return Mat2(int(e11), int(e12), int(e21), int(e22))
-    if kind == "cf":
-        return parse_cf_word(obj)
-    if kind == "irrational":
-        return QuadraticIrrational(int(obj["P"]), int(obj["B"]), int(obj["Q"]), int(obj["D"]))
-    raise DomainError(f"unknown tree kind {kind!r}")
-
-
-def _value_to_text(kind: str, v) -> str:
-    """Single-cell rendering for CSV and DOT labels."""
-    if kind in ("farey", "markov"):
-        return format_fraction(v)
-    if kind == "triple":
-        return str(v)
-    if kind == "cohn":
-        return format_mat2(v)
-    if kind == "cf":
-        return format_cf_word(v)
-    if kind == "irrational":
-        return format_qi(v)
-    raise DomainError(f"unknown tree kind {kind!r}")
+    return TreeExport(kind, depth, a if spec.takes_a else None, nodes)
 
 
 # ============================================================
@@ -142,15 +146,16 @@ def _value_to_text(kind: str, v) -> str:
 # ============================================================
 
 def to_json(export: TreeExport) -> str:
+    encode = _kind(export.kind).encode
     payload = {
         "kind": export.kind,
         "depth": export.depth,
         "nodes": [
             {
                 "path": format_path(n.path),
-                "value": _value_to_json(export.kind, n.value),
-                "left": _value_to_json(export.kind, n.left),
-                "right": _value_to_json(export.kind, n.right),
+                "value": encode(n.value),
+                "left": encode(n.left),
+                "right": encode(n.right),
             }
             for n in export.nodes
         ],
@@ -164,12 +169,13 @@ def from_json(text: str) -> TreeExport:
     try:
         payload = json.loads(text)
         kind = payload["kind"]
+        decode = _kind(kind).decode
         nodes = tuple(
             Node(
                 parse_path(n["path"]),
-                _value_from_json(kind, n["left"]),
-                _value_from_json(kind, n["right"]),
-                _value_from_json(kind, n["value"]),
+                decode(n["left"]),
+                decode(n["right"]),
+                decode(n["value"]),
             )
             for n in payload["nodes"]
         )
@@ -179,16 +185,12 @@ def from_json(text: str) -> TreeExport:
 
 
 def to_csv(export: TreeExport) -> str:
+    text = _kind(export.kind).text
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "value", "left", "right"])
     for n in export.nodes:
-        writer.writerow([
-            format_path(n.path),
-            _value_to_text(export.kind, n.value),
-            _value_to_text(export.kind, n.left),
-            _value_to_text(export.kind, n.right),
-        ])
+        writer.writerow([format_path(n.path), text(n.value), text(n.left), text(n.right)])
     return buf.getvalue()
 
 
@@ -197,30 +199,27 @@ def to_dot(export: TreeExport) -> str:
 
     Vertices are the two seed regions plus one region per node, labeled with
     the region's value; edges connect each new region to the two regions it
-    was combined from.
+    was combined from.  A node's left parent is the node at its path cut
+    before the last R (the left seed if there is none), and its right parent
+    the node at its path cut before the last L.
     """
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
+    spec = _kind(export.kind)
+    seeds = spec.seeds(export.a or 0)
+    if spec.lift is not None:
+        seeds = tuple(map(spec.lift, seeds))
     lines = [f"graph {export.kind} {{", "  node [shape=plaintext];"]
-    seeds = _seeds_and_combine(export.kind, export.a or 0)[:2]
-    if export.kind == "irrational":
-        seeds = tuple(periodic_value(s) for s in seeds)
-    lines.append(f"  seed_L [label={quote(_value_to_text(export.kind, seeds[0]))}];")
-    lines.append(f"  seed_R [label={quote(_value_to_text(export.kind, seeds[1]))}];")
+    lines.append(f"  seed_L [label={quote(spec.text(seeds[0]))}];")
+    lines.append(f"  seed_R [label={quote(spec.text(seeds[1]))}];")
     for n in export.nodes:
-        lines.append(
-            f"  {quote(format_path(n.path))} "
-            f"[label={quote(_value_to_text(export.kind, n.value))}];"
-        )
+        lines.append(f"  {quote(format_path(n.path))} [label={quote(spec.text(n.value))}];")
     lines.append("  seed_L -- seed_R;")
     for n in export.nodes:
-        left_id, right_id = "seed_L", "seed_R"
-        for i, step in enumerate(n.path):
-            if step == "L":
-                right_id = quote(format_path(n.path[:i]))
-            else:
-                left_id = quote(format_path(n.path[:i]))
+        last_r, last_l = n.path.rfind("R"), n.path.rfind("L")
+        left_id = quote(format_path(n.path[:last_r])) if last_r >= 0 else "seed_L"
+        right_id = quote(format_path(n.path[:last_l])) if last_l >= 0 else "seed_R"
         me = quote(format_path(n.path))
         lines.append(f"  {me} -- {left_id};")
         lines.append(f"  {me} -- {right_id};")
@@ -228,11 +227,11 @@ def to_dot(export: TreeExport) -> str:
     return "\n".join(lines) + "\n"
 
 
+EXPORT_FORMATS = {"json": to_json, "dot": to_dot, "csv": to_csv}
+
+
 def render(export: TreeExport, fmt: str) -> str:
-    if fmt == "json":
-        return to_json(export)
-    if fmt == "dot":
-        return to_dot(export)
-    if fmt == "csv":
-        return to_csv(export)
-    raise DomainError(f"unknown export format {fmt!r}; expected json, dot, or csv")
+    writer = EXPORT_FORMATS.get(fmt)
+    if writer is None:
+        raise DomainError(f"unknown export format {fmt!r}; expected json, dot, or csv")
+    return writer(export)

@@ -14,8 +14,6 @@ from fractions import Fraction
 
 from .errors import DomainError, PreconditionError
 
-CFWord = tuple  # tuple[int, ...]; kept loose on purpose, validation is dynamic
-
 
 # ============================================================
 # fractions

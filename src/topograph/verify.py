@@ -28,21 +28,18 @@ from .cftree import (
 )
 from .cohn import cohn_A, cohn_B, cohn_index
 from .errors import DomainError
+from .export import KINDS
 from .markov import (
-    MARKOV_SEED_LEFT,
-    MARKOV_SEED_RIGHT,
     NodeRelations,
     check_relations,
     springborn_mediant,
     vieta_walk,
 )
 from .rational import (
-    Mat2,
     cf_concat,
     cf_eval,
     cf_expand_even,
     convergent_matrix,
-    farey_mediant,
     format_fraction,
 )
 from .tree import enumerate_tree
@@ -105,18 +102,21 @@ class Window:
 
     @cached_property
     def farey(self) -> list:
-        return list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, self.depth))
+        farey = KINDS["farey"]
+        return list(enumerate_tree(*farey.seeds(0), farey.combine, self.depth))
 
     @cached_property
     def markov(self) -> list:
-        return list(enumerate_tree(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT,
-                                   springborn_mediant, self.depth))
+        # Grown with this module's springborn_mediant, the rule suite_relations
+        # computes each node's children with, so a change to it reaches both.
+        return list(enumerate_tree(*KINDS["markov"].seeds(0), springborn_mediant, self.depth))
 
     @cached_property
     def words(self) -> list:
         # The word tree is addressed by mirrored paths, and mirroring a path
         # reverses its position within its level.
-        nodes = list(enumerate_tree((2, 2), (1, 1), cf_concat, self.depth))
+        words = KINDS["cf"]
+        nodes = list(enumerate_tree(*words.seeds(0), words.combine, self.depth))
         return [node.value
                 for level in range(self.depth + 1)
                 for node in reversed(nodes[2 ** level - 1: 2 ** (level + 1) - 1])]
@@ -157,7 +157,10 @@ def suite_index(window: Window, a_values) -> VerifyReport:
     """
     report = VerifyReport("index", window.depth, params={"a_values": list(a_values)})
     for a in a_values:
-        cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, window.depth)
+        # Seeded through this module's cohn_A and cohn_B, so a test can plant
+        # a matrix that is not a Cohn matrix and see every check catch it.
+        cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, KINDS["cohn"].combine,
+                                    window.depth)
         indexed = []
         for fnode, mnode, cnode in zip(window.farey, window.markov, cohn_nodes):
             m, mf, path = cnode.value, mnode.value, cnode.path
@@ -247,8 +250,7 @@ def suite_monotonicity(window: Window, a_values) -> VerifyReport:
     """The coordinate-to-fraction map is a strictly increasing bijection."""
     report = VerifyReport("monotonicity", window.depth)
     pairs = [(fnode.value, mnode.value) for fnode, mnode in zip(window.farey, window.markov)]
-    pairs.append((Fraction(0), MARKOV_SEED_LEFT))
-    pairs.append((Fraction(1), MARKOV_SEED_RIGHT))
+    pairs.extend(zip(KINDS["farey"].seeds(0), KINDS["markov"].seeds(0)))
     pairs.sort()
     for (t1, v1), (t2, v2) in zip(pairs, pairs[1:]):
         report.record("increasing", v1 < v2, "",
@@ -324,14 +326,21 @@ SUITES: dict = {
 
 
 def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
-    """Run the named suites (in listed order) on one shared window."""
+    """Run the named suites (in listed order) on one shared window.
+
+    Every name is checked before any suite runs; an empty list or an unknown
+    name raises DomainError.
+    """
+    names = list(names)
+    expected = f"expected one of {', '.join(SUITES)}"
+    if not names:
+        raise DomainError(f"no suite named; {expected}")
+    for name in names:
+        if name not in SUITES:
+            raise DomainError(f"unknown suite {name!r}; {expected}")
     window = Window(depth)
     reports = []
     for name in names:
-        if name not in SUITES:
-            raise DomainError(
-                f"unknown suite {name!r}; expected one of {', '.join(SUITES)}"
-            )
         started = time.perf_counter()
         report = SUITES[name](window, a_values)
         report.wall_time = time.perf_counter() - started

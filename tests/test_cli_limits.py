@@ -8,13 +8,16 @@ import pytest
 from topograph import (
     HARD_POINT_CAP,
     HARD_TRIPLE_CAP,
+    SUITES,
     DepthLimitError,
+    DomainError,
     cohn_at,
     left_companion,
     locate,
     markov_cf,
     markov_fraction,
     markov_triple_at,
+    run_suites,
 )
 from topograph.cli import main
 
@@ -92,3 +95,21 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize("suites,message", [
+    ("index,nosuch", "unknown suite 'nosuch'"),
+    (",", "no suite named"),
+], ids=["unknown", "empty"])
+def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, suites, message):
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+    code, out, err, elapsed = run_cli(capsys, "verify", "--suites", suites, "--depth", "12")
+    assert code == 2 and out == ""
+    assert message in err
+    assert ran == []
+    assert elapsed < AT_ONCE_S
+    with pytest.raises(DomainError, match=message):
+        run_suites([s for s in suites.split(",") if s], 12)
+    assert ran == []
