@@ -34,7 +34,8 @@ HARD_DEPTH_CAP = 24
 # Hard ceiling on q * m for a point query at t = p/q, where m is the
 # companion repetition count (1 for every other query).  Word queries build
 # 2qm letters and their values grow to about 1.39 bits per letter; at the cap
-# a periodization takes a few seconds and tens of MB.
+# the CLI answers a periodization or a companion in about 0.5 s and tens of
+# MB, about half of it spent writing the answer out in decimal.
 HARD_POINT_CAP = 2**17
 
 PATH_ALPHABET = frozenset("LR")

@@ -27,7 +27,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import cohn_A, cohn_B, cohn_index
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 from .export import KINDS
 from .markov import (
     NodeRelations,
@@ -328,10 +328,12 @@ SUITES: dict = {
 def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     """Run the named suites (in listed order) on one shared window.
 
-    Every name is checked before any suite runs; an empty list or an unknown
-    name raises DomainError.
+    Every argument is checked before any suite runs: an empty list or an
+    unknown name raises DomainError, a negative depth PreconditionError.
     """
     names = list(names)
+    if depth < 0:
+        raise PreconditionError(f"depth must be >= 0, got {depth}")
     expected = f"expected one of {', '.join(SUITES)}"
     if not names:
         raise DomainError(f"no suite named; {expected}")

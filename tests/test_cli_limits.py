@@ -11,6 +11,7 @@ from topograph import (
     SUITES,
     DepthLimitError,
     DomainError,
+    PreconditionError,
     cohn_at,
     left_companion,
     locate,
@@ -23,6 +24,8 @@ from topograph.cli import main
 
 # Generous: a refused query does no work, but the machine may be busy.
 AT_ONCE_S = 2.0
+# Generous too: answered in about 0.5 s each on a 2-core VM.
+AT_CAP_S = 3.0
 
 
 def run_cli(capsys, *argv):
@@ -54,6 +57,17 @@ def test_point_cap_boundary():
     with pytest.raises(DepthLimitError):
         left_companion(Fraction(1, 2), q // 2 + 1)
     assert markov_fraction(Fraction(q - 1, q)).denominator > 1
+
+
+@pytest.mark.parametrize("argv,answer", [
+    (("cf", f"1/{HARD_POINT_CAP}", "--mode", "periodic"), "\nvalue = ("),
+    (("cf", "1/2", "--mode", "companion", "--m", str(HARD_POINT_CAP // 2)), "\ncompanion = "),
+], ids=["periodic", "companion"])
+def test_largest_word_queries_answer_in_time(capsys, argv, answer):
+    code, out, err, elapsed = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert answer in out
+    assert elapsed < AT_CAP_S
 
 
 @pytest.mark.parametrize("path", ["L" * 5000, "LR" * 20], ids=["L*5000", "(LR)*20"])
@@ -112,4 +126,21 @@ def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, suite
     assert elapsed < AT_ONCE_S
     with pytest.raises(DomainError, match=message):
         run_suites([s for s in suites.split(",") if s], 12)
+    assert ran == []
+
+
+@pytest.mark.parametrize("suites,depth", [
+    ("homomorphism,companions", -5),
+    ("monotonicity", -1),
+], ids=["window-free", "window"])
+def test_negative_depth_exits_2_before_any_suite_runs(capsys, monkeypatch, suites, depth):
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+    code, out, err, _ = run_cli(capsys, "verify", "--suites", suites, "--depth", str(depth))
+    assert code == 2 and out == ""
+    assert "depth must be >= 0" in err
+    assert ran == []
+    with pytest.raises(PreconditionError, match="depth must be >= 0"):
+        run_suites(suites.split(","), depth)
     assert ran == []
