@@ -83,11 +83,20 @@ def format_qi(x: QuadraticIrrational) -> str:
 def periodic_value(word) -> QuadraticIrrational:
     """Value of the infinite periodic continued fraction with this period.
 
-    The fixed point x = (p_k x + p_{k-1}) / (q_k x + q_{k-1}) > 1 solves
-    q_k x^2 + (q_{k-1} - p_k) x - p_{k-1} = 0; the larger root is returned.
-    Even length keeps the discriminant positive and the root above 1.
+    It is the fixed point x = (p_k x + p_{k-1}) / (q_k x + q_{k-1}) > 1 of the
+    word's convergents, found by fixed_point.  Even length keeps the
+    discriminant positive and the root above 1.
     """
-    pk, pk1, qk, qk1 = _convergents(_validate_word(word, even=True))
+    return fixed_point(*_convergents(_validate_word(word, even=True)))
+
+
+def fixed_point(pk: int, pk1: int, qk: int, qk1: int) -> QuadraticIrrational:
+    """Larger root of q_k x^2 + (q_{k-1} - p_k) x - p_{k-1} = 0.
+
+    The arguments are the entries of a convergent matrix
+    (p_k p_{k-1} / q_k q_{k-1}); periodic_value computes them from a word,
+    and the verify window carries them down the word tree instead.
+    """
     disc = (qk1 - pk) ** 2 + 4 * qk * pk1
     return make_qi(pk - qk1, 1, 2 * qk, disc)
 

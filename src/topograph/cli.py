@@ -149,7 +149,11 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suites == "all" else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
-    a_values = tuple(int(a) for a in args.a_values.split(","))
+    try:
+        a_values = tuple(int(a) for a in args.a_values.split(","))
+    except ValueError:
+        raise TopographError(f"--a-values must be comma-separated integers, "
+                             f"got {args.a_values!r}") from None
     reports = run_suites(names, args.depth, a_values)
     if args.format == "json":
         print(json.dumps([{**asdict(r), "wall_time": round(r.wall_time, 6),

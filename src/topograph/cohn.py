@@ -11,9 +11,8 @@ a = 0, the closed forms of the bottom row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import DomainError, InvariantError
 from .rational import Mat2
@@ -22,7 +21,7 @@ from .tree import descend_runs, locate_runs
 
 @dataclass(frozen=True)
 class CohnMatrix:
-    """A matrix from the Cohn tree, tagged with its parameter and position.
+    """A matrix from the Cohn tree, tagged with its parameter.
 
     Construction re-checks the two defining invariants (determinant 1,
     trace = 3 * e12) so a corrupted matrix cannot masquerade as a Cohn one.
@@ -30,7 +29,6 @@ class CohnMatrix:
 
     m: Mat2
     a: int
-    t: Optional[Fraction] = field(default=None)
 
     def __post_init__(self):
         if self.m.det() != 1:
@@ -43,14 +41,12 @@ class CohnMatrix:
 
 def cohn_A(a: int) -> CohnMatrix:
     """Left seed of the parameter-a tree; sits at coordinate t = 0."""
-    return CohnMatrix(Mat2(a, 1, 3 * a - a * a - 1, 3 - a), a, Fraction(0))
+    return CohnMatrix(Mat2(a, 1, 3 * a - a * a - 1, 3 - a), a)
 
 
 def cohn_B(a: int) -> CohnMatrix:
     """Right seed of the parameter-a tree; sits at coordinate t = 1."""
-    return CohnMatrix(
-        Mat2(2 * a + 1, 2, -2 * a * a + 4 * a + 2, 5 - 2 * a), a, Fraction(1)
-    )
+    return CohnMatrix(Mat2(2 * a + 1, 2, -2 * a * a + 4 * a + 2, 5 - 2 * a), a)
 
 
 def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
@@ -69,7 +65,7 @@ def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
     if t == 1:
         return cohn_B(a)
     m = descend_runs(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, Mat2.__pow__, locate_runs(t))
-    return CohnMatrix(m, a, t)
+    return CohnMatrix(m, a)
 
 
 def cohn_index(c) -> Fraction:

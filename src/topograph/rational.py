@@ -246,9 +246,6 @@ class Mat2:
     def transpose(self) -> "Mat2":
         return Mat2(self.e11, self.e21, self.e12, self.e22)
 
-    def rows(self):
-        return ((self.e11, self.e12), (self.e21, self.e22))
-
 
 def format_mat2(m: Mat2) -> str:
     return f"[[{m.e11},{m.e12}],[{m.e21},{m.e22}]]"

@@ -1,11 +1,18 @@
 """Cross-verification suites tying the five structures together.
 
 run_suites builds one Window per call, the breadth-first Farey, Markov and
-word lists to the requested depth, and every tree suite reads it.  Each suite
-checks one family of identities, counting passes and failures per named
-check and recording the first counterexample verbatim.  Suites never assert;
-they return a VerifyReport, and the CLI turns a failing report into exit
-code 1.
+word lists to the requested depth, and every tree suite reads it.  The window
+also carries each word's convergent matrix down the word tree as the product
+of its parents' matrices, the concatenation rule, so the convergent kernel
+runs once per node, in the words suite, and the periodization suite reads the
+carried product; each is checked against the Markov fraction.  The index and
+monotonicity suites take the order in t from the window's in-order positions
+and compare ratios by integer cross products, without building Fractions.
+
+Each suite checks one family of identities, counting passes and failures per
+named check and recording the first counterexample verbatim.  Suites never
+assert; they return a VerifyReport, and the CLI turns a failing report into
+exit code 1.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Optional
 
 from .cftree import (
     compare_gap,
+    fixed_point,
     left_companion,
     markov_cf,
     markov_irrationality,
@@ -26,7 +35,7 @@ from .cftree import (
     qi_compare,
     qi_satisfies,
 )
-from .cohn import cohn_A, cohn_B, cohn_index
+from .cohn import cohn_A, cohn_B
 from .errors import DomainError, PreconditionError
 from .export import KINDS
 from .markov import (
@@ -93,12 +102,25 @@ class Window:
     """The breadth-first window of the fraction tree to a given depth.
 
     farey and markov are the Node lists of the Farey and Markov fraction
-    trees; words[i] is the word at the path of markov[i].  Each tree is
-    enumerated once, on first use, and never beyond depth.
+    trees; words[i] is the word at the path of markov[i], and convergents[i]
+    its convergent matrix, carried down the word tree by Mat2 products from
+    the seed words' matrices rather than computed from the word.  inorder
+    lists the breadth-first indexes from left to right, in increasing t.
+    Each tree is enumerated once, on first use, and never beyond depth.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
+
+    def _mirrored(self, nodes) -> list:
+        # The word tree is addressed by mirrored paths, and mirroring a path
+        # reverses its position within its level.
+        values = []
+        for level in range(self.depth + 1):
+            row = [node.value for node in islice(nodes, 2 ** level)]
+            row.reverse()
+            values += row
+        return values
 
     @cached_property
     def farey(self) -> list:
@@ -113,13 +135,25 @@ class Window:
 
     @cached_property
     def words(self) -> list:
-        # The word tree is addressed by mirrored paths, and mirroring a path
-        # reverses its position within its level.
         words = KINDS["cf"]
-        nodes = list(enumerate_tree(*words.seeds(0), words.combine, self.depth))
-        return [node.value
-                for level in range(self.depth + 1)
-                for node in reversed(nodes[2 ** level - 1: 2 ** (level + 1) - 1])]
+        return self._mirrored(enumerate_tree(*words.seeds(0), words.combine, self.depth))
+
+    @cached_property
+    def convergents(self) -> list:
+        # The concatenation rule: a word's convergent matrix is the product of
+        # its parents' matrices.
+        seeds = map(convergent_matrix, KINDS["cf"].seeds(0))
+        return self._mirrored(enumerate_tree(*seeds, KINDS["cohn"].combine, self.depth))
+
+    @cached_property
+    def inorder(self) -> list:
+        # Node k of level l (index 2^l - 1 + k) has in-order position
+        # (2k + 1) * 2^(depth - l) - 1.
+        order = [0] * (2 ** (self.depth + 1) - 1)
+        for level in range(self.depth + 1):
+            step = 2 ** (self.depth - level)
+            order[step - 1::2 * step] = range(2 ** level - 1, 2 ** (level + 1) - 1)
+        return order
 
 
 # ============================================================
@@ -153,27 +187,29 @@ def suite_index(window: Window, a_values) -> VerifyReport:
     denominator q at t; e11 = a*q + p for the Markov fraction p/q; the index
     e11/e12 equals a + p/q (so for a = 0 it is the Markov fraction itself);
     indexes are strictly increasing in t; and for a = 0 the bottom row obeys
-    e22 = 3q - p and e21 = (3pq - p^2 - 1)/q with exact division.
+    e22 = 3q - p and e21 = (3pq - p^2 - 1)/q with exact division.  Indexes
+    are compared as integer cross products; a matrix with e12 = 0 has no
+    index and fails both index checks.
     """
     report = VerifyReport("index", window.depth, params={"a_values": list(a_values)})
+    markov = [(n.value.numerator, n.value.denominator, n.value) for n in window.markov]
     for a in a_values:
         # Seeded through this module's cohn_A and cohn_B, so a test can plant
         # a matrix that is not a Cohn matrix and see every check catch it.
         cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, KINDS["cohn"].combine,
                                     window.depth)
-        indexed = []
-        for fnode, mnode, cnode in zip(window.farey, window.markov, cohn_nodes):
-            m, mf, path = cnode.value, mnode.value, cnode.path
-            p, q = mf.numerator, mf.denominator
+        indexes = []  # e11/e12 as (e11, e12) with e12 > 0, or None for e12 = 0
+        for (p, q, mf), cnode in zip(markov, cohn_nodes):
+            m, path = cnode.value, cnode.path
+            e11, e12 = m.e11, m.e12
             det, trace = m.det(), m.trace()
             report.record("det", det == 1, path, lambda: f"det = {det}", a=a)
-            report.record("trace", trace == 3 * m.e12, path,
-                          lambda: f"trace = {trace}, e12 = {m.e12}", a=a)
-            report.record("top-row", (m.e11, m.e12) == (a * q + p, q), path,
-                          lambda: f"top row {(m.e11, m.e12)}, expected {(a * q + p, q)}", a=a)
-            idx = cohn_index(m)
-            report.record("index", idx == a + mf, path,
-                          lambda: f"index {format_fraction(idx)}, "
+            report.record("trace", trace == 3 * e12, path,
+                          lambda: f"trace = {trace}, e12 = {e12}", a=a)
+            report.record("top-row", e11 == a * q + p and e12 == q, path,
+                          lambda: f"top row {(e11, e12)}, expected {(a * q + p, q)}", a=a)
+            report.record("index", e12 != 0 and e11 * q == (a * q + p) * e12, path,
+                          lambda: f"index {_index_text(e11, e12)}, "
                                   f"expected a + {format_fraction(mf)}", a=a)
             if a == 0:
                 num = 3 * p * q - p * p - 1
@@ -181,13 +217,16 @@ def suite_index(window: Window, a_values) -> VerifyReport:
                 report.record("bottom-row", rem == 0 and (m.e21, m.e22) == (div, 3 * q - p),
                               path, lambda: f"bottom row {(m.e21, m.e22)}, "
                                             f"expected ({num}/{q}, {3 * q - p})", a=a)
-            indexed.append((fnode.value, idx))
-        indexed.sort(key=lambda item: item[0])
-        increasing = all(
-            indexed[i][1] < indexed[i + 1][1] for i in range(len(indexed) - 1)
-        )
+            indexes.append((e11, e12) if e12 > 0 else (-e11, -e12) if e12 else None)
+        ordered = [indexes[i] for i in window.inorder]
+        increasing = None not in ordered and all(
+            u1 * v2 < u2 * v1 for (u1, v1), (u2, v2) in zip(ordered, ordered[1:]))
         report.record("monotone", increasing, "", "indexes not strictly increasing in t", a=a)
     return report
+
+
+def _index_text(e11: int, e12: int) -> str:
+    return format_fraction(Fraction(e11, e12)) if e12 else "undefined (e12 = 0)"
 
 
 def suite_words(window: Window, a_values) -> VerifyReport:
@@ -206,14 +245,17 @@ def suite_words(window: Window, a_values) -> VerifyReport:
 
 
 def suite_periodization(window: Window, a_values) -> VerifyReport:
-    """Periodized word equals the closed-form irrational, node by node."""
+    """Periodized word equals the closed-form irrational, node by node.
+
+    Both checks read the word's carried convergent matrix: its fixed point
+    is the periodization, and the closed form must solve its quadratic.
+    """
     report = VerifyReport("periodization", window.depth)
-    for node, word in zip(window.markov, window.words):
-        got = periodic_value(word)
+    for node, m in zip(window.markov, window.convergents):
+        got = fixed_point(m.e11, m.e12, m.e21, m.e22)
         want = markov_irrationality(node.value)
         report.record("closed-form", got == want, node.path,
                       lambda: f"periodization {got}, formula {want}")
-        m = convergent_matrix(word)
         report.record("quadratic", qi_satisfies(want, m.e21, m.e22 - m.e11, -m.e12),
                       node.path, "closed form fails the fixed-point quadratic")
     return report
@@ -249,15 +291,18 @@ def suite_companions(window: Window, a_values) -> VerifyReport:
 def suite_monotonicity(window: Window, a_values) -> VerifyReport:
     """The coordinate-to-fraction map is a strictly increasing bijection."""
     report = VerifyReport("monotonicity", window.depth)
-    pairs = [(fnode.value, mnode.value) for fnode, mnode in zip(window.farey, window.markov)]
-    pairs.extend(zip(KINDS["farey"].seeds(0), KINDS["markov"].seeds(0)))
-    pairs.sort()
+    # The seeds sit at t = 0 and t = 1, outside every window node.
+    (t_lo, t_hi), (v_lo, v_hi) = KINDS["farey"].seeds(0), KINDS["markov"].seeds(0)
+    pairs = [(t_lo, v_lo)]
+    pairs += [(window.farey[i].value, window.markov[i].value) for i in window.inorder]
+    pairs.append((t_hi, v_hi))
     for (t1, v1), (t2, v2) in zip(pairs, pairs[1:]):
-        report.record("increasing", v1 < v2, "",
+        report.record("increasing",
+                      v1.numerator * v2.denominator < v2.numerator * v1.denominator, "",
                       lambda: f"{format_fraction(v1)} at t={format_fraction(t1)} not below "
                               f"{format_fraction(v2)} at t={format_fraction(t2)}")
     for t, v in pairs:
-        report.record("range", 0 <= v <= Fraction(1, 2), "",
+        report.record("range", 0 <= 2 * v.numerator <= v.denominator, "",
                       lambda: f"{format_fraction(v)} outside [0, 1/2]")
     return report
 
@@ -328,12 +373,16 @@ SUITES: dict = {
 def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     """Run the named suites (in listed order) on one shared window.
 
-    Every argument is checked before any suite runs: an empty list or an
-    unknown name raises DomainError, a negative depth PreconditionError.
+    Every argument is checked before any suite runs: an empty list, an
+    unknown name or a repeated Cohn parameter raises DomainError, a negative
+    depth PreconditionError.
     """
     names = list(names)
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
+    a_values = tuple(a_values)
+    if len(set(a_values)) < len(a_values):
+        raise DomainError(f"--a-values must be distinct, got {', '.join(map(str, a_values))}")
     expected = f"expected one of {', '.join(SUITES)}"
     if not names:
         raise DomainError(f"no suite named; {expected}")

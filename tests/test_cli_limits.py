@@ -144,3 +144,26 @@ def test_negative_depth_exits_2_before_any_suite_runs(capsys, monkeypatch, suite
     with pytest.raises(PreconditionError, match="depth must be >= 0"):
         run_suites(suites.split(","), depth)
     assert ran == []
+
+
+@pytest.mark.parametrize("a_values,message", [
+    ("0,0", "--a-values must be distinct"),
+    ("1,2,-1,2", "--a-values must be distinct"),
+    ("x", "--a-values must be comma-separated integers"),
+    ("0,,1", "--a-values must be comma-separated integers"),
+    ("1.5", "--a-values must be comma-separated integers"),
+], ids=["0,0", "repeat", "x", "empty-entry", "1.5"])
+def test_bad_a_values_exit_2_before_any_suite_runs(capsys, monkeypatch, a_values, message):
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+    code, out, err, elapsed = run_cli(capsys, "verify", "--suites", "index",
+                                      "--a-values", a_values, "--depth", "12")
+    assert code == 2 and out == ""
+    assert message in err and "invalid literal" not in err
+    assert ran == []
+    assert elapsed < AT_ONCE_S
+    if "distinct" in message:
+        with pytest.raises(DomainError, match=message):
+            run_suites(["index"], 12, tuple(int(a) for a in a_values.split(",")))
+        assert ran == []

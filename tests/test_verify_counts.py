@@ -6,13 +6,23 @@ input corrupted; both were recorded from the suites as they stood before they
 were rebuilt on one shared window, when each suite enumerated its own trees.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from topograph import Mat2, SUITES, VerifyReport, cf_concat, farey_mediant, run_suites
+from topograph import (
+    Mat2,
+    SUITES,
+    VerifyReport,
+    cf_concat,
+    convergent_matrix,
+    farey_mediant,
+    run_suites,
+)
 from topograph import tree, verify
 from topograph.cohn import cohn_A
 from topograph.markov import springborn_mediant
@@ -131,7 +141,10 @@ def test_counts_match_the_recorded_window(depth):
 
 
 def test_one_window_per_call(monkeypatch):
-    """Each tree is enumerated once, each Cohn tree once per a, none past depth."""
+    """Each tree is enumerated once, each Cohn tree once per a, none past depth.
+
+    The word tree's convergent matrices are carried down one product tree.
+    """
     depth = 4
     calls = []
     real = verify.enumerate_tree
@@ -153,6 +166,7 @@ def test_one_window_per_call(monkeypatch):
     assert trees.pop((cf_concat, (2, 2))) == 1
     for a in DEFAULT_A_VALUES:
         assert trees.pop((Mat2.__matmul__, cohn_A(a).m)) == 1
+    assert trees.pop((Mat2.__matmul__, convergent_matrix((2, 2)))) == 1
     assert not trees
 
 
@@ -283,3 +297,11 @@ def test_corrupted_input_gives_the_recorded_report(monkeypatch, suite):
     assert report.failed == {name: n - report.checks.get(name, 0)
                              for name, n in attempted.items()
                              if n != report.checks.get(name, 0)}
+
+
+def test_depth_10_counts_match_the_benchmark_gate():
+    """The verify-window benchmark fails an op whose counts differ from these."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
+    expected = json.loads(path.read_text())["verify"]
+    reports = run_suites(list(SUITES), 10)
+    assert {r.suite: {"checks": r.checks, "failures": r.failures} for r in reports} == expected

@@ -1,0 +1,118 @@
+"""The verify window's fast routes against the references they replace.
+
+Window.convergents carries each word's convergent matrix down the word tree
+as a product (the concatenation rule) and Window.inorder reads the order in t
+off the tree's shape; the references are the convergent kernel on each word
+and a sort of the Farey window.  The fault tests plant one bad value where a
+suite reads it and pin the report it gives.
+"""
+
+from dataclasses import replace
+from types import SimpleNamespace
+
+import pytest
+
+from topograph import Mat2, convergent_matrix, run_suites, verify
+from topograph.cli import main
+from topograph.verify import Window
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_carried_matrices_are_the_kernel_matrices(depth):
+    window = Window(depth)
+    assert len(window.convergents) == len(window.words) == 2 ** (depth + 1) - 1
+    for word, m in zip(window.words, window.convergents):
+        assert m == convergent_matrix(word), word
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_inorder_is_the_sorted_farey_window(depth):
+    window = Window(depth)
+    assert sorted(window.inorder) == list(range(len(window.farey)))
+    values = [window.farey[i].value for i in window.inorder]
+    assert all(x < y for x, y in zip(values, values[1:]))
+    assert values == sorted(node.value for node in window.farey)
+
+
+def _fault_in_carried_product(real, word_path):
+    """enumerate_tree with one node of the carried product tree corrupted."""
+    def walk(seed_left, seed_right, combine, depth, **kwargs):
+        for node in real(seed_left, seed_right, combine, depth, **kwargs):
+            if seed_left == convergent_matrix((2, 2)) and node.path == word_path:
+                # The matrix of the word with one more (1, 1) block.
+                node = replace(node, value=node.value @ convergent_matrix((1, 1)))
+            yield node
+
+    return walk
+
+
+def test_fault_in_carried_product_gives_the_recorded_report(monkeypatch):
+    monkeypatch.setattr(verify, "enumerate_tree",
+                        _fault_in_carried_product(verify.enumerate_tree, "LR"))
+    report = run_suites(["periodization"], 4)[0]
+    assert report.checks == {"closed-form": 30, "quadratic": 30}
+    assert report.failed == {"closed-form": 1, "quadratic": 1}
+    # The word tree is mirrored: word path LR is the fraction tree's RL.
+    assert report.first_counterexample == {
+        "check": "closed-form", "path": "RL",
+        "detail": "periodization QuadraticIrrational(P=2016, B=1, Q=2240, D=11492096), "
+                  "formula QuadraticIrrational(P=791, B=1, Q=866, D=1687397)"}
+
+
+def _plant_seeds(monkeypatch, at_a, seed_a, seed_b):
+    """Seed the Cohn tree of parameter at_a through verify's cohn_A and cohn_B."""
+    for name, seed in (("cohn_A", seed_a), ("cohn_B", seed_b)):
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda a, real=real, seed=seed:
+                            SimpleNamespace(m=seed(real(a).m)) if a == at_a else real(a))
+
+
+def _negated(m):
+    return Mat2(-m.e11, -m.e12, -m.e21, -m.e22)
+
+
+def test_negative_e12_keeps_the_index_and_its_order(monkeypatch):
+    # Negated seeds negate every node built from an odd number of them, which
+    # leaves det, trace / e12 and the index e11 / e12 as they are.  The report
+    # is the one the suite gave when it compared Fractions.
+    _plant_seeds(monkeypatch, 0, _negated, _negated)
+    report = run_suites(["index"], 3, (0, 1))[0]
+    assert report.checks == {"det": 30, "trace": 30, "top-row": 20, "index": 30,
+                             "bottom-row": 5, "monotone": 2}
+    assert report.failed == {"top-row": 10, "bottom-row": 10}
+    assert report.first_counterexample == {"check": "top-row", "a": 0, "path": "L",
+                                           "detail": "top row (-5, -13), expected (5, 13)"}
+
+
+def _lower_triangular_seeds_at_a_1(monkeypatch):
+    # Products of lower triangular matrices keep e12 = 0: no index is defined.
+    _plant_seeds(monkeypatch, 1, lambda m: Mat2(1, 0, 1, 1), lambda m: Mat2(1, 0, 2, 1))
+
+
+def test_zero_e12_fails_the_index_checks(monkeypatch):
+    _lower_triangular_seeds_at_a_1(monkeypatch)
+    details = []
+    record = verify.VerifyReport.record
+
+    def record_every_detail(self, name, passed, path="", detail="", **context):
+        if not passed:
+            details.append((name, path, detail() if callable(detail) else detail))
+        return record(self, name, passed, path, detail, **context)
+
+    monkeypatch.setattr(verify.VerifyReport, "record", record_every_detail)
+    report = run_suites(["index"], 2, (0, 1))[0]
+    assert report.checks == {"det": 14, "trace": 7, "top-row": 7, "index": 7,
+                             "bottom-row": 7, "monotone": 1}
+    assert report.failed == {"trace": 7, "top-row": 7, "index": 7, "monotone": 1}
+    assert report.first_counterexample == {"check": "trace", "a": 1, "path": "-",
+                                           "detail": "trace = 2, e12 = 0"}
+    assert ("index", "", "index undefined (e12 = 0), expected a + 2/5") in details
+    assert ("monotone", "", "indexes not strictly increasing in t") in details
+
+
+def test_zero_e12_is_a_counterexample_not_an_error(monkeypatch, capsys):
+    _lower_triangular_seeds_at_a_1(monkeypatch)
+    code = main(["verify", "--suites", "index", "--depth", "2", "--a-values", "0,1"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert "first counterexample: trace at -: trace = 2, e12 = 0" in out
