@@ -61,6 +61,7 @@ from .rational import (
     make_fraction,
     parse_cf_word,
     parse_fraction,
+    partial_quotients,
 )
 from .tree import (
     HARD_DEPTH_CAP,
@@ -73,7 +74,9 @@ from .tree import (
     locate,
     locate_runs,
     mirror,
+    mirrored,
     parse_path,
+    value_at,
 )
 from .verify import SUITES, VerifyReport, format_report, run_suites
 

@@ -2,7 +2,8 @@
 
 The word tree is seeded by ((2,2), (1,1)) and combined by concatenation; it
 is the mirror image of the fraction trees, so the word for coordinate t sits
-at the mirrored path.  Two identities become executable here: the word at t is
+at the mirrored path, and tree.mirrored turns it into a tree addressed like
+the fraction trees.  Two identities become executable here: the word at t is
 exactly the canonical even expansion of 2 + (Markov fraction at t), and
 repeating it forever yields the quadratic irrational
 (2p + q + sqrt(9q^2 - 4)) / (2q) built from that fraction p/q.
@@ -21,7 +22,7 @@ from operator import add, mul
 
 from .errors import DomainError
 from .rational import _convergents, _validate_word, cf_eval
-from .tree import check_point_size, descend_runs, locate_runs, mirror_runs
+from .tree import check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
 WORD_SEED_RIGHT = (1, 1)
@@ -30,20 +31,13 @@ WORD_SEED_RIGHT = (1, 1)
 def markov_cf(t: Fraction) -> tuple:
     """Even continued fraction word of 2 + markov_fraction(t).
 
-    Built structurally: concatenation down the mirrored tree, without ever
-    expanding a fraction, one tuple repetition per run of mirror_runs(
-    locate_runs(t)).  Boundaries give the seed words.  The tests compare it
-    with the step-by-step cf_concat descend on the mirrored path, and the
-    words suite compares the concatenation tree with cf_expand_even.
+    Built structurally, without expanding a fraction: value_at on the mirror
+    image of the word tree, which puts (1,1) at t = 0 and (2,2) at t = 1.
+    The tests compare it with the step-by-step cf_concat descend on the
+    mirrored path, and the words suite compares the concatenation tree with
+    cf_expand_even.
     """
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise DomainError(f"coordinate must lie in [0, 1], got {t}")
-    if t == 0:
-        return WORD_SEED_RIGHT
-    if t == 1:
-        return WORD_SEED_LEFT
-    return descend_runs(WORD_SEED_LEFT, WORD_SEED_RIGHT, add, mul, mirror_runs(locate_runs(t)))
+    return value_at(t, *mirrored(WORD_SEED_LEFT, WORD_SEED_RIGHT, add), mul)
 
 
 # ============================================================

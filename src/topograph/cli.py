@@ -10,17 +10,17 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error, an exceeded cap, or an unwritable --out.  Tree and
-verify depths are capped (default 12, override with --max-depth or
-TOPOGRAPH_MAX_DEPTH, hard ceiling 24); point queries at t = p/q with
-companion repetition m are capped at q * m <= HARD_POINT_CAP, and a triple
-PATH at Farey denominator q <= HARD_TRIPLE_CAP.
+verify depths are capped (default 12, override with --max-depth, hard
+ceiling 24); point queries at t = p/q with companion repetition m are capped
+at q * m <= HARD_POINT_CAP, and a triple PATH at Farey denominator
+q <= HARD_TRIPLE_CAP.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -47,24 +47,13 @@ from .tree import HARD_DEPTH_CAP, format_path, locate, parse_path
 from .verify import DEFAULT_A_VALUES, SUITES, format_report, run_suites
 
 DEFAULT_CLI_DEPTH_CAP = 12
-ENV_DEPTH_CAP = "TOPOGRAPH_MAX_DEPTH"
 
 
-def _check_depth(args) -> int:
-    """Refuse a --depth beyond this command's depth cap; return the cap."""
-    cap = DEFAULT_CLI_DEPTH_CAP
-    env = os.environ.get(ENV_DEPTH_CAP)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise TopographError(f"{ENV_DEPTH_CAP} must be an integer, got {env!r}")
-    if getattr(args, "max_depth", None) is not None:
-        cap = args.max_depth
-    cap = min(cap, HARD_DEPTH_CAP)
+def _check_depth(args) -> None:
+    """Refuse a --depth beyond --max-depth, or beyond HARD_DEPTH_CAP."""
+    cap = min(args.max_depth, HARD_DEPTH_CAP)
     if args.depth > cap:
         raise TopographError(f"depth {args.depth} exceeds cap {cap}")
-    return cap
 
 
 def _print_payload(payload: dict, as_json: bool):
@@ -134,7 +123,8 @@ def cmd_cf(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    export = build_export(args.kind, args.depth, args.a, max_depth=_check_depth(args))
+    _check_depth(args)
+    export = build_export(args.kind, args.depth, args.a)
     text = render(export, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -213,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tree.add_argument("--a", type=int, default=0, help="Cohn parameter")
     add_format(p_tree, choices=tuple(EXPORT_FORMATS))
     p_tree.add_argument("--out", help="write to this file instead of stdout")
-    p_tree.add_argument("--max-depth", type=int, default=None,
+    p_tree.add_argument("--max-depth", type=int, default=DEFAULT_CLI_DEPTH_CAP,
                         help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
     p_tree.set_defaults(func=cmd_tree)
 
@@ -225,8 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--a-values", default=",".join(str(a) for a in DEFAULT_A_VALUES),
                           help="comma-separated Cohn parameters for the index suite")
     add_format(p_verify)
-    p_verify.add_argument("--max-depth", type=int, default=None,
+    p_verify.add_argument("--max-depth", type=int, default=DEFAULT_CLI_DEPTH_CAP,
                           help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
+    # argparse reads "-2,0" as an option, since it is no plain negative
+    # number; no option of verify starts with '-' and a digit.
+    p_verify._negative_number_matcher = re.compile(r"-\d")
     p_verify.set_defaults(func=cmd_verify)
 
     return parser

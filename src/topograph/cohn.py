@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InvariantError
 from .rational import Mat2
-from .tree import descend_runs, locate_runs
+from .tree import value_at
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,12 @@ def cohn_B(a: int) -> CohnMatrix:
 def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
     """Cohn matrix at coordinate t in [0, 1] for parameter a.
 
-    Boundaries return the seeds; interior coordinates multiply down the tree
-    along locate_runs(t), one Mat2 power and product per run.  The tests
-    compare it with the step-by-step Mat2 @ descend along locate(t); the
-    index suite checks the enumerated Cohn tree against the Markov fractions.
+    value_at gives the seeds at the boundaries and one Mat2 power and product
+    per run of the path inside.  The tests compare it with the step-by-step
+    Mat2 @ descend along locate(t); the index suite checks the enumerated
+    Cohn tree against the Markov fractions.
     """
-    t = Fraction(t)
-    if not 0 <= t <= 1:
-        raise DomainError(f"coordinate must lie in [0, 1], got {t}")
-    if t == 0:
-        return cohn_A(a)
-    if t == 1:
-        return cohn_B(a)
-    m = descend_runs(cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, Mat2.__pow__, locate_runs(t))
-    return CohnMatrix(m, a)
+    return CohnMatrix(value_at(t, cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, Mat2.__pow__), a)
 
 
 def cohn_index(c) -> Fraction:

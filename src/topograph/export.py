@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 from typing import Callable, Optional
 
 from .cftree import (
@@ -31,7 +32,6 @@ from .errors import DomainError
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child, springborn_mediant
 from .rational import (
     Mat2,
-    cf_concat,
     farey_mediant,
     format_cf_word,
     format_fraction,
@@ -39,7 +39,7 @@ from .rational import (
     make_fraction,
     parse_cf_word,
 )
-from .tree import HARD_DEPTH_CAP, Node, enumerate_tree, format_path, parse_path
+from .tree import Node, enumerate_tree, format_path, parse_path
 
 
 @dataclass(frozen=True)
@@ -86,11 +86,13 @@ KINDS = {
     "cohn": Kind(lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__, format_mat2,
                  lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]], _decode_mat2,
                  takes_a=True),
-    "cf": Kind(_word_seeds, cf_concat, format_cf_word, format_cf_word, parse_cf_word),
+    # Plain concatenation: the seeds are even words of positive ints and
+    # concatenation keeps them so; cf_concat's checks are for callers' words.
+    "cf": Kind(_word_seeds, add, format_cf_word, format_cf_word, parse_cf_word),
     # The word tree with every region periodized.  The lift looks up
     # periodic_value at call time, so a traced run that wraps this module's
     # attribute sees every call.
-    "irrational": Kind(_word_seeds, cf_concat, format_qi,
+    "irrational": Kind(_word_seeds, add, format_qi,
                        lambda x: {f: str(getattr(x, f)) for f in "PBQD"},
                        lambda obj: QuadraticIrrational(*(int(obj[f]) for f in "PBQD")),
                        lift=lambda word: periodic_value(word)),
@@ -116,23 +118,15 @@ class TreeExport:
     nodes: tuple
 
 
-def build_export(
-    kind: str,
-    depth: int,
-    a: int = 0,
-    *,
-    max_depth: int = HARD_DEPTH_CAP,
-) -> TreeExport:
-    """Enumerate a tree to the given depth.
+def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
+    """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP).
 
     A kind with a lift is enumerated with its seeds and combine, then each
     distinct region value is lifted once.
     """
     spec = _kind(kind)
     seed_left, seed_right = spec.seeds(a)
-    nodes = tuple(
-        enumerate_tree(seed_left, seed_right, spec.combine, depth, max_depth=max_depth)
-    )
+    nodes = tuple(enumerate_tree(seed_left, seed_right, spec.combine, depth))
     if spec.lift is not None:
         lift = lru_cache(maxsize=None)(spec.lift)
         nodes = tuple(

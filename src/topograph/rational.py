@@ -87,23 +87,32 @@ def _validate_word(word, *, even: bool = False) -> tuple:
     return w
 
 
+def partial_quotients(p: int, q: int) -> list:
+    """Partial quotients [a0, a1, ..., an] of p/q for q > 0, by Euclid.
+
+    For a non-integer p/q the last quotient is at least 2.  The one Euclid
+    of the package: cf_expand_even and tree.locate_runs both read it.
+    """
+    quotients = []
+    while q:
+        a, r = divmod(p, q)
+        quotients.append(a)
+        p, q = q, r
+    return quotients
+
+
 def cf_expand_even(x: Fraction) -> tuple:
     """Canonical even-length continued fraction word of a rational x > 1.
 
-    Runs the Euclidean expansion (which for a non-integer ends with a final
-    quotient >= 2, and for an integer n is just (n,)), then if the length is
+    Takes the partial quotients (which for a non-integer end with a final
+    quotient >= 2, and for an integer n are just (n,)), then if the length is
     odd rewrites the tail c -> (c - 1, 1).  The rewrite preserves the value,
     so cf_eval inverts this exactly.
     """
     x = Fraction(x)
     if x <= 1:
         raise DomainError(f"even expansion needs x > 1, got {format_fraction(x)}")
-    p, q = x.numerator, x.denominator
-    word = []
-    while q:
-        a, r = divmod(p, q)
-        word.append(a)
-        p, q = q, r
+    word = partial_quotients(x.numerator, x.denominator)
     if len(word) % 2:
         word[-1] -= 1
         word.append(1)

@@ -12,9 +12,11 @@ The walker is agnostic about the value type: it just threads the pair of
 parents and calls the supplied combine rule, wrapping any failure in a
 CombineError that records where in the tree it happened.
 
-Point queries take the run-length route instead: locate_runs reads the path
-of a coordinate off its continued fraction as runs of equal steps, and
-descend_runs crosses each run with one power of an associative combine.
+Point queries take the run-length route instead: value_at reads the path of
+a coordinate off its continued fraction as runs of equal steps (locate_runs)
+and crosses each run with one power of an associative combine
+(descend_runs).  mirrored turns a tree addressed by mirrored paths, such as
+the word tree, into one addressed like the fraction trees.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterator
 
 from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
+from .rational import partial_quotients
 
 # Hard ceiling on enumeration depth.  Values on balanced paths grow
 # doubly exponentially, so a runaway depth turns into gigabyte integers
@@ -104,7 +107,7 @@ def check_point_size(size: int) -> None:
 
 
 def locate_runs(t: Fraction) -> list:
-    """Path of t in the Farey tree as runs [(step, k), ...], from Euclid on t.
+    """Path of t in the Farey tree as runs [(step, k), ...], from t's quotients.
 
     With t = [0; a1, a2, ..., an] the Stern-Brocot path from 1/1 is
     L^a1 R^a2 L^a3 ... with the last exponent an - 1.  This tree is rooted at
@@ -116,12 +119,7 @@ def locate_runs(t: Fraction) -> list:
     if not 0 < t < 1:
         raise DomainError(f"locate needs 0 < t < 1, got {t}")
     check_point_size(t.denominator)
-    quotients = []
-    num, den = t.denominator, t.numerator
-    while den:
-        a, r = divmod(num, den)
-        quotients.append(a)
-        num, den = den, r
+    quotients = partial_quotients(t.denominator, t.numerator)
     quotients[0] -= 1
     quotients[-1] -= 1
     return [("LR"[i % 2], k) for i, k in enumerate(quotients) if k]
@@ -134,11 +132,6 @@ def locate(t: Fraction) -> str:
     tests check that descend along the result with farey_mediant reaches t.
     """
     return "".join(step * k for step, k in locate_runs(t))
-
-
-def mirror_runs(runs: list) -> list:
-    """Swap L and R in a run list, as mirror does on paths."""
-    return [("R" if step == "L" else "L", k) for step, k in runs]
 
 
 def descend_runs(seed_left, seed_right, combine: Callable, power: Callable, runs) -> Any:
@@ -159,25 +152,44 @@ def descend_runs(seed_left, seed_right, combine: Callable, power: Callable, runs
     return combine(left, right)
 
 
-def enumerate_tree(
-    seed_left,
-    seed_right,
-    combine: Callable,
-    depth: int,
-    *,
-    max_depth: int = HARD_DEPTH_CAP,
-) -> Iterator[Node]:
+def value_at(t: Fraction, seed_left, seed_right, combine: Callable, power: Callable) -> Any:
+    """Value at coordinate t in [0, 1] of the tree grown from the seed pair.
+
+    The seeds sit at t = 0 and t = 1; an interior t is the node at the end of
+    descend_runs along locate_runs(t), so combine must be associative and
+    power(X, k) its k-th power.
+    """
+    t = Fraction(t)
+    if not 0 <= t <= 1:
+        raise DomainError(f"coordinate must lie in [0, 1], got {t}")
+    if t == 0:
+        return seed_left
+    if t == 1:
+        return seed_right
+    return descend_runs(seed_left, seed_right, combine, power, locate_runs(t))
+
+
+def mirrored(seed_left, seed_right, combine: Callable) -> tuple:
+    """Seed pair and combine rule of the mirror image of a tree.
+
+    Swapping the seeds and the combine's arguments gives the tree that holds
+    at path P the value the original holds at mirror(P).  The reversed rule
+    of an associative combine is again associative, so descend_runs and
+    value_at accept it.
+    """
+    return seed_right, seed_left, lambda x, y: combine(y, x)
+
+
+def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[Node]:
     """Yield all nodes with path length <= depth in breadth-first order.
 
     Order is deterministic: by level, L before R within a level.  Depths
-    beyond max_depth (never beyond HARD_DEPTH_CAP) raise DepthLimitError
-    before any work is done.
+    beyond HARD_DEPTH_CAP raise DepthLimitError before any work is done.
     """
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
-    cap = min(max_depth, HARD_DEPTH_CAP)
-    if depth > cap:
-        raise DepthLimitError(f"depth {depth} exceeds cap {cap}")
+    if depth > HARD_DEPTH_CAP:
+        raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")
     queue = deque([("", seed_left, seed_right)])
     while queue:
         path, left, right = queue.popleft()

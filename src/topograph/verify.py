@@ -1,7 +1,7 @@
 """Cross-verification suites tying the five structures together.
 
-run_suites builds one Window per call, the breadth-first Farey, Markov and
-word lists to the requested depth, and every tree suite reads it.  The window
+run_suites builds one Window per call, the breadth-first Markov and word
+lists to the requested depth, and every tree suite reads it.  The window
 also carries each word's convergent matrix down the word tree as the product
 of its parents' matrices, the concatenation rule, so the convergent kernel
 runs once per node, in the words suite, and the periodization suite reads the
@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice
 from typing import Optional
 
 from .cftree import (
@@ -51,7 +50,7 @@ from .rational import (
     convergent_matrix,
     format_fraction,
 )
-from .tree import enumerate_tree
+from .tree import descend, enumerate_tree, mirrored
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
 COMPANION_COORDINATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5))
@@ -101,31 +100,17 @@ class VerifyReport:
 class Window:
     """The breadth-first window of the fraction tree to a given depth.
 
-    farey and markov are the Node lists of the Farey and Markov fraction
-    trees; words[i] is the word at the path of markov[i], and convergents[i]
-    its convergent matrix, carried down the word tree by Mat2 products from
-    the seed words' matrices rather than computed from the word.  inorder
+    markov is the Node list of the Markov fraction tree; words[i] is the word
+    at the path of markov[i], and convergents[i] its convergent matrix,
+    carried down the word tree by Mat2 products from the seed words' matrices
+    rather than computed from the word.  The word trees are enumerated
+    through tree.mirrored, so they come in the fraction tree's order.  inorder
     lists the breadth-first indexes from left to right, in increasing t.
     Each tree is enumerated once, on first use, and never beyond depth.
     """
 
     def __init__(self, depth: int):
         self.depth = depth
-
-    def _mirrored(self, nodes) -> list:
-        # The word tree is addressed by mirrored paths, and mirroring a path
-        # reverses its position within its level.
-        values = []
-        for level in range(self.depth + 1):
-            row = [node.value for node in islice(nodes, 2 ** level)]
-            row.reverse()
-            values += row
-        return values
-
-    @cached_property
-    def farey(self) -> list:
-        farey = KINDS["farey"]
-        return list(enumerate_tree(*farey.seeds(0), farey.combine, self.depth))
 
     @cached_property
     def markov(self) -> list:
@@ -136,14 +121,16 @@ class Window:
     @cached_property
     def words(self) -> list:
         words = KINDS["cf"]
-        return self._mirrored(enumerate_tree(*words.seeds(0), words.combine, self.depth))
+        word_tree = mirrored(*words.seeds(0), words.combine)
+        return [node.value for node in enumerate_tree(*word_tree, self.depth)]
 
     @cached_property
     def convergents(self) -> list:
         # The concatenation rule: a word's convergent matrix is the product of
         # its parents' matrices.
         seeds = map(convergent_matrix, KINDS["cf"].seeds(0))
-        return self._mirrored(enumerate_tree(*seeds, KINDS["cohn"].combine, self.depth))
+        product_tree = mirrored(*seeds, KINDS["cohn"].combine)
+        return [node.value for node in enumerate_tree(*product_tree, self.depth)]
 
     @cached_property
     def inorder(self) -> list:
@@ -292,16 +279,27 @@ def suite_monotonicity(window: Window, a_values) -> VerifyReport:
     """The coordinate-to-fraction map is a strictly increasing bijection."""
     report = VerifyReport("monotonicity", window.depth)
     # The seeds sit at t = 0 and t = 1, outside every window node.
-    (t_lo, t_hi), (v_lo, v_hi) = KINDS["farey"].seeds(0), KINDS["markov"].seeds(0)
-    pairs = [(t_lo, v_lo)]
-    pairs += [(window.farey[i].value, window.markov[i].value) for i in window.inorder]
-    pairs.append((t_hi, v_hi))
-    for (t1, v1), (t2, v2) in zip(pairs, pairs[1:]):
+    farey = KINDS["farey"]
+    (t_lo, t_hi), (v_lo, v_hi) = farey.seeds(0), KINDS["markov"].seeds(0)
+    nodes = [window.markov[i] for i in window.inorder]
+    values = [v_lo] + [node.value for node in nodes] + [v_hi]
+
+    def t_text(k: int) -> str:
+        # Coordinate of values[k], only ever needed for a counterexample.
+        if k == 0:
+            t = t_lo
+        elif k > len(nodes):
+            t = t_hi
+        else:
+            t = descend(t_lo, t_hi, farey.combine, nodes[k - 1].path).value
+        return format_fraction(t)
+
+    for k, (v1, v2) in enumerate(zip(values, values[1:])):
         report.record("increasing",
                       v1.numerator * v2.denominator < v2.numerator * v1.denominator, "",
-                      lambda: f"{format_fraction(v1)} at t={format_fraction(t1)} not below "
-                              f"{format_fraction(v2)} at t={format_fraction(t2)}")
-    for t, v in pairs:
+                      lambda: f"{format_fraction(v1)} at t={t_text(k)} not below "
+                              f"{format_fraction(v2)} at t={t_text(k + 1)}")
+    for v in values:
         report.record("range", 0 <= 2 * v.numerator <= v.denominator, "",
                       lambda: f"{format_fraction(v)} outside [0, 1/2]")
     return report

@@ -1,5 +1,6 @@
 """Caps and exit codes: oversized point queries and unwritable output exit 2 at once."""
 
+import json
 import time
 from fractions import Fraction
 
@@ -152,7 +153,9 @@ def test_negative_depth_exits_2_before_any_suite_runs(capsys, monkeypatch, suite
     ("x", "--a-values must be comma-separated integers"),
     ("0,,1", "--a-values must be comma-separated integers"),
     ("1.5", "--a-values must be comma-separated integers"),
-], ids=["0,0", "repeat", "x", "empty-entry", "1.5"])
+    ("-2,0,-2", "--a-values must be distinct"),
+    ("-1,x", "--a-values must be comma-separated integers"),
+], ids=["0,0", "repeat", "x", "empty-entry", "1.5", "negative-repeat", "negative-x"])
 def test_bad_a_values_exit_2_before_any_suite_runs(capsys, monkeypatch, a_values, message):
     ran = []
     for name in list(SUITES):
@@ -167,3 +170,16 @@ def test_bad_a_values_exit_2_before_any_suite_runs(capsys, monkeypatch, a_values
         with pytest.raises(DomainError, match=message):
             run_suites(["index"], 12, tuple(int(a) for a in a_values.split(",")))
         assert ran == []
+
+
+@pytest.mark.parametrize("argv", [
+    ("--a-values", "-2,0"),
+    ("--a-values=-2,0",),
+], ids=["separate", "equals"])
+def test_a_values_may_start_with_a_negative_entry(capsys, argv):
+    code, out, err, _ = run_cli(capsys, "verify", "--suites", "index", "--depth", "2",
+                                *argv, "--format", "json")
+    assert code == 0 and err == ""
+    [report] = json.loads(out)
+    assert report["params"] == {"a_values": [-2, 0]}
+    assert report["checks"]["det"] == 14

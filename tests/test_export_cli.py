@@ -187,20 +187,12 @@ def test_cli_tree_stdout_and_file(tmp_path, capsys):
     assert len(payload["nodes"]) == 7
 
 
-def test_cli_tree_depth_cap(capsys, monkeypatch):
+def test_cli_tree_depth_cap(capsys):
     code, _, err = run_cli(capsys, "tree", "--kind", "markov", "--depth", "13")
     assert code == 2 and "cap" in err
     code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "13",
                          "--format", "csv", "--max-depth", "14")
     assert code == 0
-    monkeypatch.setenv("TOPOGRAPH_MAX_DEPTH", "13")
-    code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "13",
-                         "--format", "csv")
-    assert code == 0
-    monkeypatch.setenv("TOPOGRAPH_MAX_DEPTH", "nope")
-    code, _, err = run_cli(capsys, "tree", "--kind", "farey", "--depth", "3",
-                           "--format", "csv")
-    assert code == 2 and "TOPOGRAPH_MAX_DEPTH" in err
 
 
 def test_cli_parse_errors(capsys):

@@ -7,12 +7,14 @@ descend with each tree's own combine rule, and a Mat2 fold per letter.
 
 from fractions import Fraction
 from functools import reduce
+from operator import add, mul
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topograph import (
+    DomainError,
     Mat2,
     cf_concat,
     cf_eval,
@@ -29,6 +31,7 @@ from topograph import (
     mirror,
     periodic_value,
     springborn_mediant,
+    value_at,
 )
 from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT
 from topograph.verify import DEFAULT_A_VALUES
@@ -93,6 +96,28 @@ def test_route_matches_walk(check, t):
 @long_runs
 def test_route_matches_walk_on_long_runs(check, t):
     check(t)
+
+
+def test_value_at_boundaries_are_the_seeds():
+    assert value_at(Fraction(0), "x", "y", add, mul) == "x"
+    assert value_at(1, "x", "y", add, mul) == "y"
+    assert value_at(Fraction(1, 2), "x", "y", add, mul) == "xy"
+    for a in DEFAULT_A_VALUES:
+        assert cohn_at(Fraction(0), a).m == cohn_A(a).m
+        assert cohn_at(Fraction(1), a).m == cohn_B(a).m
+    # The word tree is mirrored: (1,1) sits at t = 0 and (2,2) at t = 1.
+    assert markov_cf(Fraction(0)) == (1, 1)
+    assert markov_cf(Fraction(1)) == (2, 2)
+
+
+@pytest.mark.parametrize("t", [Fraction(-1, 3), Fraction(4, 3), Fraction(-1), Fraction(2)],
+                         ids=str)
+def test_coordinates_outside_the_unit_interval_are_refused(t):
+    message = rf"^coordinate must lie in \[0, 1\], got {t}$"
+    for query in (lambda: value_at(t, "x", "y", add, mul), lambda: cohn_at(t, 1),
+                  lambda: markov_cf(t)):
+        with pytest.raises(DomainError, match=message):
+            query()
 
 
 def test_long_run_shapes():

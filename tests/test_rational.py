@@ -22,6 +22,7 @@ from topograph import (
     make_fraction,
     parse_cf_word,
     parse_fraction,
+    partial_quotients,
 )
 
 # words over small quotients, arbitrary content, even length
@@ -213,3 +214,15 @@ def test_mat2_algebra():
     assert a ** 3 == a @ a @ a
     with pytest.raises(DomainError):
         a ** -1
+
+
+@given(st.integers(-(2**80), 2**80), st.integers(1, 2**80))
+def test_partial_quotients_match_a_fraction_loop(p, q):
+    x, quotients = Fraction(p, q), []
+    while True:
+        a = x.numerator // x.denominator
+        quotients.append(a)
+        if x == a:
+            break
+        x = 1 / (x - a)
+    assert partial_quotients(p, q) == quotients

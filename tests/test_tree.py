@@ -11,13 +11,16 @@ from topograph import (
     DepthLimitError,
     DomainError,
     PreconditionError,
+    cf_concat,
     descend,
     enumerate_tree,
     farey_mediant,
     format_path,
     locate,
     mirror,
+    mirrored,
     parse_path,
+    tree,
 )
 
 paths = st.text(alphabet="LR", max_size=12)
@@ -87,11 +90,14 @@ def test_parents_are_neighbors_everywhere():
         assert is_farey_neighbors(node.left, node.right)
 
 
-def test_depth_guard():
+def test_depth_guard(monkeypatch):
     with pytest.raises(DepthLimitError):
         list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 25))
+    # The cap is read at call time.
+    monkeypatch.setattr(tree, "HARD_DEPTH_CAP", 5)
     with pytest.raises(DepthLimitError):
-        list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 6, max_depth=5))
+        list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 6))
+    assert len(list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 5))) == 63
     with pytest.raises(PreconditionError):
         list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, -1))
 
@@ -136,3 +142,12 @@ def test_mirror_swaps_subtrees(path):
     node = farey_node(path)
     twin = farey_node(mirror(path))
     assert twin.value == 1 - node.value
+
+
+@given(paths)
+def test_mirrored_tree_holds_the_value_at_the_mirrored_path(path):
+    # Concatenation does not commute, so a combine that kept its argument
+    # order would give other words.
+    seeds = (2, 2), (1, 1)
+    node = descend(*mirrored(*seeds, cf_concat), path)
+    assert node.value == descend(*seeds, cf_concat, mirror(path)).value

@@ -20,11 +20,10 @@ from topograph import (
     VerifyReport,
     cf_concat,
     convergent_matrix,
-    farey_mediant,
     run_suites,
 )
 from topograph import tree, verify
-from topograph.cohn import cohn_A
+from topograph.cohn import cohn_A, cohn_B
 from topograph.markov import springborn_mediant
 from topograph.verify import COMPANION_COORDINATES, DEFAULT_A_VALUES
 
@@ -144,14 +143,20 @@ def test_one_window_per_call(monkeypatch):
     """Each tree is enumerated once, each Cohn tree once per a, none past depth.
 
     The word tree's convergent matrices are carried down one product tree.
+    The Farey tree is not enumerated: monotonicity finds a coordinate only
+    for a counterexample's text.
     """
     depth = 4
     calls = []
     real = verify.enumerate_tree
 
-    def spy(seed_left, seed_right, combine, d, **kwargs):
-        calls.append((combine, seed_left, d))
-        return real(seed_left, seed_right, combine, d, **kwargs)
+    def spy(seed_left, seed_right, combine, d):
+        # A tree is told apart by its seeds and its root: the word trees come
+        # mirrored (seeds swapped, combine reversed), and the mirrored product
+        # tree has the seeds of the a = 2 Cohn tree, since
+        # convergent_matrix((1, 1)) == cohn_A(2).m.
+        calls.append((seed_left, seed_right, combine(seed_left, seed_right), d))
+        return real(seed_left, seed_right, combine, d)
 
     monkeypatch.setattr(verify, "enumerate_tree", spy)
     # With the cap at depth, asking for one more level raises DepthLimitError.
@@ -159,14 +164,16 @@ def test_one_window_per_call(monkeypatch):
     reports = run_suites(list(SUITES), depth)
     assert all(r.ok for r in reports)
 
-    assert max(d for _, _, d in calls) <= depth
-    trees = Counter((combine, seed) for combine, seed, _ in calls)
-    assert trees.pop((farey_mediant, Fraction(0))) == 1
-    assert trees.pop((springborn_mediant, Fraction(0))) == 1
-    assert trees.pop((cf_concat, (2, 2))) == 1
+    assert max(d for *_, d in calls) <= depth
+    trees = Counter(call[:3] for call in calls)
+    half = Fraction(1, 2)
+    assert trees.pop((Fraction(0), half, springborn_mediant(Fraction(0), half))) == 1
+    assert trees.pop(((1, 1), (2, 2), cf_concat((2, 2), (1, 1)))) == 1
     for a in DEFAULT_A_VALUES:
-        assert trees.pop((Mat2.__matmul__, cohn_A(a).m)) == 1
-    assert trees.pop((Mat2.__matmul__, convergent_matrix((2, 2)))) == 1
+        a_seed, b_seed = cohn_A(a).m, cohn_B(a).m
+        assert trees.pop((a_seed, b_seed, a_seed @ b_seed)) == 1
+    m11, m22 = convergent_matrix((1, 1)), convergent_matrix((2, 2))
+    assert trees.pop((m11, m22, m22 @ m11)) == 1
     assert not trees
 
 

@@ -3,16 +3,28 @@
 Window.convergents carries each word's convergent matrix down the word tree
 as a product (the concatenation rule) and Window.inorder reads the order in t
 off the tree's shape; the references are the convergent kernel on each word
-and a sort of the Farey window.  The fault tests plant one bad value where a
-suite reads it and pin the report it gives.
+and a sort of the Farey window.  Window.words and Window.convergents read the
+word trees through tree.mirrored; the reference reverses each breadth-first
+level of the word tree as it is addressed.  The fault tests plant one bad
+value where a suite reads it and pin the report it gives.
 """
 
 from dataclasses import replace
+from fractions import Fraction
+from itertools import islice
 from types import SimpleNamespace
 
 import pytest
 
-from topograph import Mat2, convergent_matrix, run_suites, verify
+from topograph import (
+    Mat2,
+    cf_concat,
+    convergent_matrix,
+    enumerate_tree,
+    farey_mediant,
+    run_suites,
+    verify,
+)
 from topograph.cli import main
 from topograph.verify import Window
 
@@ -25,34 +37,61 @@ def test_carried_matrices_are_the_kernel_matrices(depth):
         assert m == convergent_matrix(word), word
 
 
+def _level_reversed(seed_left, seed_right, combine, depth):
+    """Values of a tree addressed by mirrored paths, in the fraction tree's order.
+
+    Mirroring a path reverses its position within its level.
+    """
+    nodes = enumerate_tree(seed_left, seed_right, combine, depth)
+    values = []
+    for level in range(depth + 1):
+        values += reversed([node.value for node in islice(nodes, 2 ** level)])
+    return values
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_mirrored_word_trees_are_the_level_reversed_trees(depth):
+    window = Window(depth)
+    assert window.words == _level_reversed((2, 2), (1, 1), cf_concat, depth)
+    seeds = convergent_matrix((2, 2)), convergent_matrix((1, 1))
+    assert window.convergents == _level_reversed(*seeds, Mat2.__matmul__, depth)
+
+
 @pytest.mark.parametrize("depth", range(10))
 def test_inorder_is_the_sorted_farey_window(depth):
     window = Window(depth)
-    assert sorted(window.inorder) == list(range(len(window.farey)))
-    values = [window.farey[i].value for i in window.inorder]
+    farey = [node.value
+             for node in enumerate_tree(Fraction(0), Fraction(1), farey_mediant, depth)]
+    assert sorted(window.inorder) == list(range(len(farey)))
+    values = [farey[i] for i in window.inorder]
     assert all(x < y for x, y in zip(values, values[1:]))
-    assert values == sorted(node.value for node in window.farey)
+    assert values == sorted(farey)
 
 
-def _fault_in_carried_product(real, word_path):
+def _fault_in_carried_product(real, path):
     """enumerate_tree with one node of the carried product tree corrupted."""
-    def walk(seed_left, seed_right, combine, depth, **kwargs):
-        for node in real(seed_left, seed_right, combine, depth, **kwargs):
-            if seed_left == convergent_matrix((2, 2)) and node.path == word_path:
+    m11, m22 = convergent_matrix((1, 1)), convergent_matrix((2, 2))
+
+    def walk(seed_left, seed_right, combine, depth):
+        # The a = 2 Cohn tree has the same seeds; only its root differs.
+        carried = (seed_left, seed_right) == (m11, m22) and combine(m11, m22) == m22 @ m11
+        for node in real(seed_left, seed_right, combine, depth):
+            if carried and node.path == path:
                 # The matrix of the word with one more (1, 1) block.
-                node = replace(node, value=node.value @ convergent_matrix((1, 1)))
+                node = replace(node, value=node.value @ m11)
             yield node
 
     return walk
 
 
 def test_fault_in_carried_product_gives_the_recorded_report(monkeypatch):
+    # The carried tree is enumerated through tree.mirrored, so it is
+    # addressed like the fraction tree: fraction path RL is word path LR.
     monkeypatch.setattr(verify, "enumerate_tree",
-                        _fault_in_carried_product(verify.enumerate_tree, "LR"))
+                        _fault_in_carried_product(verify.enumerate_tree, "RL"))
     report = run_suites(["periodization"], 4)[0]
     assert report.checks == {"closed-form": 30, "quadratic": 30}
     assert report.failed == {"closed-form": 1, "quadratic": 1}
-    # The word tree is mirrored: word path LR is the fraction tree's RL.
     assert report.first_counterexample == {
         "check": "closed-form", "path": "RL",
         "detail": "periodization QuadraticIrrational(P=2016, B=1, Q=2240, D=11492096), "
@@ -116,3 +155,35 @@ def test_zero_e12_is_a_counterexample_not_an_error(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
     assert "first counterexample: trace at -: trace = 2, e12 = 0" in out
+
+
+def _moved_markov_node(real, value, moved):
+    def mediant(lo, hi):
+        got = real(lo, hi)
+        return moved if got == value else got
+
+    return mediant
+
+
+@pytest.mark.parametrize("path,moved,failed,detail", [
+    ("LRLR", Fraction(3, 5), {"increasing": 1, "range": 1},
+     "3/5 at t=5/13 not below 75/194 at t=2/5"),
+    ("LLLL", Fraction(0), {"increasing": 1},
+     "0/1 at t=0/1 not below 0/1 at t=1/6"),
+    ("RRRR", Fraction(1, 2), {"increasing": 1},
+     "1/2 at t=5/6 not below 1/2 at t=1/1"),
+], ids=["inner", "left-seed", "right-seed"])
+def test_monotonicity_counterexample_names_the_farey_coordinates(
+        monkeypatch, path, moved, failed, detail):
+    # The reports were recorded when the window held the Farey tree; the
+    # coordinates are now found by descend, for the counterexample only.
+    # Each moved node is a leaf of the depth-4 window, so nothing is built
+    # from it.
+    value = {node.path: node.value for node in Window(4).markov}[path]
+    monkeypatch.setattr(verify, "springborn_mediant",
+                        _moved_markov_node(verify.springborn_mediant, value, moved))
+    report = run_suites(["monotonicity"], 4)[0]
+    assert report.failed == failed
+    assert sum(report.checks.values()) + report.failures == 32 + 33
+    assert report.first_counterexample == {"check": "increasing", "path": "-",
+                                           "detail": detail}
