@@ -173,8 +173,11 @@ def from_json(text: str) -> TreeExport:
             )
             for n in payload["nodes"]
         )
-        return TreeExport(kind, int(payload["depth"]), payload.get("a"), nodes)
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+        a = payload.get("a")
+        if a is not None and type(a) is not int:  # a JSON true is a bool, not an int
+            raise TypeError(f"a must be an integer, got {a!r}")
+        return TreeExport(kind, int(payload["depth"]), a, nodes)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
 
 

@@ -18,6 +18,7 @@ from math import gcd, isqrt
 from .cohn import cohn_at, cohn_index
 from .errors import DepthLimitError, DomainError, InvariantError, PreconditionError
 from .rational import format_fraction
+from .tree import _check_path
 
 
 # ============================================================
@@ -106,9 +107,8 @@ def vieta_flip(t: MarkovTriple, position: str) -> MarkovTriple:
     return MarkovTriple(*new)
 
 
-# Hard ceiling on the Farey denominator q of a triple path.  A path has
-# fewer than q steps, each a checked Vieta flip, and its Markov numbers grow
-# to a few bits per unit of q, so q bounds the whole walk.
+# Hard ceiling on the Farey denominator q of a triple path: a path has fewer
+# than q steps and its Markov numbers grow a few bits per unit of q.
 HARD_TRIPLE_CAP = 2**12
 
 
@@ -116,17 +116,15 @@ def markov_triple_at(path: str) -> MarkovTriple:
     """Markov triple at a tree path, by the Vieta walk of vieta_walk.
 
     Paths whose Farey denominator q exceeds HARD_TRIPLE_CAP raise
-    DepthLimitError before any flip: q is tracked with two small ints per
-    step, stopping at the first step past the cap.
+    DepthLimitError before the walk starts: q is tracked with two small ints
+    per step, stopping at the first step past the cap.
     """
     lo, hi = 1, 1  # denominators of the Farey parents 0/1 and 1/1
-    for step in path:
+    for step in _check_path(path):
         if step == "L":
             hi += lo
-        elif step == "R":
-            lo += hi
         else:
-            raise DomainError(f"path must be a string over 'L'/'R', got {path!r}")
+            lo += hi
         if lo + hi > HARD_TRIPLE_CAP:
             raise DepthLimitError(
                 f"triple path denominator {lo + hi} exceeds cap {HARD_TRIPLE_CAP}")
@@ -136,21 +134,19 @@ def markov_triple_at(path: str) -> MarkovTriple:
 def vieta_walk(path: str) -> MarkovTriple:
     """Walk the triple tree from (1, 2, 5): L keeps x, R keeps y.
 
-    Each step is a Vieta flip of the dropped component followed by the
-    reordering that makes the previous node a parent of the next.  Uncapped;
-    the distinctness suite uses it as an independent route on its window.
+    L sends (x, y, z) to (x, z, 3xz - y) and R to (z, y, 3yz - x), a Vieta
+    flip reordered so that the previous node becomes a parent.  Each step
+    keeps x^2 + y^2 + z^2 - 3xyz, which is 0 at (1, 2, 5), so the walk carries
+    plain ints and checks the equation once, in MarkovTriple.  Uncapped; the
+    distinctness suite uses it as an independent route on its window.
     """
-    state = MarkovTriple(1, 2, 5)
-    for step in path:
+    x, y, z = 1, 2, 5
+    for step in _check_path(path):
         if step == "L":
-            flipped = vieta_flip(state, "y")  # (x, 3xz - y, z)
-            state = MarkovTriple(state.x, state.z, flipped.y)
-        elif step == "R":
-            flipped = vieta_flip(state, "x")  # (3yz - x, y, z)
-            state = MarkovTriple(state.z, state.y, flipped.x)
+            y, z = z, 3 * x * z - y
         else:
-            raise DomainError(f"path must be a string over 'L'/'R', got {path!r}")
-    return state
+            x, z = z, 3 * y * z - x
+    return MarkovTriple(x, y, z)
 
 
 def markov_child(x: int, y: int) -> int:

@@ -310,8 +310,8 @@ def suite_distinctness(window: Window, a_values) -> VerifyReport:
 
     Distinctness of tree values for all depths is an open conjecture; this
     confirms it holds on the enumerated window, and doubles as a cross-check
-    that three routes to the numbers (mediant denominators, Vieta walking,
-    direct combine) agree on a sample of nodes.
+    that two routes to the numbers (weighted-mediant denominators and the
+    Vieta walk) agree on a sample of up to 40 nodes.
     """
     report = VerifyReport("distinctness", window.depth)
     nodes = window.markov

@@ -92,6 +92,16 @@ def test_triple_cap_boundary(capsys):
                          markov_fraction(Fraction(1, k + 2)).denominator)
 
 
+@pytest.mark.parametrize("step", ["L", "R"])
+def test_triple_at_cap_answers_in_time(capsys, step):
+    # Both one-letter paths of HARD_TRIPLE_CAP - 2 steps end at denominator
+    # HARD_TRIPLE_CAP; the walk carries three ints, so this takes milliseconds.
+    code, out, err, elapsed = run_cli(capsys, "triple", step * (HARD_TRIPLE_CAP - 2))
+    assert code == 0 and err == ""
+    assert "triple = (" in out
+    assert elapsed < 0.5
+
+
 def test_deep_answer_prints_in_full(capsys):
     # The Markov number at 1/20000 has about 8,400 digits, past the
     # interpreter's default int-to-str limit.

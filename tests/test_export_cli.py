@@ -86,6 +86,15 @@ def test_from_json_rejects_garbage():
         from_json("{not json")
     with pytest.raises(DomainError):
         from_json('{"kind": "farey"}')
+    node = {"path": "-", "left": "0/1", "right": "1/1", "value": "1/2"}
+    for payload in (
+        {"kind": "farey", "depth": 0, "nodes": [{**node, "value": 5}]},
+        {"kind": "farey", "depth": 0, "nodes": [{**node, "path": 5}]},
+        {**json.loads(to_json(build_export("cohn", 0))), "a": "x"},
+        {**json.loads(to_json(build_export("cohn", 0))), "a": True},
+    ):
+        with pytest.raises(DomainError):
+            from_json(json.dumps(payload))
 
 
 def test_csv_rows():

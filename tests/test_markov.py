@@ -1,6 +1,7 @@
 """Markov fractions, triples, and the node relations."""
 
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -21,7 +22,9 @@ from topograph import (
     markov_triple_at,
     springborn_mediant,
     vieta_flip,
+    vieta_walk,
 )
+from topograph import markov
 from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, reduction_factor
 
 paths = st.text(alphabet="LR", max_size=10)
@@ -145,6 +148,53 @@ def test_triples_are_fraction_denominators():
         assert triple.as_tuple() == (
             node.left.denominator, node.right.denominator, node.value.denominator
         )
+
+
+def flip_fold(path):
+    """The triple at path by checked Vieta flips, one per step."""
+    t = MarkovTriple(1, 2, 5)
+    for step in path:
+        if step == "L":
+            t = MarkovTriple(t.x, t.z, vieta_flip(t, "y").y)
+        else:
+            t = MarkovTriple(t.z, t.y, vieta_flip(t, "x").x)
+    return t
+
+
+def test_vieta_walk_matches_flip_fold_on_short_paths():
+    for n in range(13):
+        for letters in product("LR", repeat=n):
+            path = "".join(letters)
+            assert vieta_walk(path) == flip_fold(path), path
+
+
+@pytest.mark.parametrize("path", [
+    "L" * 4094, "R" * 4094, "L" * 1000 + "R" * 3, "R" * 30 + "L" * 60 + "R",
+], ids=["L*4094", "R*4094", "L*1000 R*3", "R*30 L*60 R"])
+def test_vieta_walk_matches_flip_fold_on_long_runs(path):
+    assert markov_triple_at(path) == vieta_walk(path) == flip_fold(path)
+
+
+def test_vieta_walk_checks_the_triple_once(monkeypatch):
+    built, flips = [], []
+
+    def counting_triple(*args):
+        built.append(args)
+        return MarkovTriple(*args)
+
+    monkeypatch.setattr(markov, "MarkovTriple", counting_triple)
+    monkeypatch.setattr(markov, "vieta_flip", lambda *args: flips.append(args))
+    for path in ("L" * 100, "R" * 100):
+        built.clear()
+        assert isinstance(vieta_walk(path), MarkovTriple)
+        assert len(built) == 1 and flips == []
+
+
+@pytest.mark.parametrize("path", [["L"], None, "LXR"], ids=["list", "None", "LXR"])
+def test_triple_walks_reject_non_paths(path):
+    for walk in (markov_triple_at, vieta_walk):
+        with pytest.raises(DomainError, match="path must be a string over 'L'/'R'"):
+            walk(path)
 
 
 def test_markov_child_route_agrees():
