@@ -20,6 +20,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import (
+    HARD_A_CAP,
     CohnMatrix,
     cohn_A,
     cohn_B,

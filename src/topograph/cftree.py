@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import DomainError
-from .rational import _convergents, _validate_word, cf_eval
+from .rational import Mat2, _convergents, _validate_word, cf_eval
 from .tree import check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
@@ -77,20 +77,20 @@ def format_qi(x: QuadraticIrrational) -> str:
 def periodic_value(word) -> QuadraticIrrational:
     """Value of the infinite periodic continued fraction with this period.
 
-    It is the fixed point x = (p_k x + p_{k-1}) / (q_k x + q_{k-1}) > 1 of the
-    word's convergents, found by fixed_point.  Even length keeps the
-    discriminant positive and the root above 1.
+    It is the fixed point of the kernel's convergent matrix of the word.
+    Even length keeps the discriminant positive and the root above 1.
     """
-    return fixed_point(*_convergents(_validate_word(word, even=True)))
+    return fixed_point(Mat2(*_convergents(_validate_word(word, even=True))))
 
 
-def fixed_point(pk: int, pk1: int, qk: int, qk1: int) -> QuadraticIrrational:
+def fixed_point(m: Mat2) -> QuadraticIrrational:
     """Larger root of q_k x^2 + (q_{k-1} - p_k) x - p_{k-1} = 0.
 
-    The arguments are the entries of a convergent matrix
-    (p_k p_{k-1} / q_k q_{k-1}); periodic_value computes them from a word,
-    and the verify window carries them down the word tree instead.
+    That is the periodization of any even word whose convergent matrix is
+    m = (p_k p_{k-1} / q_k q_{k-1}).  periodic_value passes the kernel's
+    matrix; the verify window and the irrational export carry it instead.
     """
+    pk, pk1, qk, qk1 = m.e11, m.e12, m.e21, m.e22
     disc = (qk1 - pk) ** 2 + 4 * qk * pk1
     return make_qi(pk - qk1, 1, 2 * qk, disc)
 

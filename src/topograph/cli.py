@@ -12,8 +12,8 @@ Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error, an exceeded cap, or an unwritable --out.  Tree and
 verify depths are capped (default 12, override with --max-depth, hard
 ceiling 24); point queries at t = p/q with companion repetition m are capped
-at q * m <= HARD_POINT_CAP, and a triple PATH at Farey denominator
-q <= HARD_TRIPLE_CAP.
+at q * m <= HARD_POINT_CAP, a triple PATH at Farey denominator
+q <= HARD_TRIPLE_CAP, and a Cohn parameter at |a| < HARD_A_CAP.
 """
 
 from __future__ import annotations

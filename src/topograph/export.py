@@ -6,7 +6,8 @@ DOT and CSV.  Big integers are serialized as decimal strings so nothing
 downstream has to parse arbitrary-precision numbers.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
-codecs of its values.  The CLI, the exports and verify all read it.
+codecs of its values.  The CLI, the exports and verify all read it; the
+verify window reads the irrational tree's convergent matrices before the lift.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from operator import add
 from typing import Callable, Optional
 
@@ -24,14 +24,15 @@ from .cftree import (
     WORD_SEED_LEFT,
     WORD_SEED_RIGHT,
     QuadraticIrrational,
+    fixed_point,
     format_qi,
-    periodic_value,
 )
 from .cohn import cohn_A, cohn_B
 from .errors import DomainError
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child, springborn_mediant
 from .rational import (
     Mat2,
+    convergent_matrix,
     farey_mediant,
     format_cf_word,
     format_fraction,
@@ -49,8 +50,9 @@ class Kind:
     seeds(a) is the seed pair and combine fills in every node from its two
     parent regions.  text renders a value for CSV cells and DOT labels;
     encode and decode are the JSON codec.  lift, when set, maps every region
-    of the enumerated tree, seeds included, to the exported value.  Only a
-    kind that takes_a reads the parameter a, and only its exports record it.
+    of the enumerated tree, seeds included, to the exported value (a fixed
+    point for irrational).  Only a kind that takes_a reads the parameter a,
+    and only its exports record it.
     """
 
     seeds: Callable
@@ -73,10 +75,6 @@ def _decode_mat2(obj) -> Mat2:
     return Mat2(int(e11), int(e12), int(e21), int(e22))
 
 
-def _word_seeds(a: int) -> tuple:
-    return WORD_SEED_LEFT, WORD_SEED_RIGHT
-
-
 KINDS = {
     "farey": Kind(lambda a: (Fraction(0), Fraction(1)), farey_mediant,
                   format_fraction, format_fraction, _decode_fraction),
@@ -88,14 +86,17 @@ KINDS = {
                  takes_a=True),
     # Plain concatenation: the seeds are even words of positive ints and
     # concatenation keeps them so; cf_concat's checks are for callers' words.
-    "cf": Kind(_word_seeds, add, format_cf_word, format_cf_word, parse_cf_word),
-    # The word tree with every region periodized.  The lift looks up
-    # periodic_value at call time, so a traced run that wraps this module's
-    # attribute sees every call.
-    "irrational": Kind(_word_seeds, add, format_qi,
+    "cf": Kind(lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), add,
+               format_cf_word, format_cf_word, parse_cf_word),
+    # The cf tree's convergent matrices, by the concatenation rule: a word's
+    # matrix is the product of its parents', and its fixed point the word's
+    # periodization.
+    "irrational": Kind(lambda a: (convergent_matrix(WORD_SEED_LEFT),
+                                  convergent_matrix(WORD_SEED_RIGHT)),
+                       Mat2.__matmul__, format_qi,
                        lambda x: {f: str(getattr(x, f)) for f in "PBQD"},
                        lambda obj: QuadraticIrrational(*(int(obj[f]) for f in "PBQD")),
-                       lift=lambda word: periodic_value(word)),
+                       lift=fixed_point),
 }
 
 TREE_KINDS = tuple(KINDS)
@@ -121,17 +122,15 @@ class TreeExport:
 def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
     """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP).
 
-    A kind with a lift is enumerated with its seeds and combine, then each
-    distinct region value is lifted once.
+    A kind with a lift is enumerated with its seeds and combine, then every
+    region of every node is lifted.
     """
     spec = _kind(kind)
     seed_left, seed_right = spec.seeds(a)
     nodes = tuple(enumerate_tree(seed_left, seed_right, spec.combine, depth))
-    if spec.lift is not None:
-        lift = lru_cache(maxsize=None)(spec.lift)
-        nodes = tuple(
-            Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes
-        )
+    lift = spec.lift
+    if lift is not None:
+        nodes = tuple(Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes)
     return TreeExport(kind, depth, a if spec.takes_a else None, nodes)
 
 
@@ -173,10 +172,12 @@ def from_json(text: str) -> TreeExport:
             )
             for n in payload["nodes"]
         )
-        a = payload.get("a")
+        depth, a = payload["depth"], payload.get("a")
+        if type(depth) is not int or depth != max((len(n.path) for n in nodes), default=-1):
+            raise ValueError(f"depth {depth!r} is not the longest node path")
         if a is not None and type(a) is not int:  # a JSON true is a bool, not an int
             raise TypeError(f"a must be an integer, got {a!r}")
-        return TreeExport(kind, int(payload["depth"]), a, nodes)
+        return TreeExport(kind, depth, a, nodes)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
 

@@ -30,11 +30,10 @@ from .cftree import (
     left_companion,
     markov_cf,
     markov_irrationality,
-    periodic_value,
     qi_compare,
     qi_satisfies,
 )
-from .cohn import cohn_A, cohn_B
+from .cohn import check_cohn_parameter, cohn_A, cohn_B
 from .errors import DomainError, PreconditionError
 from .export import KINDS
 from .markov import (
@@ -103,9 +102,10 @@ class Window:
     markov is the Node list of the Markov fraction tree; words[i] is the word
     at the path of markov[i], and convergents[i] its convergent matrix,
     carried down the word tree by Mat2 products from the seed words' matrices
-    rather than computed from the word.  The word trees are enumerated
-    through tree.mirrored, so they come in the fraction tree's order.  inorder
-    lists the breadth-first indexes from left to right, in increasing t.
+    rather than computed from the word: KINDS["irrational"] before its lift.
+    The word trees are enumerated through tree.mirrored, so they come in the
+    fraction tree's order.  inorder lists the breadth-first indexes from
+    left to right, in increasing t.
     Each tree is enumerated once, on first use, and never beyond depth.
     """
 
@@ -126,10 +126,8 @@ class Window:
 
     @cached_property
     def convergents(self) -> list:
-        # The concatenation rule: a word's convergent matrix is the product of
-        # its parents' matrices.
-        seeds = map(convergent_matrix, KINDS["cf"].seeds(0))
-        product_tree = mirrored(*seeds, KINDS["cohn"].combine)
+        irrational = KINDS["irrational"]
+        product_tree = mirrored(*irrational.seeds(0), irrational.combine)
         return [node.value for node in enumerate_tree(*product_tree, self.depth)]
 
     @cached_property
@@ -239,7 +237,7 @@ def suite_periodization(window: Window, a_values) -> VerifyReport:
     """
     report = VerifyReport("periodization", window.depth)
     for node, m in zip(window.markov, window.convergents):
-        got = fixed_point(m.e11, m.e12, m.e21, m.e22)
+        got = fixed_point(m)
         want = markov_irrationality(node.value)
         report.record("closed-form", got == want, node.path,
                       lambda: f"periodization {got}, formula {want}")
@@ -255,8 +253,8 @@ def suite_companions(window: Window, a_values) -> VerifyReport:
                                   "max_repeat": COMPANION_MAX_REPEAT})
     for t in COMPANION_COORDINATES:
         word = markov_cf(t)
-        target = periodic_value(word)
         base = convergent_matrix(word)
+        target = fixed_point(base)
         prev = None
         for m in range(1, COMPANION_MAX_REPEAT + 1):
             approx = left_companion(t, m)
@@ -373,12 +371,14 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
 
     Every argument is checked before any suite runs: an empty list, an
     unknown name or a repeated Cohn parameter raises DomainError, a negative
-    depth PreconditionError.
+    depth PreconditionError, |a| >= HARD_A_CAP DepthLimitError.
     """
     names = list(names)
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
     a_values = tuple(a_values)
+    for a in a_values:
+        check_cohn_parameter(a)
     if len(set(a_values)) < len(a_values):
         raise DomainError(f"--a-values must be distinct, got {', '.join(map(str, a_values))}")
     expected = f"expected one of {', '.join(SUITES)}"

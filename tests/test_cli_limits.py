@@ -7,13 +7,17 @@ from fractions import Fraction
 import pytest
 
 from topograph import (
+    HARD_A_CAP,
     HARD_POINT_CAP,
     HARD_TRIPLE_CAP,
     SUITES,
     DepthLimitError,
     DomainError,
     PreconditionError,
+    build_export,
+    cohn_A,
     cohn_at,
+    cohn_B,
     left_companion,
     locate,
     markov_cf,
@@ -193,3 +197,35 @@ def test_a_values_may_start_with_a_negative_entry(capsys, argv):
     [report] = json.loads(out)
     assert report["params"] == {"a_values": [-2, 0]}
     assert report["checks"]["det"] == 14
+
+
+def test_cohn_parameter_cap_boundary(capsys):
+    assert HARD_A_CAP == 2**64
+    for a in (HARD_A_CAP - 1, -(HARD_A_CAP - 1)):
+        assert cohn_A(a).a == cohn_B(a).a == a
+        [report] = run_suites(["index"], 2, (0, a))
+        assert report.ok and report.checks["det"] == 14
+        code, out, err, _ = run_cli(capsys, "cohn", "1/2", "--a", str(a))
+        assert code == 0 and err == "" and "markov_number = 5" in out
+    for a in (HARD_A_CAP, -HARD_A_CAP):
+        for refused in (cohn_A, cohn_B, lambda a: cohn_at(Fraction(1, 2), a),
+                        lambda a: build_export("cohn", 2, a)):
+            with pytest.raises(DepthLimitError, match="exceeds cap"):
+                refused(a)
+
+
+@pytest.mark.parametrize("a", [HARD_A_CAP, -HARD_A_CAP, 10**4000], ids=["2^64", "-2^64", "10^4000"])
+def test_oversized_cohn_parameter_exits_2_before_any_work(capsys, monkeypatch, a):
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+    for argv in (("cohn", "1/2", "--a", str(a)),
+                 ("tree", "--kind", "cohn", "--depth", "8", "--a", str(a), "--format", "json"),
+                 ("verify", "--suites", "index", "--depth", "12", "--a-values", f"0,{a}")):
+        code, out, err, elapsed = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "exceeds cap" in err
+        assert elapsed < AT_ONCE_S
+    with pytest.raises(DepthLimitError, match="exceeds cap"):
+        run_suites(["index", "relations"], 12, (0, a))
+    assert ran == []

@@ -6,9 +6,12 @@ import pytest
 
 from topograph import (
     DomainError,
+    cftree,
     build_export,
     from_json,
     make_qi,
+    periodic_value,
+    rational,
     render,
     to_csv,
     to_dot,
@@ -61,6 +64,33 @@ def test_irrational_export_depth_one():
     assert export.nodes[0].right == make_qi(1, 1, 2, 5)
 
 
+def _periodized_word_tree(depth):
+    """The replaced irrational route: periodic_value of every cf export region."""
+    return [(periodic_value(n.left), periodic_value(n.right), periodic_value(n.value))
+            for n in build_export("cf", depth).nodes]
+
+
+@pytest.mark.parametrize("depth", range(10))
+def test_irrational_export_is_the_periodized_word_tree(depth):
+    export = build_export("irrational", depth)
+    assert [(n.left, n.right, n.value) for n in export.nodes] == _periodized_word_tree(depth)
+
+
+def test_irrational_export_runs_the_kernel_on_the_seeds_only(monkeypatch):
+    # Patched in both modules, since cftree binds the kernel by name.
+    seen = []
+
+    def spy(word):
+        seen.append(len(word))
+        return real(word)
+
+    real = rational._convergents
+    monkeypatch.setattr(rational, "_convergents", spy)
+    monkeypatch.setattr(cftree, "_convergents", spy)
+    assert len(build_export("irrational", 8).nodes) == 2 ** 9 - 1
+    assert seen and max(seen) <= 2
+
+
 def test_json_deterministic_and_round_trips():
     for kind in ("farey", "markov", "triple", "cohn", "cf", "irrational"):
         export = build_export(kind, 2, 1)
@@ -92,6 +122,8 @@ def test_from_json_rejects_garbage():
         {"kind": "farey", "depth": 0, "nodes": [{**node, "path": 5}]},
         {**json.loads(to_json(build_export("cohn", 0))), "a": "x"},
         {**json.loads(to_json(build_export("cohn", 0))), "a": True},
+        *({**json.loads(to_json(build_export("farey", 1))), "depth": depth}
+          for depth in (True, 3.7, "2", -4, 5)),
     ):
         with pytest.raises(DomainError):
             from_json(json.dumps(payload))
