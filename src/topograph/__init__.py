@@ -40,8 +40,6 @@ from .export import TREE_KINDS, TreeExport, build_export, from_json, render, to_
 from .markov import (
     HARD_TRIPLE_CAP,
     MarkovTriple,
-    NodeRelations,
-    check_relations,
     markov_child,
     markov_fraction,
     markov_triple_at,

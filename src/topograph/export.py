@@ -162,21 +162,23 @@ def from_json(text: str) -> TreeExport:
     try:
         payload = json.loads(text)
         kind = payload["kind"]
-        decode = _kind(kind).decode
+        spec = _kind(kind)
         nodes = tuple(
             Node(
                 parse_path(n["path"]),
-                decode(n["left"]),
-                decode(n["right"]),
-                decode(n["value"]),
+                spec.decode(n["left"]),
+                spec.decode(n["right"]),
+                spec.decode(n["value"]),
             )
             for n in payload["nodes"]
         )
+        if not nodes or nodes[0].path:
+            raise ValueError("nodes must start at the root")
         depth, a = payload["depth"], payload.get("a")
-        if type(depth) is not int or depth != max((len(n.path) for n in nodes), default=-1):
+        if type(depth) is not int or depth != max(len(n.path) for n in nodes):
             raise ValueError(f"depth {depth!r} is not the longest node path")
-        if a is not None and type(a) is not int:  # a JSON true is a bool, not an int
-            raise TypeError(f"a must be an integer, got {a!r}")
+        if (type(a) is int) != spec.takes_a:  # a JSON true is a bool, not an int
+            raise TypeError(f"kind {kind!r} takes {'an integer' if spec.takes_a else 'no'} a, got {a!r}")
         return TreeExport(kind, depth, a, nodes)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
@@ -204,15 +206,13 @@ def to_dot(export: TreeExport) -> str:
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    spec = _kind(export.kind)
-    seeds = spec.seeds(export.a or 0)
-    if spec.lift is not None:
-        seeds = tuple(map(spec.lift, seeds))
+    text = _kind(export.kind).text
+    root = export.nodes[0]  # its two parents are the seed regions
     lines = [f"graph {export.kind} {{", "  node [shape=plaintext];"]
-    lines.append(f"  seed_L [label={quote(spec.text(seeds[0]))}];")
-    lines.append(f"  seed_R [label={quote(spec.text(seeds[1]))}];")
+    lines.append(f"  seed_L [label={quote(text(root.left))}];")
+    lines.append(f"  seed_R [label={quote(text(root.right))}];")
     for n in export.nodes:
-        lines.append(f"  {quote(format_path(n.path))} [label={quote(spec.text(n.value))}];")
+        lines.append(f"  {quote(format_path(n.path))} [label={quote(text(n.value))}];")
     lines.append("  seed_L -- seed_R;")
     for n in export.nodes:
         last_r, last_l = n.path.rfind("R"), n.path.rfind("L")

@@ -167,77 +167,6 @@ def markov_child(x: int, y: int) -> int:
     return (3 * x * y + root) // 2
 
 
-# ============================================================
-# node relations
-# ============================================================
-
-@dataclass(frozen=True)
-class NodeRelations:
-    """The five fractions around one interior node.
-
-    parent_left/parent_right flank the node; child_right is the node's R
-    child (the flip that discards parent_left), child_left its L child.
-    """
-
-    parent_left: Fraction
-    parent_right: Fraction
-    node: Fraction
-    child_right: Fraction
-    child_left: Fraction
-
-
-def _exact_div(num: int, den: int):
-    q, r = divmod(num, den)
-    return (q, True) if r == 0 else (None, False)
-
-
-def check_relations(rel: NodeRelations, report, path: str = "") -> None:
-    """Record the bilinear identities tying a node to its neighbors.
-
-    Each check is counted in report (a verify.VerifyReport) at path.
-
-    Writing the five fractions as p1/q1, p2/q2 (parents), p3/q3 (node),
-    p1'/q1' (right child), p2'/q2' (left child), the checks are:
-
-      cross-left      p2*q3 - p3*q2 == q1
-      cross-right     p3*q1 - p1*q3 == q2
-      mediant-divisor p2*q1 - p1*q2 == (q1^2 + q2^2)/q3 == 3*q1*q2 - q3
-      flip-left       p1' == (p2*q2 + p3*q3)/q1,  q1' == (q2^2 + q3^2)/q1
-      flip-right      p2' == (p1*q1 + p3*q3)/q2,  q2' == (q1^2 + q3^2)/q2
-
-    All divisions must be exact; an inexact division is reported as a failed
-    check, never raised.
-    """
-    p1, q1 = rel.parent_left.numerator, rel.parent_left.denominator
-    p2, q2 = rel.parent_right.numerator, rel.parent_right.denominator
-    p3, q3 = rel.node.numerator, rel.node.denominator
-    pr, qr = rel.child_right.numerator, rel.child_right.denominator
-    pl, ql = rel.child_left.numerator, rel.child_left.denominator
-
-    report.record("cross-left", p2 * q3 - p3 * q2 == q1, path,
-                  lambda: f"p2*q3 - p3*q2 = {p2 * q3 - p3 * q2}, q1 = {q1}")
-    report.record("cross-right", p3 * q1 - p1 * q3 == q2, path,
-                  lambda: f"p3*q1 - p1*q3 = {p3 * q1 - p1 * q3}, q2 = {q2}")
-
-    det = p2 * q1 - p1 * q2
-    med, exact = _exact_div(q1 * q1 + q2 * q2, q3)
-    report.record("mediant-divisor", exact and det == med and det == 3 * q1 * q2 - q3, path,
-                  lambda: f"det = {det}, (q1^2+q2^2)/q3 = {med if exact else 'inexact'}, "
-                          f"3*q1*q2 - q3 = {3 * q1 * q2 - q3}")
-
-    num_r, exact_n = _exact_div(p2 * q2 + p3 * q3, q1)
-    den_r, exact_d = _exact_div(q2 * q2 + q3 * q3, q1)
-    report.record("flip-left", exact_n and exact_d and (num_r, den_r) == (pr, qr), path,
-                  lambda: f"expected {pr}/{qr}, formulas give "
-                          f"{num_r if exact_n else 'inexact'}/{den_r if exact_d else 'inexact'}")
-
-    num_l, exact_n = _exact_div(p1 * q1 + p3 * q3, q2)
-    den_l, exact_d = _exact_div(q1 * q1 + q3 * q3, q2)
-    report.record("flip-right", exact_n and exact_d and (num_l, den_l) == (pl, ql), path,
-                  lambda: f"expected {pl}/{ql}, formulas give "
-                          f"{num_l if exact_n else 'inexact'}/{den_l if exact_d else 'inexact'}")
-
-
 def reduction_factor(lo: Fraction, hi: Fraction) -> int:
     """gcd removed by the weighted mediant; on tree nodes equals p2*q1 - p1*q2."""
     return gcd(

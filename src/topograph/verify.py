@@ -36,15 +36,10 @@ from .cftree import (
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
 from .errors import DomainError, PreconditionError
 from .export import KINDS
-from .markov import (
-    NodeRelations,
-    check_relations,
-    springborn_mediant,
-    vieta_walk,
-)
+from .markov import springborn_mediant, vieta_walk
 from .rational import (
+    _convergents,
     cf_concat,
-    cf_eval,
     cf_expand_even,
     convergent_matrix,
     format_fraction,
@@ -105,12 +100,14 @@ class Window:
     rather than computed from the word: KINDS["irrational"] before its lift.
     The word trees are enumerated through tree.mirrored, so they come in the
     fraction tree's order.  inorder lists the breadth-first indexes from
-    left to right, in increasing t.
+    left to right, in increasing t.  a_values are the index suite's Cohn
+    parameters, already checked by run_suites.
     Each tree is enumerated once, on first use, and never beyond depth.
     """
 
-    def __init__(self, depth: int):
+    def __init__(self, depth: int, a_values=DEFAULT_A_VALUES):
         self.depth = depth
+        self.a_values = a_values
 
     @cached_property
     def markov(self) -> list:
@@ -145,18 +142,27 @@ class Window:
 # suites
 # ============================================================
 
-def suite_relations(window: Window, a_values) -> VerifyReport:
-    """Bilinear identities around every node of the fraction tree."""
+def suite_relations(window: Window) -> VerifyReport:
+    """Bilinear identities around every node of the fraction tree.
+
+    Writing the five fractions as p1/q1, p2/q2 (parents), p3/q3 (node),
+    p1'/q1' (right child), p2'/q2' (left child), the checks are:
+
+      cross-left      p2*q3 - p3*q2 == q1
+      cross-right     p3*q1 - p1*q3 == q2
+      mediant-divisor p2*q1 - p1*q2 == (q1^2 + q2^2)/q3 == 3*q1*q2 - q3
+      flip-left       p1' == (p2*q2 + p3*q3)/q1,  q1' == (q2^2 + q3^2)/q1
+      flip-right      p2' == (p1*q1 + p3*q3)/q2,  q2' == (q1^2 + q3^2)/q2
+      markov-equation q1^2 + q2^2 + q3^2 == 3*q1*q2*q3
+
+    All divisions must be exact; an inexact division is reported as a failed
+    check, never raised.
+    """
     report = VerifyReport("relations", window.depth)
     for node in window.markov:
-        rel = NodeRelations(
-            parent_left=node.left,
-            parent_right=node.right,
-            node=node.value,
-            child_right=springborn_mediant(node.value, node.right),
-            child_left=springborn_mediant(node.left, node.value),
-        )
-        check_relations(rel, report, node.path)
+        check_relations(report, node.path, node.left, node.right, node.value,
+                        springborn_mediant(node.value, node.right),
+                        springborn_mediant(node.left, node.value))
         q1, q2, q3 = (node.left.denominator, node.right.denominator,
                       node.value.denominator)
         report.record("markov-equation",
@@ -165,7 +171,49 @@ def suite_relations(window: Window, a_values) -> VerifyReport:
     return report
 
 
-def suite_index(window: Window, a_values) -> VerifyReport:
+def _exact_div(num: int, den: int):
+    q, r = divmod(num, den)
+    return (q, True) if r == 0 else (None, False)
+
+
+def check_relations(report: VerifyReport, path: str, left: Fraction, right: Fraction,
+                    node: Fraction, child_right: Fraction, child_left: Fraction) -> None:
+    """Record suite_relations' identities, but markov-equation, at one node.
+
+    child_right is the node's R child (the flip that discards left),
+    child_left its L child.
+    """
+    p1, q1 = left.numerator, left.denominator
+    p2, q2 = right.numerator, right.denominator
+    p3, q3 = node.numerator, node.denominator
+    pr, qr = child_right.numerator, child_right.denominator
+    pl, ql = child_left.numerator, child_left.denominator
+
+    report.record("cross-left", p2 * q3 - p3 * q2 == q1, path,
+                  lambda: f"p2*q3 - p3*q2 = {p2 * q3 - p3 * q2}, q1 = {q1}")
+    report.record("cross-right", p3 * q1 - p1 * q3 == q2, path,
+                  lambda: f"p3*q1 - p1*q3 = {p3 * q1 - p1 * q3}, q2 = {q2}")
+
+    det = p2 * q1 - p1 * q2
+    med, exact = _exact_div(q1 * q1 + q2 * q2, q3)
+    report.record("mediant-divisor", exact and det == med and det == 3 * q1 * q2 - q3, path,
+                  lambda: f"det = {det}, (q1^2+q2^2)/q3 = {med if exact else 'inexact'}, "
+                          f"3*q1*q2 - q3 = {3 * q1 * q2 - q3}")
+
+    num_r, exact_n = _exact_div(p2 * q2 + p3 * q3, q1)
+    den_r, exact_d = _exact_div(q2 * q2 + q3 * q3, q1)
+    report.record("flip-left", exact_n and exact_d and (num_r, den_r) == (pr, qr), path,
+                  lambda: f"expected {pr}/{qr}, formulas give "
+                          f"{num_r if exact_n else 'inexact'}/{den_r if exact_d else 'inexact'}")
+
+    num_l, exact_n = _exact_div(p1 * q1 + p3 * q3, q2)
+    den_l, exact_d = _exact_div(q1 * q1 + q3 * q3, q2)
+    report.record("flip-right", exact_n and exact_d and (num_l, den_l) == (pl, ql), path,
+                  lambda: f"expected {pl}/{ql}, formulas give "
+                          f"{num_l if exact_n else 'inexact'}/{den_l if exact_d else 'inexact'}")
+
+
+def suite_index(window: Window) -> VerifyReport:
     """Cohn matrix structure and the index identity, for each parameter a.
 
     Per node t and parameter a: det = 1; trace = 3 * e12; e12 is the Markov
@@ -176,9 +224,9 @@ def suite_index(window: Window, a_values) -> VerifyReport:
     are compared as integer cross products; a matrix with e12 = 0 has no
     index and fails both index checks.
     """
-    report = VerifyReport("index", window.depth, params={"a_values": list(a_values)})
+    report = VerifyReport("index", window.depth, params={"a_values": list(window.a_values)})
     markov = [(n.value.numerator, n.value.denominator, n.value) for n in window.markov]
-    for a in a_values:
+    for a in window.a_values:
         # Seeded through this module's cohn_A and cohn_B, so a test can plant
         # a matrix that is not a Cohn matrix and see every check catch it.
         cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, KINDS["cohn"].combine,
@@ -194,7 +242,7 @@ def suite_index(window: Window, a_values) -> VerifyReport:
             report.record("top-row", e11 == a * q + p and e12 == q, path,
                           lambda: f"top row {(e11, e12)}, expected {(a * q + p, q)}", a=a)
             report.record("index", e12 != 0 and e11 * q == (a * q + p) * e12, path,
-                          lambda: f"index {_index_text(e11, e12)}, "
+                          lambda: f"index {_ratio_text(e11, e12, 'e12')}, "
                                   f"expected a + {format_fraction(mf)}", a=a)
             if a == 0:
                 num = 3 * p * q - p * p - 1
@@ -210,26 +258,30 @@ def suite_index(window: Window, a_values) -> VerifyReport:
     return report
 
 
-def _index_text(e11: int, e12: int) -> str:
-    return format_fraction(Fraction(e11, e12)) if e12 else "undefined (e12 = 0)"
+def _ratio_text(num: int, den: int, den_name: str) -> str:
+    return format_fraction(Fraction(num, den)) if den else f"undefined ({den_name} = 0)"
 
 
-def suite_words(window: Window, a_values) -> VerifyReport:
-    """Word tree vs direct expansion: same letters, same value, every node."""
+def suite_words(window: Window) -> VerifyReport:
+    """Word tree vs direct expansion: same letters, same value, every node.
+
+    value compares the kernel's p_k, q_k with the reduced target as integers:
+    they are coprime and q_k > 0, so equal pairs are equal values.
+    """
     report = VerifyReport("words", window.depth)
     for node, word in zip(window.markov, window.words):
         target = 2 + node.value
         expanded = cf_expand_even(target)
         report.record("letters", word == expanded, node.path,
                       lambda: f"tree gives {word}, expansion gives {expanded}")
-        value = cf_eval(word)
-        report.record("value", value == target, node.path,
-                      lambda: f"word evaluates to {format_fraction(value)}, "
+        p, _, q, _ = _convergents(word)
+        report.record("value", (p, q) == (target.numerator, target.denominator), node.path,
+                      lambda: f"word evaluates to {_ratio_text(p, q, 'q')}, "
                               f"expected {format_fraction(target)}")
     return report
 
 
-def suite_periodization(window: Window, a_values) -> VerifyReport:
+def suite_periodization(window: Window) -> VerifyReport:
     """Periodized word equals the closed-form irrational, node by node.
 
     Both checks read the word's carried convergent matrix: its fixed point
@@ -246,7 +298,7 @@ def suite_periodization(window: Window, a_values) -> VerifyReport:
     return report
 
 
-def suite_companions(window: Window, a_values) -> VerifyReport:
+def suite_companions(window: Window) -> VerifyReport:
     """Repeated words approach the periodization from above, monotonically."""
     report = VerifyReport("companions", window.depth,
                           params={"coordinates": [format_fraction(t) for t in COMPANION_COORDINATES],
@@ -273,7 +325,7 @@ def suite_companions(window: Window, a_values) -> VerifyReport:
     return report
 
 
-def suite_monotonicity(window: Window, a_values) -> VerifyReport:
+def suite_monotonicity(window: Window) -> VerifyReport:
     """The coordinate-to-fraction map is a strictly increasing bijection."""
     report = VerifyReport("monotonicity", window.depth)
     # The seeds sit at t = 0 and t = 1, outside every window node.
@@ -303,7 +355,7 @@ def suite_monotonicity(window: Window, a_values) -> VerifyReport:
     return report
 
 
-def suite_distinctness(window: Window, a_values) -> VerifyReport:
+def suite_distinctness(window: Window) -> VerifyReport:
     """Markov numbers from the enumeration window are pairwise distinct.
 
     Distinctness of tree values for all depths is an open conjecture; this
@@ -330,7 +382,7 @@ def suite_distinctness(window: Window, a_values) -> VerifyReport:
     return report
 
 
-def suite_homomorphism(window: Window, a_values) -> VerifyReport:
+def suite_homomorphism(window: Window) -> VerifyReport:
     """Concatenation-to-product homomorphism and determinant parity, randomized."""
     report = VerifyReport("homomorphism", window.depth,
                           params={"cases": HOMOMORPHISM_CASES, "seed": RNG_SEED})
@@ -387,11 +439,11 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}; {expected}")
-    window = Window(depth)
+    window = Window(depth, a_values)
     reports = []
     for name in names:
         started = time.perf_counter()
-        report = SUITES[name](window, a_values)
+        report = SUITES[name](window)
         report.wall_time = time.perf_counter() - started
         reports.append(report)
     return reports

@@ -133,7 +133,7 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, suites, message):
     ran = []
     for name in list(SUITES):
-        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
     code, out, err, elapsed = run_cli(capsys, "verify", "--suites", suites, "--depth", "12")
     assert code == 2 and out == ""
     assert message in err
@@ -151,7 +151,7 @@ def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, suite
 def test_negative_depth_exits_2_before_any_suite_runs(capsys, monkeypatch, suites, depth):
     ran = []
     for name in list(SUITES):
-        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
     code, out, err, _ = run_cli(capsys, "verify", "--suites", suites, "--depth", str(depth))
     assert code == 2 and out == ""
     assert "depth must be >= 0" in err
@@ -173,7 +173,7 @@ def test_negative_depth_exits_2_before_any_suite_runs(capsys, monkeypatch, suite
 def test_bad_a_values_exit_2_before_any_suite_runs(capsys, monkeypatch, a_values, message):
     ran = []
     for name in list(SUITES):
-        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
     code, out, err, elapsed = run_cli(capsys, "verify", "--suites", "index",
                                       "--a-values", a_values, "--depth", "12")
     assert code == 2 and out == ""
@@ -218,7 +218,7 @@ def test_cohn_parameter_cap_boundary(capsys):
 def test_oversized_cohn_parameter_exits_2_before_any_work(capsys, monkeypatch, a):
     ran = []
     for name in list(SUITES):
-        monkeypatch.setitem(SUITES, name, lambda window, a_values, name=name: ran.append(name))
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
     for argv in (("cohn", "1/2", "--a", str(a)),
                  ("tree", "--kind", "cohn", "--depth", "8", "--a", str(a), "--format", "json"),
                  ("verify", "--suites", "index", "--depth", "12", "--a-values", f"0,{a}")):

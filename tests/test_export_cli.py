@@ -117,13 +117,19 @@ def test_from_json_rejects_garbage():
     with pytest.raises(DomainError):
         from_json('{"kind": "farey"}')
     node = {"path": "-", "left": "0/1", "right": "1/1", "value": "1/2"}
+    farey = json.loads(to_json(build_export("farey", 1)))
+    cohn = json.loads(to_json(build_export("cohn", 0)))
     for payload in (
         {"kind": "farey", "depth": 0, "nodes": [{**node, "value": 5}]},
         {"kind": "farey", "depth": 0, "nodes": [{**node, "path": 5}]},
-        {**json.loads(to_json(build_export("cohn", 0))), "a": "x"},
-        {**json.loads(to_json(build_export("cohn", 0))), "a": True},
-        *({**json.loads(to_json(build_export("farey", 1))), "depth": depth}
-          for depth in (True, 3.7, "2", -4, 5)),
+        {**cohn, "a": "x"},
+        {**cohn, "a": True},
+        *({**farey, "depth": depth} for depth in (True, 3.7, "2", -4, 5)),
+        # only what build_export writes: a root first, and an a exactly for cohn
+        {"kind": "farey", "depth": -1, "nodes": []},
+        {**farey, "nodes": farey["nodes"][::-1]},
+        {**farey, "a": 3},
+        {k: v for k, v in cohn.items() if k != "a"},
     ):
         with pytest.raises(DomainError):
             from_json(json.dumps(payload))
@@ -275,7 +281,7 @@ def test_cli_verify_failure_exit_code(capsys, monkeypatch):
     import topograph.cli as cli_module
     from topograph.verify import VerifyReport
 
-    def broken(window, a_values):
+    def broken(window):
         report = VerifyReport("relations", window.depth)
         report.record("doomed", False, "-", "synthetic failure")
         return report

@@ -7,6 +7,7 @@ registry in export.py replaced.  Each tuple runs over depths 0-8.
 
 import argparse
 import hashlib
+from dataclasses import replace
 
 import pytest
 
@@ -187,8 +188,11 @@ def test_dot_seed_labels():
     # irrational seeds are the periodized seed words (2, 2) and (1, 1)
     assert _seed_lines(build_export("irrational", 0)) == [
         '  seed_L [label="(4+√32)/4"];', '  seed_R [label="(1+√5)/2"];']
-    assert _seed_lines(build_export("cohn", 0, 2)) == [
-        '  seed_L [label="[[2,1],[1,1]]"];', '  seed_R [label="[[5,2],[2,1]]"];']
+    # read off the root node, so an export without its a keeps the a = 2 seeds
+    cohn = build_export("cohn", 0, 2)
+    for export in (cohn, replace(cohn, a=None)):
+        assert _seed_lines(export) == [
+            '  seed_L [label="[[2,1],[1,1]]"];', '  seed_R [label="[[5,2],[2,1]]"];']
 
 
 def test_cli_kind_choices_are_the_registry():

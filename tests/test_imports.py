@@ -1,0 +1,43 @@
+"""The package's import graph: standard library only, and verify at the top.
+
+README and pyproject.toml promise no dependencies outside the standard
+library, and the verification layer sits above the structures it checks, so
+only the command line and the package's exports may import it.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "topograph").glob("*.py"))
+
+
+def _imports(path: Path) -> list:
+    """(top-level name, is relative) of every import in a module, nested ones too."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name.partition(".")[0], False) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            if node.level:
+                found += [(node.module or alias.name, True) for alias in node.names]
+            else:
+                found.append((node.module.partition(".")[0], False))
+    return found
+
+
+def test_sources_are_found():
+    assert {"__init__", "cli", "verify"} <= {path.stem for path in SOURCES}
+
+
+def test_imports_are_relative_or_standard_library():
+    outside = {(path.stem, name) for path in SOURCES for name, relative in _imports(path)
+               if not relative and name not in sys.stdlib_module_names}
+    assert outside == set()
+
+
+def test_only_the_cli_and_the_exports_import_verify():
+    importers = {path.stem for path in SOURCES
+                 if any(relative and name.partition(".")[0] == "verify"
+                        for name, relative in _imports(path))}
+    assert importers <= {"__init__", "cli"}

@@ -11,10 +11,8 @@ from hypothesis import strategies as st
 from topograph import (
     DomainError,
     MarkovTriple,
-    NodeRelations,
     PreconditionError,
     VerifyReport,
-    check_relations,
     enumerate_tree,
     farey_mediant,
     markov_child,
@@ -26,6 +24,7 @@ from topograph import (
 )
 from topograph import markov
 from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, reduction_factor
+from topograph.verify import check_relations
 
 paths = st.text(alphabet="LR", max_size=10)
 
@@ -225,18 +224,14 @@ def test_distinct_markov_numbers_depth_ten():
 # node relations
 # ============================================================
 
-ROOT_RELATIONS = NodeRelations(
-    parent_left=Fraction(0, 1),
-    parent_right=Fraction(1, 2),
-    node=Fraction(2, 5),
-    child_right=Fraction(12, 29),
-    child_left=Fraction(5, 13),
-)
+# (left parent, right parent, node, right child, left child)
+ROOT_RELATIONS = (Fraction(0, 1), Fraction(1, 2), Fraction(2, 5),
+                  Fraction(12, 29), Fraction(5, 13))
 
 
-def relations_report(rel, path=""):
+def relations_report(fractions, path=""):
     report = VerifyReport("relations", 0)
-    check_relations(rel, report, path)
+    check_relations(report, path, *fractions)
     return report
 
 
@@ -249,13 +244,8 @@ def test_relations_pass_at_root():
 
 
 def test_relations_catch_a_corrupted_node():
-    bad = NodeRelations(
-        parent_left=Fraction(0, 1),
-        parent_right=Fraction(1, 2),
-        node=Fraction(3, 7),
-        child_right=Fraction(12, 29),
-        child_left=Fraction(5, 13),
-    )
+    bad = (Fraction(0, 1), Fraction(1, 2), Fraction(3, 7),
+           Fraction(12, 29), Fraction(5, 13))
     report = relations_report(bad)
     assert not report.ok
     assert "cross-right" in list(report.failed)
@@ -264,13 +254,8 @@ def test_relations_catch_a_corrupted_node():
 
 
 def test_relations_catch_swapped_children():
-    swapped = NodeRelations(
-        parent_left=Fraction(0, 1),
-        parent_right=Fraction(1, 2),
-        node=Fraction(2, 5),
-        child_right=Fraction(5, 13),
-        child_left=Fraction(12, 29),
-    )
+    swapped = (Fraction(0, 1), Fraction(1, 2), Fraction(2, 5),
+               Fraction(5, 13), Fraction(12, 29))
     assert set(relations_report(swapped).failed) == {"flip-left", "flip-right"}
 
 
@@ -279,11 +264,6 @@ def test_relations_hold_at_every_interior_node():
     for path, node in nodes.items():
         if len(path) > 6:
             continue
-        rel = NodeRelations(
-            parent_left=node.left,
-            parent_right=node.right,
-            node=node.value,
-            child_right=nodes[path + "R"].value,
-            child_left=nodes[path + "L"].value,
-        )
-        assert relations_report(rel, path).ok, path
+        fractions = (node.left, node.right, node.value,
+                     nodes[path + "R"].value, nodes[path + "L"].value)
+        assert relations_report(fractions, path).ok, path

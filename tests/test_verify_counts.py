@@ -179,7 +179,7 @@ def test_one_window_per_call(monkeypatch):
 
 def test_passing_checks_build_no_text(monkeypatch):
     calls = Counter()
-    for name in ("format_fraction", "cf_eval"):
+    for name in ("format_fraction", "_convergents"):
         def spy(*args, _real=getattr(verify, name), _name=name):
             calls[_name] += 1
             return _real(*args)
@@ -190,7 +190,7 @@ def test_passing_checks_build_no_text(monkeypatch):
     # Only the companions suite's params format fractions.
     assert calls["format_fraction"] == len(COMPANION_COORDINATES)
     # The words suite evaluates each node's word once.
-    assert calls["cf_eval"] == 2 ** (depth + 1) - 1
+    assert calls["_convergents"] == 2 ** (depth + 1) - 1
 
 
 def test_counterexample_text_is_built_once():
@@ -304,6 +304,35 @@ def test_corrupted_input_gives_the_recorded_report(monkeypatch, suite):
     assert report.failed == {name: n - report.checks.get(name, 0)
                              for name, n in attempted.items()
                              if n != report.checks.get(name, 0)}
+
+
+def _last_letter_dropped(real):
+    return lambda word: real(word[:-1])
+
+
+def _empty_word(real):
+    return lambda word: real(())  # (1, 0, 0, 1): q = 0
+
+
+def _q_prev_for_q(real):
+    def convergents(word):
+        p, p_prev, q, q_prev = real(word)
+        return p, p_prev, q_prev, q
+
+    return convergents
+
+
+@pytest.mark.parametrize("fault,text", [
+    (_last_letter_dropped, "word evaluates to 7/3, expected 12/5"),
+    (_empty_word, "word evaluates to undefined (q = 0), expected 12/5"),
+    (_q_prev_for_q, "word evaluates to 4/1, expected 12/5"),
+], ids=["last-letter-dropped", "q=0", "q-prev-for-q"])
+def test_words_value_fault_is_recorded(monkeypatch, fault, text):
+    monkeypatch.setattr(verify, "_convergents", fault(verify._convergents))
+    report = run_suites(["words"], 3)[0]
+    assert report.checks == {"letters": 15}
+    assert report.failed == {"value": 15}
+    assert report.first_counterexample == {"check": "value", "path": "-", "detail": text}
 
 
 def test_depth_10_counts_match_the_benchmark_gate():
