@@ -26,8 +26,9 @@ from .cftree import (
     QuadraticIrrational,
     fixed_point,
     format_qi,
+    make_qi,
 )
-from .cohn import cohn_A, cohn_B
+from .cohn import check_cohn_parameter, cohn_A, cohn_B
 from .errors import DomainError
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child, springborn_mediant
 from .rational import (
@@ -40,7 +41,7 @@ from .rational import (
     make_fraction,
     parse_cf_word,
 )
-from .tree import Node, enumerate_tree, format_path, parse_path
+from .tree import HARD_DEPTH_CAP, Node, enumerate_tree, format_path
 
 
 @dataclass(frozen=True)
@@ -70,6 +71,14 @@ def _decode_fraction(obj) -> Fraction:
     return make_fraction(int(num), int(den))
 
 
+def _decode_qi(obj) -> QuadraticIrrational:
+    # Only make_qi's canonical tuples, which are all that fixed_point returns.
+    x = QuadraticIrrational(*(int(obj[f]) for f in "PBQD"))
+    if make_qi(x.P, x.B, x.Q, x.D) != x:
+        raise ValueError(f"{x} is not in lowest terms")
+    return x
+
+
 def _decode_mat2(obj) -> Mat2:
     (e11, e12), (e21, e22) = obj
     return Mat2(int(e11), int(e12), int(e21), int(e22))
@@ -95,7 +104,7 @@ KINDS = {
                                   convergent_matrix(WORD_SEED_RIGHT)),
                        Mat2.__matmul__, format_qi,
                        lambda x: {f: str(getattr(x, f)) for f in "PBQD"},
-                       lambda obj: QuadraticIrrational(*(int(obj[f]) for f in "PBQD")),
+                       _decode_qi,
                        lift=fixed_point),
 }
 
@@ -159,27 +168,32 @@ def to_json(export: TreeExport) -> str:
 
 
 def from_json(text: str) -> TreeExport:
+    """Load what to_json writes: the whole breadth-first tree of its depth.
+
+    The depth, the node count and the Cohn parameter are checked before any
+    value is decoded; |a| >= HARD_A_CAP raises DepthLimitError, as in
+    build_export, and anything else malformed DomainError.
+    """
     try:
         payload = json.loads(text)
         kind = payload["kind"]
         spec = _kind(kind)
-        nodes = tuple(
-            Node(
-                parse_path(n["path"]),
-                spec.decode(n["left"]),
-                spec.decode(n["right"]),
-                spec.decode(n["value"]),
-            )
-            for n in payload["nodes"]
-        )
-        if not nodes or nodes[0].path:
-            raise ValueError("nodes must start at the root")
-        depth, a = payload["depth"], payload.get("a")
-        if type(depth) is not int or depth != max(len(n.path) for n in nodes):
-            raise ValueError(f"depth {depth!r} is not the longest node path")
-        if (type(a) is int) != spec.takes_a:  # a JSON true is a bool, not an int
+        depth, a, nodes = payload["depth"], payload.get("a"), payload["nodes"]
+        # A JSON true is a bool, not an int.
+        if type(depth) is not int or not 0 <= depth <= HARD_DEPTH_CAP:
+            raise ValueError(f"depth must be an integer in [0, {HARD_DEPTH_CAP}], got {depth!r}")
+        if (type(a) is int) != spec.takes_a:
             raise TypeError(f"kind {kind!r} takes {'an integer' if spec.takes_a else 'no'} a, got {a!r}")
-        return TreeExport(kind, depth, a, nodes)
+        if spec.takes_a:
+            check_cohn_parameter(a)
+        if len(nodes) != 2 ** (depth + 1) - 1:
+            raise ValueError(f"{len(nodes)} nodes do not fill a tree of depth {depth}")
+        paths = [n.path for n in enumerate_tree(None, None, lambda x, y: None, depth)]
+        if [n["path"] for n in nodes] != [format_path(path) for path in paths]:
+            raise ValueError("node paths are not the breadth-first paths of the tree")
+        return TreeExport(kind, depth, a, tuple(
+            Node(path, spec.decode(n["left"]), spec.decode(n["right"]), spec.decode(n["value"]))
+            for path, n in zip(paths, nodes)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
 

@@ -6,8 +6,8 @@ also carries each word's convergent matrix down the word tree as the product
 of its parents' matrices, the concatenation rule, so the convergent kernel
 runs once per node, in the words suite, and the periodization suite reads the
 carried product; each is checked against the Markov fraction.  The index and
-monotonicity suites take the order in t from the window's in-order positions
-and compare ratios by integer cross products, without building Fractions.
+monotonicity suites read the order in t off the window's leaves and compare
+ratios by integer cross products, without building Fractions.
 
 Each suite checks one family of identities, counting passes and failures per
 named check and recording the first counterexample verbatim.  Suites never
@@ -99,8 +99,9 @@ class Window:
     carried down the word tree by Mat2 products from the seed words' matrices
     rather than computed from the word: KINDS["irrational"] before its lift.
     The word trees are enumerated through tree.mirrored, so they come in the
-    fraction tree's order.  inorder lists the breadth-first indexes from
-    left to right, in increasing t.  a_values are the index suite's Cohn
+    fraction tree's order.  The window's leaves run left to right in t, and
+    the first leaf's left, then each leaf's value and right, lists every node
+    and both seeds in increasing t.  a_values are the index suite's Cohn
     parameters, already checked by run_suites.
     Each tree is enumerated once, on first use, and never beyond depth.
     """
@@ -126,16 +127,6 @@ class Window:
         irrational = KINDS["irrational"]
         product_tree = mirrored(*irrational.seeds(0), irrational.combine)
         return [node.value for node in enumerate_tree(*product_tree, self.depth)]
-
-    @cached_property
-    def inorder(self) -> list:
-        # Node k of level l (index 2^l - 1 + k) has in-order position
-        # (2k + 1) * 2^(depth - l) - 1.
-        order = [0] * (2 ** (self.depth + 1) - 1)
-        for level in range(self.depth + 1):
-            step = 2 ** (self.depth - level)
-            order[step - 1::2 * step] = range(2 ** level - 1, 2 ** (level + 1) - 1)
-        return order
 
 
 # ============================================================
@@ -231,7 +222,7 @@ def suite_index(window: Window) -> VerifyReport:
         # a matrix that is not a Cohn matrix and see every check catch it.
         cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, KINDS["cohn"].combine,
                                     window.depth)
-        indexes = []  # e11/e12 as (e11, e12) with e12 > 0, or None for e12 = 0
+        leaves = []  # each leaf's matrix and its right region's, in increasing t
         for (p, q, mf), cnode in zip(markov, cohn_nodes):
             m, path = cnode.value, cnode.path
             e11, e12 = m.e11, m.e12
@@ -250,8 +241,12 @@ def suite_index(window: Window) -> VerifyReport:
                 report.record("bottom-row", rem == 0 and (m.e21, m.e22) == (div, 3 * q - p),
                               path, lambda: f"bottom row {(m.e21, m.e22)}, "
                                             f"expected ({num}/{q}, {3 * q - p})", a=a)
-            indexes.append((e11, e12) if e12 > 0 else (-e11, -e12) if e12 else None)
-        ordered = [indexes[i] for i in window.inorder]
+            if len(path) == window.depth:
+                leaves += (m, cnode.right)
+        # The nodes' indexes in increasing t, as (e11, e12) with e12 > 0 or
+        # None for e12 = 0; the last region, the right seed, is no node.
+        ordered = [(x.e11, x.e12) if x.e12 > 0 else (-x.e11, -x.e12) if x.e12 else None
+                   for x in leaves[:-1]]
         increasing = None not in ordered and all(
             u1 * v2 < u2 * v1 for (u1, v1), (u2, v2) in zip(ordered, ordered[1:]))
         report.record("monotone", increasing, "", "indexes not strictly increasing in t", a=a)
@@ -328,21 +323,17 @@ def suite_companions(window: Window) -> VerifyReport:
 def suite_monotonicity(window: Window) -> VerifyReport:
     """The coordinate-to-fraction map is a strictly increasing bijection."""
     report = VerifyReport("monotonicity", window.depth)
-    # The seeds sit at t = 0 and t = 1, outside every window node.
+    # The window and both seeds in increasing t, as (leaf, region) pairs.
+    leaves = window.markov[2 ** window.depth - 1:]
+    regions = [(leaves[0], "left")] + [(leaf, side) for leaf in leaves
+                                       for side in ("value", "right")]
+    values = [getattr(leaf, side) for leaf, side in regions]
     farey = KINDS["farey"]
-    (t_lo, t_hi), (v_lo, v_hi) = farey.seeds(0), KINDS["markov"].seeds(0)
-    nodes = [window.markov[i] for i in window.inorder]
-    values = [v_lo] + [node.value for node in nodes] + [v_hi]
 
     def t_text(k: int) -> str:
         # Coordinate of values[k], only ever needed for a counterexample.
-        if k == 0:
-            t = t_lo
-        elif k > len(nodes):
-            t = t_hi
-        else:
-            t = descend(t_lo, t_hi, farey.combine, nodes[k - 1].path).value
-        return format_fraction(t)
+        leaf, side = regions[k]
+        return format_fraction(getattr(descend(*farey.seeds(0), farey.combine, leaf.path), side))
 
     for k, (v1, v2) in enumerate(zip(values, values[1:])):
         report.record("increasing",

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from topograph import (
+    DepthLimitError,
     DomainError,
     cftree,
     build_export,
@@ -119,20 +120,31 @@ def test_from_json_rejects_garbage():
     node = {"path": "-", "left": "0/1", "right": "1/1", "value": "1/2"}
     farey = json.loads(to_json(build_export("farey", 1)))
     cohn = json.loads(to_json(build_export("cohn", 0)))
+    irrational = json.loads(to_json(build_export("irrational", 0)))
     for payload in (
         {"kind": "farey", "depth": 0, "nodes": [{**node, "value": 5}]},
         {"kind": "farey", "depth": 0, "nodes": [{**node, "path": 5}]},
         {**cohn, "a": "x"},
         {**cohn, "a": True},
         *({**farey, "depth": depth} for depth in (True, 3.7, "2", -4, 5)),
-        # only what build_export writes: a root first, and an a exactly for cohn
+        # only what build_export writes: the breadth-first paths of the depth,
+        # an a exactly for cohn, and canonical values
         {"kind": "farey", "depth": -1, "nodes": []},
         {**farey, "nodes": farey["nodes"][::-1]},
+        {**farey, "nodes": [farey["nodes"][0], farey["nodes"][1], farey["nodes"][1]]},
+        {**farey, "depth": 25},
         {**farey, "a": 3},
         {k: v for k, v in cohn.items() if k != "a"},
+        *({**irrational, "nodes": [{**irrational["nodes"][0], "value": value}]}
+          for value in ({"P": "1", "B": "-3", "Q": "0", "D": "4"},
+                        {"P": "1", "B": "1", "Q": "0", "D": "5"},
+                        {"P": "2", "B": "2", "Q": "4", "D": "5"})),
     ):
         with pytest.raises(DomainError):
             from_json(json.dumps(payload))
+    # refused as build_export refuses it
+    with pytest.raises(DepthLimitError):
+        from_json(json.dumps({**cohn, "a": 2**64}))
 
 
 def test_csv_rows():

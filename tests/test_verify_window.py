@@ -1,12 +1,13 @@
 """The verify window's fast routes against the references they replace.
 
 Window.convergents carries each word's convergent matrix down the word tree
-as a product (the concatenation rule) and Window.inorder reads the order in t
-off the tree's shape; the references are the convergent kernel on each word
-and a sort of the Farey window.  Window.words and Window.convergents read the
-word trees through tree.mirrored; the reference reverses each breadth-first
-level of the word tree as it is addressed.  The fault tests plant one bad
-value where a suite reads it and pin the report it gives.
+as a product (the concatenation rule); the reference is the convergent kernel
+on each word.  The index and monotonicity suites read the order in t off the
+window's leaves; the reference is a sort of the Farey window.  Window.words
+and Window.convergents read the word trees through tree.mirrored; the
+reference reverses each breadth-first level of the word tree as it is
+addressed.  The fault tests plant one bad value where a suite reads it and
+pin the report it gives.
 """
 
 from dataclasses import replace
@@ -19,6 +20,8 @@ import pytest
 from topograph import (
     Mat2,
     cf_concat,
+    cohn_A,
+    cohn_B,
     convergent_matrix,
     enumerate_tree,
     farey_mediant,
@@ -58,14 +61,13 @@ def test_mirrored_word_trees_are_the_level_reversed_trees(depth):
 
 
 @pytest.mark.parametrize("depth", range(10))
-def test_inorder_is_the_sorted_farey_window(depth):
-    window = Window(depth)
-    farey = [node.value
-             for node in enumerate_tree(Fraction(0), Fraction(1), farey_mediant, depth)]
-    assert sorted(window.inorder) == list(range(len(farey)))
-    values = [farey[i] for i in window.inorder]
-    assert all(x < y for x, y in zip(values, values[1:]))
-    assert values == sorted(farey)
+def test_leaves_read_the_sorted_farey_window(depth):
+    # The order the index and monotonicity suites read: the first leaf's
+    # left region, then each leaf's value and right region.
+    farey = list(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, depth))
+    leaves = farey[2 ** depth - 1:]
+    values = [leaves[0].left] + [x for leaf in leaves for x in (leaf.value, leaf.right)]
+    assert values == sorted([Fraction(0), Fraction(1)] + [node.value for node in farey])
 
 
 def _fault_in_carried_product(real, path):
@@ -121,6 +123,19 @@ def test_negative_e12_keeps_the_index_and_its_order(monkeypatch):
     assert report.failed == {"top-row": 10, "bottom-row": 10}
     assert report.first_counterexample == {"check": "top-row", "a": 0, "path": "L",
                                            "detail": "top row (-5, -13), expected (5, 13)"}
+
+
+def test_swapped_seeds_fail_monotone_with_nonzero_e12(monkeypatch):
+    # Swapped seeds build no Cohn tree, but every e12 stays nonzero, so
+    # monotone fails on defined indexes.  The report was recorded before the
+    # suite read the order off the window's leaves.
+    _plant_seeds(monkeypatch, 1, lambda m: cohn_B(1).m, lambda m: cohn_A(1).m)
+    report = run_suites(["index"], 3, (0, 1))[0]
+    assert report.checks == {"det": 30, "trace": 15, "top-row": 15, "index": 15,
+                             "bottom-row": 15, "monotone": 1}
+    assert report.failed == {"trace": 15, "top-row": 15, "index": 15, "monotone": 1}
+    assert report.first_counterexample == {"check": "trace", "a": 1, "path": "-",
+                                           "detail": "trace = 15, e12 = 7"}
 
 
 def _lower_triangular_seeds_at_a_1(monkeypatch):
