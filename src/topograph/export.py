@@ -5,6 +5,12 @@ All exports are deterministic: breadth-first node order, canonical JSON
 DOT and CSV.  Big integers are serialized as decimal strings so nothing
 downstream has to parse arbitrary-precision numbers.
 
+A tree of N nodes holds N + 2 distinct regions, and each node shares its two
+parent regions with the nodes above it, so every render serializes each
+region once.  JSON is written directly from a fixed per-node template,
+byte-identical to json.dumps(..., indent=1, sort_keys=True); CSV cells are
+quoted as csv.writer quotes them.
+
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 codecs of its values.  The CLI, the exports and verify all read it; the
 verify window reads the irrational tree's convergent matrices before the lift.
@@ -12,8 +18,6 @@ verify window reads the irrational tree's convergent matrices before the lift.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,17 +132,39 @@ class TreeExport:
     nodes: tuple
 
 
+def _once(fn: Callable) -> Callable:
+    """fn, called once per distinct argument object.
+
+    enumerate_tree hands each node its parents' own value objects, so a tree
+    of N nodes holds N + 2 distinct regions.  The memo is keyed by id(): the
+    caller keeps every argument alive while the memo is in use, so no id is
+    reused.  Equal values held in distinct objects are each computed.
+    """
+    memo = {}
+
+    def once(value):
+        key = id(value)
+        try:
+            return memo[key]
+        except KeyError:
+            result = memo[key] = fn(value)
+            return result
+
+    return once
+
+
 def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
     """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP).
 
-    A kind with a lift is enumerated with its seeds and combine, then every
-    region of every node is lifted.
+    A kind with a lift is enumerated with its seeds and combine, then each
+    distinct region is lifted once; the lifted nodes share their parents'
+    lifted objects as the enumerated ones do.
     """
     spec = _kind(kind)
     seed_left, seed_right = spec.seeds(a)
     nodes = tuple(enumerate_tree(seed_left, seed_right, spec.combine, depth))
-    lift = spec.lift
-    if lift is not None:
+    if spec.lift is not None:
+        lift = _once(spec.lift)
         nodes = tuple(Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes)
     return TreeExport(kind, depth, a if spec.takes_a else None, nodes)
 
@@ -147,24 +173,41 @@ def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
 # formats
 # ============================================================
 
+def _json_at(obj, level: int) -> str:
+    """obj as json.dumps(obj, indent=1, sort_keys=True) writes it at nesting level.
+
+    Only the shapes an encode returns: a str, or a list or dict of them
+    (nested, and never empty).
+    """
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    pad = "\n" + " " * (level + 1)
+    if isinstance(obj, dict):
+        items = [f"{json.dumps(k)}: {_json_at(v, level + 1)}" for k, v in sorted(obj.items())]
+        opening, closing = "{", "}"
+    else:
+        items = [_json_at(v, level + 1) for v in obj]
+        opening, closing = "[", "]"
+    return opening + pad + ("," + pad).join(items) + "\n" + " " * level + closing
+
+
 def to_json(export: TreeExport) -> str:
+    """What json.dumps(payload, indent=1, sort_keys=True) writes, plus a newline.
+
+    The payload is {"kind", "depth", "a" (for a kind that takes it),
+    "nodes": [{"path", "value", "left", "right"}, ...]}, each value as its
+    kind encodes it.  Keys come in sorted order, and a node's fields sit at
+    nesting level 3.  Paths are letters L and R, or '-', so need no escaping.
+    """
     encode = _kind(export.kind).encode
-    payload = {
-        "kind": export.kind,
-        "depth": export.depth,
-        "nodes": [
-            {
-                "path": format_path(n.path),
-                "value": encode(n.value),
-                "left": encode(n.left),
-                "right": encode(n.right),
-            }
-            for n in export.nodes
-        ],
-    }
-    if export.a is not None:
-        payload["a"] = export.a
-    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
+    field = _once(lambda value: _json_at(encode(value), 3))
+    head = "" if export.a is None else f' "a": {export.a},\n'
+    nodes = ",\n".join([
+        f'  {{\n   "left": {field(n.left)},\n   "path": "{format_path(n.path)}",'
+        f'\n   "right": {field(n.right)},\n   "value": {field(n.value)}\n  }}'
+        for n in export.nodes])
+    return (f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n'
+            f' "nodes": [\n{nodes}\n ]\n}}\n')
 
 
 def from_json(text: str) -> TreeExport:
@@ -172,8 +215,16 @@ def from_json(text: str) -> TreeExport:
 
     The depth, the node count and the Cohn parameter are checked before any
     value is decoded; |a| >= HARD_A_CAP raises DepthLimitError, as in
-    build_export, and anything else malformed DomainError.
+    build_export, and anything else malformed DomainError.  A value loads
+    only if to_json would write it back exactly as given, so '2/4' or '+5'
+    is refused.
     """
+    def decode(raw):
+        value = spec.decode(raw)
+        if spec.encode(value) != raw:
+            raise ValueError(f"{raw!r} is not the canonical form of {value!r}")
+        return value
+
     try:
         payload = json.loads(text)
         kind = payload["kind"]
@@ -192,20 +243,26 @@ def from_json(text: str) -> TreeExport:
         if [n["path"] for n in nodes] != [format_path(path) for path in paths]:
             raise ValueError("node paths are not the breadth-first paths of the tree")
         return TreeExport(kind, depth, a, tuple(
-            Node(path, spec.decode(n["left"]), spec.decode(n["right"]), spec.decode(n["value"]))
+            Node(path, decode(n["left"]), decode(n["right"]), decode(n["value"]))
             for path, n in zip(paths, nodes)))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
 
 
+def _csv_cell(text: str) -> str:
+    # Quoted as csv.writer (QUOTE_MINIMAL) quotes: a cell holding a comma, a
+    # quote or a line break, with its quotes doubled.
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def to_csv(export: TreeExport) -> str:
     text = _kind(export.kind).text
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["path", "value", "left", "right"])
-    for n in export.nodes:
-        writer.writerow([format_path(n.path), text(n.value), text(n.left), text(n.right)])
-    return buf.getvalue()
+    cell = _once(lambda value: _csv_cell(text(value)))
+    rows = [f"{format_path(n.path)},{cell(n.value)},{cell(n.left)},{cell(n.right)}\n"
+            for n in export.nodes]
+    return "path,value,left,right\n" + "".join(rows)
 
 
 def to_dot(export: TreeExport) -> str:

@@ -1,6 +1,7 @@
 """Tree exports, serialization formats, and the command line."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from topograph import (
     to_json,
 )
 from topograph.cli import main
+from topograph.export import KINDS
 
 
 # ============================================================
@@ -92,6 +94,21 @@ def test_irrational_export_runs_the_kernel_on_the_seeds_only(monkeypatch):
     assert seen and max(seen) <= 2
 
 
+@pytest.mark.parametrize("depth", range(9))
+def test_irrational_export_lifts_each_region_once(depth, monkeypatch):
+    spec = KINDS["irrational"]
+    calls = []
+
+    def lift(m):
+        calls.append(m)
+        return spec.lift(m)
+
+    monkeypatch.setitem(KINDS, "irrational", replace(spec, lift=lift))
+    tree = build_export("irrational", depth)
+    assert len(calls) == 2 ** (depth + 1) + 1
+    assert [(n.left, n.right, n.value) for n in tree.nodes] == _periodized_word_tree(depth)
+
+
 def test_json_deterministic_and_round_trips():
     for kind in ("farey", "markov", "triple", "cohn", "cf", "irrational"):
         export = build_export(kind, 2, 1)
@@ -139,6 +156,11 @@ def test_from_json_rejects_garbage():
           for value in ({"P": "1", "B": "-3", "Q": "0", "D": "4"},
                         {"P": "1", "B": "1", "Q": "0", "D": "5"},
                         {"P": "2", "B": "2", "Q": "4", "D": "5"})),
+        # values that decode but are not what to_json writes for them
+        *({"kind": "farey", "depth": 0, "nodes": [{**node, "value": value}]}
+          for value in ("2/4", "+1/2", " 1/2", "1_0/2_1")),
+        {"kind": "triple", "depth": 0,
+         "nodes": [{"path": "-", "left": "1", "right": "2", "value": "+5"}]},
     ):
         with pytest.raises(DomainError):
             from_json(json.dumps(payload))
