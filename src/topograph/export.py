@@ -12,8 +12,12 @@ byte-identical to json.dumps(..., indent=1, sort_keys=True); CSV cells are
 quoted as csv.writer quotes them.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
-codecs of its values.  The CLI, the exports and verify all read it; the
+encoders of its values.  The CLI, the exports and verify all read it; the
 verify window reads the irrational tree's convergent matrices before the lift.
+
+A tree is fixed by its kind, depth and a, so from_json parses no value: it
+regrows the tree as build_export does, and loads a file only if every node in
+it is the one to_json writes there.
 """
 
 from __future__ import annotations
@@ -22,16 +26,9 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
-from .cftree import (
-    WORD_SEED_LEFT,
-    WORD_SEED_RIGHT,
-    QuadraticIrrational,
-    fixed_point,
-    format_qi,
-    make_qi,
-)
+from .cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, fixed_point, format_qi
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
 from .errors import DomainError
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child, springborn_mediant
@@ -42,8 +39,6 @@ from .rational import (
     format_cf_word,
     format_fraction,
     format_mat2,
-    make_fraction,
-    parse_cf_word,
 )
 from .tree import HARD_DEPTH_CAP, Node, enumerate_tree, format_path
 
@@ -53,54 +48,34 @@ class Kind:
     """One value tree: how it grows and how its values serialize.
 
     seeds(a) is the seed pair and combine fills in every node from its two
-    parent regions.  text renders a value for CSV cells and DOT labels;
-    encode and decode are the JSON codec.  lift, when set, maps every region
-    of the enumerated tree, seeds included, to the exported value (a fixed
-    point for irrational).  Only a kind that takes_a reads the parameter a,
-    and only its exports record it.
+    parent regions.  text renders a value for CSV cells and DOT labels, and
+    encode for JSON; nothing reads a value back, since from_json regrows the
+    tree.  lift, when set, maps every region of the enumerated tree, seeds
+    included, to the exported value (a fixed point for irrational).  Only a
+    kind that takes_a reads the parameter a, and only its exports record it.
     """
 
     seeds: Callable
     combine: Callable
     text: Callable
     encode: Callable
-    decode: Callable
     lift: Optional[Callable] = None
     takes_a: bool = False
 
 
-def _decode_fraction(obj) -> Fraction:
-    # Strictly 'p/q': unlike parse_fraction, a bare integer is malformed here.
-    num, _, den = obj.partition("/")
-    return make_fraction(int(num), int(den))
-
-
-def _decode_qi(obj) -> QuadraticIrrational:
-    # Only make_qi's canonical tuples, which are all that fixed_point returns.
-    x = QuadraticIrrational(*(int(obj[f]) for f in "PBQD"))
-    if make_qi(x.P, x.B, x.Q, x.D) != x:
-        raise ValueError(f"{x} is not in lowest terms")
-    return x
-
-
-def _decode_mat2(obj) -> Mat2:
-    (e11, e12), (e21, e22) = obj
-    return Mat2(int(e11), int(e12), int(e21), int(e22))
-
-
 KINDS = {
     "farey": Kind(lambda a: (Fraction(0), Fraction(1)), farey_mediant,
-                  format_fraction, format_fraction, _decode_fraction),
+                  format_fraction, format_fraction),
     "markov": Kind(lambda a: (MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT), springborn_mediant,
-                   format_fraction, format_fraction, _decode_fraction),
-    "triple": Kind(lambda a: (1, 2), markov_child, str, str, int),
+                   format_fraction, format_fraction),
+    "triple": Kind(lambda a: (1, 2), markov_child, str, str),
     "cohn": Kind(lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__, format_mat2,
-                 lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]], _decode_mat2,
+                 lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]],
                  takes_a=True),
     # Plain concatenation: the seeds are even words of positive ints and
     # concatenation keeps them so; cf_concat's checks are for callers' words.
     "cf": Kind(lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), add,
-               format_cf_word, format_cf_word, parse_cf_word),
+               format_cf_word, format_cf_word),
     # The cf tree's convergent matrices, by the concatenation rule: a word's
     # matrix is the product of its parents', and its fixed point the word's
     # periodization.
@@ -108,7 +83,6 @@ KINDS = {
                                   convergent_matrix(WORD_SEED_RIGHT)),
                        Mat2.__matmul__, format_qi,
                        lambda x: {f: str(getattr(x, f)) for f in "PBQD"},
-                       _decode_qi,
                        lift=fixed_point),
 }
 
@@ -136,37 +110,43 @@ def _once(fn: Callable) -> Callable:
     """fn, called once per distinct argument object.
 
     enumerate_tree hands each node its parents' own value objects, so a tree
-    of N nodes holds N + 2 distinct regions.  The memo is keyed by id(): the
-    caller keeps every argument alive while the memo is in use, so no id is
-    reused.  Equal values held in distinct objects are each computed.
+    of N nodes holds N + 2 distinct regions.  The memo is keyed by id() and
+    holds each argument beside its result, so no argument is freed and no id
+    reused while the memo lives.  Equal values held in distinct objects are
+    each computed.
     """
     memo = {}
 
     def once(value):
         key = id(value)
         try:
-            return memo[key]
+            return memo[key][1]
         except KeyError:
-            result = memo[key] = fn(value)
+            result = fn(value)
+            memo[key] = (value, result)
             return result
 
     return once
 
 
-def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
-    """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP).
+def _grow(spec: Kind, depth: int, a: Optional[int]) -> Iterator[Node]:
+    """Lazily yield spec's tree to depth (at most HARD_DEPTH_CAP), breadth-first.
 
-    A kind with a lift is enumerated with its seeds and combine, then each
-    distinct region is lifted once; the lifted nodes share their parents'
+    A kind with a lift is enumerated with its seeds and combine, and each
+    distinct region is lifted once, so the lifted nodes share their parents'
     lifted objects as the enumerated ones do.
     """
+    nodes = enumerate_tree(*spec.seeds(a), spec.combine, depth)
+    if spec.lift is None:
+        return nodes
+    lift = _once(spec.lift)
+    return (Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes)
+
+
+def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
+    """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP)."""
     spec = _kind(kind)
-    seed_left, seed_right = spec.seeds(a)
-    nodes = tuple(enumerate_tree(seed_left, seed_right, spec.combine, depth))
-    if spec.lift is not None:
-        lift = _once(spec.lift)
-        nodes = tuple(Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes)
-    return TreeExport(kind, depth, a if spec.takes_a else None, nodes)
+    return TreeExport(kind, depth, a if spec.takes_a else None, tuple(_grow(spec, depth, a)))
 
 
 # ============================================================
@@ -213,40 +193,39 @@ def to_json(export: TreeExport) -> str:
 def from_json(text: str) -> TreeExport:
     """Load what to_json writes: the whole breadth-first tree of its depth.
 
-    The depth, the node count and the Cohn parameter are checked before any
-    value is decoded; |a| >= HARD_A_CAP raises DepthLimitError, as in
-    build_export, and anything else malformed DomainError.  A value loads
-    only if to_json would write it back exactly as given, so '2/4' or '+5'
-    is refused.
+    The depth, the Cohn parameter and the node count are checked before any
+    node is grown; |a| >= HARD_A_CAP raises DepthLimitError, as in
+    build_export.  Then the tree is regrown node by node beside the file, and
+    the first node that is not the one to_json writes there, '2/4' for '1/2'
+    or a value its parents do not combine to, raises DomainError.  The
+    loaded nodes are the regrown ones.
     """
-    def decode(raw):
-        value = spec.decode(raw)
-        if spec.encode(value) != raw:
-            raise ValueError(f"{raw!r} is not the canonical form of {value!r}")
-        return value
-
     try:
         payload = json.loads(text)
         kind = payload["kind"]
         spec = _kind(kind)
-        depth, a, nodes = payload["depth"], payload.get("a"), payload["nodes"]
+        depth, a, raw_nodes = payload["depth"], payload.get("a"), payload["nodes"]
         # A JSON true is a bool, not an int.
         if type(depth) is not int or not 0 <= depth <= HARD_DEPTH_CAP:
             raise ValueError(f"depth must be an integer in [0, {HARD_DEPTH_CAP}], got {depth!r}")
-        if (type(a) is int) != spec.takes_a:
+        if not (type(a) is int if spec.takes_a else "a" not in payload):
             raise TypeError(f"kind {kind!r} takes {'an integer' if spec.takes_a else 'no'} a, got {a!r}")
         if spec.takes_a:
             check_cohn_parameter(a)
-        if len(nodes) != 2 ** (depth + 1) - 1:
-            raise ValueError(f"{len(nodes)} nodes do not fill a tree of depth {depth}")
-        paths = [n.path for n in enumerate_tree(None, None, lambda x, y: None, depth)]
-        if [n["path"] for n in nodes] != [format_path(path) for path in paths]:
-            raise ValueError("node paths are not the breadth-first paths of the tree")
-        return TreeExport(kind, depth, a, tuple(
-            Node(path, decode(n["left"]), decode(n["right"]), decode(n["value"]))
-            for path, n in zip(paths, nodes)))
+        if len(raw_nodes) != 2 ** (depth + 1) - 1:
+            raise ValueError(f"{len(raw_nodes)} nodes do not fill a tree of depth {depth}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
+    encode = _once(spec.encode)
+    nodes = []
+    for raw, node in zip(raw_nodes, _grow(spec, depth, a)):
+        path = format_path(node.path)
+        if raw != {"path": path, "left": encode(node.left), "right": encode(node.right),
+                   "value": encode(node.value)}:
+            raise DomainError(f"malformed tree export: node {path} is not the node "
+                              f"the {kind} tree grows there")
+        nodes.append(node)
+    return TreeExport(kind, depth, a, tuple(nodes))
 
 
 def _csv_cell(text: str) -> str:

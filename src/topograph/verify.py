@@ -34,7 +34,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
-from .errors import DomainError, PreconditionError
+from .errors import DepthLimitError, DomainError, PreconditionError
 from .export import KINDS
 from .markov import springborn_mediant, vieta_walk
 from .rational import (
@@ -44,7 +44,7 @@ from .rational import (
     convergent_matrix,
     format_fraction,
 )
-from .tree import descend, enumerate_tree, mirrored
+from .tree import HARD_DEPTH_CAP, descend, enumerate_tree, mirrored
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
 COMPANION_COORDINATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5))
@@ -414,11 +414,14 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
 
     Every argument is checked before any suite runs: an empty list, an
     unknown name or a repeated Cohn parameter raises DomainError, a negative
-    depth PreconditionError, |a| >= HARD_A_CAP DepthLimitError.
+    depth PreconditionError, a depth above HARD_DEPTH_CAP or |a| >= HARD_A_CAP
+    DepthLimitError.
     """
     names = list(names)
     if depth < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
+    if depth > HARD_DEPTH_CAP:
+        raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")
     a_values = tuple(a_values)
     for a in a_values:
         check_cohn_parameter(a)

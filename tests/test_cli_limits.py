@@ -161,6 +161,19 @@ def test_negative_depth_exits_2_before_any_suite_runs(capsys, monkeypatch, suite
     assert ran == []
 
 
+@pytest.mark.parametrize("suites,depth", [
+    ("companions,relations", 25),
+    ("homomorphism", 100),
+], ids=["window-last", "window-free"])
+def test_depth_above_the_cap_raises_before_any_suite_runs(monkeypatch, suites, depth):
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
+    with pytest.raises(DepthLimitError, match=f"depth {depth} exceeds cap"):
+        run_suites(suites.split(","), depth)
+    assert ran == []
+
+
 @pytest.mark.parametrize("a_values,message", [
     ("0,0", "--a-values must be distinct"),
     ("1,2,-1,2", "--a-values must be distinct"),

@@ -1,11 +1,13 @@
 """Tree exports, serialization formats, and the command line."""
 
 import json
+import time
 from dataclasses import replace
 
 import pytest
 
 from topograph import (
+    TREE_KINDS,
     DepthLimitError,
     DomainError,
     cftree,
@@ -21,6 +23,7 @@ from topograph import (
 )
 from topograph.cli import main
 from topograph.export import KINDS
+from test_cli_limits import AT_ONCE_S
 
 
 # ============================================================
@@ -129,6 +132,12 @@ def test_json_schema_fields():
     assert farey["nodes"][0] == {"path": "-", "value": "1/2", "left": "0/1", "right": "1/1"}
 
 
+def _edited(payload, path, field, value):
+    """payload with one field of the node at path replaced."""
+    return {**payload, "nodes": [{**n, field: value} if n["path"] == path else n
+                                 for n in payload["nodes"]]}
+
+
 def test_from_json_rejects_garbage():
     with pytest.raises(DomainError):
         from_json("{not json")
@@ -137,6 +146,7 @@ def test_from_json_rejects_garbage():
     node = {"path": "-", "left": "0/1", "right": "1/1", "value": "1/2"}
     farey = json.loads(to_json(build_export("farey", 1)))
     cohn = json.loads(to_json(build_export("cohn", 0)))
+    cohn2 = json.loads(to_json(build_export("cohn", 2)))
     irrational = json.loads(to_json(build_export("irrational", 0)))
     for payload in (
         {"kind": "farey", "depth": 0, "nodes": [{**node, "value": 5}]},
@@ -161,12 +171,35 @@ def test_from_json_rejects_garbage():
           for value in ("2/4", "+1/2", " 1/2", "1_0/2_1")),
         {"kind": "triple", "depth": 0,
          "nodes": [{"path": "-", "left": "1", "right": "2", "value": "+5"}]},
+        # canonical values that are not the ones the tree grows there
+        _edited(farey, "L", "right", "2/3"),
+        _edited(farey, "R", "left", "1/3"),
+        _edited(farey, "L", "value", "9/10"),
+        _edited(cohn2, "LL", "left", cohn2["nodes"][4]["value"]),
+        # an a, even null, for a kind that takes none
+        *({**farey, "a": a} for a in ("x", None, False, [1])),
     ):
         with pytest.raises(DomainError):
             from_json(json.dumps(payload))
     # refused as build_export refuses it
     with pytest.raises(DepthLimitError):
         from_json(json.dumps({**cohn, "a": 2**64}))
+
+
+def test_from_json_refuses_a_deep_junk_file_at_the_root():
+    # Bounded by the text: nothing of the claimed depth-20 tree is built.
+    text = ('{"kind": "markov", "depth": 20, "nodes": ['
+            + ", ".join(["{}"] * (2 ** 21 - 1)) + "]}")
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="node - is not"):
+        from_json(text)
+    assert time.perf_counter() - started < AT_ONCE_S
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+def test_from_json_ignores_layout(kind):
+    text = json.dumps(json.loads(to_json(build_export(kind, 3, 1))))
+    assert from_json(text) == build_export(kind, 3, 1)
 
 
 def test_csv_rows():

@@ -1,8 +1,8 @@
 """The direct JSON and CSV writers against the standard library's.
 
-to_json and to_csv write each distinct region once.  The reference here is
-the route they replaced: the whole payload through json.dumps, and every row
-through csv.writer.
+to_json and to_csv write each distinct region once, and from_json encodes
+each once.  The reference here is the route they replaced: the whole payload
+through json.dumps, and every row through csv.writer.
 """
 
 import csv
@@ -12,7 +12,7 @@ from dataclasses import replace
 
 import pytest
 
-from topograph import TREE_KINDS, build_export, to_csv, to_json
+from topograph import TREE_KINDS, build_export, from_json, to_csv, to_json
 from topograph.export import KINDS, _csv_cell
 from topograph.tree import format_path
 from topograph.verify import DEFAULT_A_VALUES
@@ -73,8 +73,17 @@ def test_each_region_is_serialized_once(kind, monkeypatch):
 
     monkeypatch.setitem(KINDS, kind, replace(spec, encode=counted("encode"), text=counted("text")))
     for depth in range(9):
+        regions = 2 ** (depth + 1) + 1
         tree = build_export(kind, depth, 1)
         calls.update(encode=0, text=0)
-        to_json(tree)
+        text = to_json(tree)
         to_csv(tree)
-        assert calls == {"encode": 2 ** (depth + 1) + 1, "text": 2 ** (depth + 1) + 1}, depth
+        assert calls == {"encode": regions, "text": regions}, depth
+        # A loaded tree is regrown, so its nodes share regions as built ones do.
+        calls.update(encode=0, text=0)
+        loaded = from_json(text)
+        assert calls == {"encode": regions, "text": 0}, depth
+        calls.update(encode=0, text=0)
+        to_json(loaded)
+        to_csv(loaded)
+        assert calls == {"encode": regions, "text": regions}, depth

@@ -2,7 +2,8 @@
 
 README and pyproject.toml promise no dependencies outside the standard
 library, and the verification layer sits above the structures it checks, so
-only the command line and the package's exports may import it.
+only the command line and the package's exports may import it.  And every
+module uses what it imports; only __init__ imports names to export them.
 """
 
 import ast
@@ -41,3 +42,22 @@ def test_only_the_cli_and_the_exports_import_verify():
                  if any(relative and name.partition(".")[0] == "verify"
                         for name, relative in _imports(path))}
     assert importers <= {"__init__", "cli"}
+
+
+def _unused_imports(path: Path) -> set:
+    """Names a module imports, other than from __future__, that it never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.partition(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_is_used():
+    unused = {(path.stem, name) for path in SOURCES if path.stem != "__init__"
+              for name in _unused_imports(path)}
+    assert unused == set()
