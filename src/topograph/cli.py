@@ -50,10 +50,9 @@ DEFAULT_CLI_DEPTH_CAP = 12
 
 
 def _check_depth(args) -> None:
-    """Refuse a --depth beyond --max-depth, or beyond HARD_DEPTH_CAP."""
-    cap = min(args.max_depth, HARD_DEPTH_CAP)
-    if args.depth > cap:
-        raise TopographError(f"depth {args.depth} exceeds cap {cap}")
+    """Refuse a --depth beyond --max-depth; the library refuses one beyond its hard cap."""
+    if args.depth > args.max_depth:
+        raise TopographError(f"depth {args.depth} exceeds cap {args.max_depth}")
 
 
 def _print_payload(payload: dict, as_json: bool):

@@ -45,7 +45,13 @@ HARD_A_CAP = 2**64
 
 
 def check_cohn_parameter(a: int) -> None:
-    """Refuse |a| >= HARD_A_CAP with DepthLimitError; cohn_A and cohn_B call it first."""
+    """Refuse a parameter the Cohn trees do not take; cohn_A and cohn_B call it first.
+
+    A non-int a, a bool included, raises DomainError, and |a| >= HARD_A_CAP
+    DepthLimitError.
+    """
+    if not isinstance(a, int) or isinstance(a, bool):
+        raise DomainError(f"Cohn parameter must be an int, got {a!r}")
     if not -HARD_A_CAP < a < HARD_A_CAP:
         raise DepthLimitError(f"Cohn parameter of {a.bit_length()} bits exceeds cap |a| < 2**64")
 

@@ -40,7 +40,7 @@ from .rational import (
     format_fraction,
     format_mat2,
 )
-from .tree import HARD_DEPTH_CAP, Node, enumerate_tree, format_path
+from .tree import Node, check_depth, enumerate_tree, format_path
 
 
 @dataclass(frozen=True)
@@ -193,23 +193,24 @@ def to_json(export: TreeExport) -> str:
 def from_json(text: str) -> TreeExport:
     """Load what to_json writes: the whole breadth-first tree of its depth.
 
-    The depth, the Cohn parameter and the node count are checked before any
-    node is grown; |a| >= HARD_A_CAP raises DepthLimitError, as in
-    build_export.  Then the tree is regrown node by node beside the file, and
-    the first node that is not the one to_json writes there, '2/4' for '1/2'
-    or a value its parents do not combine to, raises DomainError.  The
+    The header must hold exactly the keys to_json writes.  The depth, the
+    Cohn parameter and the node count are checked before any node is grown,
+    the first two as build_export checks them, so a depth above
+    HARD_DEPTH_CAP or |a| >= HARD_A_CAP raises DepthLimitError.  Then the
+    tree is regrown node by node beside the file, and the first node that is
+    not the one to_json writes there, '2/4' for '1/2' or a value its parents
+    do not combine to, raises DomainError, as does every other refusal.  The
     loaded nodes are the regrown ones.
     """
     try:
         payload = json.loads(text)
         kind = payload["kind"]
         spec = _kind(kind)
+        keys = {"depth", "kind", "nodes"} | ({"a"} if spec.takes_a else set())
+        if payload.keys() != keys:
+            raise ValueError(f"a {kind} export has the keys {sorted(keys)}, got {sorted(payload)}")
         depth, a, raw_nodes = payload["depth"], payload.get("a"), payload["nodes"]
-        # A JSON true is a bool, not an int.
-        if type(depth) is not int or not 0 <= depth <= HARD_DEPTH_CAP:
-            raise ValueError(f"depth must be an integer in [0, {HARD_DEPTH_CAP}], got {depth!r}")
-        if not (type(a) is int if spec.takes_a else "a" not in payload):
-            raise TypeError(f"kind {kind!r} takes {'an integer' if spec.takes_a else 'no'} a, got {a!r}")
+        check_depth(depth)
         if spec.takes_a:
             check_cohn_parameter(a)
         if len(raw_nodes) != 2 ** (depth + 1) - 1:

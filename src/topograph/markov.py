@@ -159,8 +159,6 @@ def markov_child(x: int, y: int) -> int:
     if x < 1 or y < 1:
         raise DomainError(f"parent numbers must be positive, got {(x, y)}")
     disc = 9 * x * x * y * y - 4 * (x * x + y * y)
-    if disc < 0:
-        raise DomainError(f"no real child for parents {(x, y)}")
     root = isqrt(disc)
     if root * root != disc or (3 * x * y + root) % 2:
         raise DomainError(f"parents {(x, y)} are not adjacent Markov numbers")

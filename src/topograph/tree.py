@@ -29,9 +29,10 @@ from typing import Any, Callable, Iterator
 from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
 from .rational import partial_quotients
 
-# Hard ceiling on enumeration depth.  Values on balanced paths grow
-# doubly exponentially, so a runaway depth turns into gigabyte integers
-# long before it turns into an out-of-memory kill; refuse early instead.
+# Hard ceiling on enumeration depth, a backstop only: node count, not
+# integer size, drives memory, at about 2.6-2.9x per level (a markov JSON
+# export needs 1.33 GB at depth 16).  The CLI's default cap of 12 is what
+# keeps one command inside an 8 GB machine.
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the
@@ -98,6 +99,21 @@ def descend(seed_left, seed_right, combine: Callable, path: str) -> Node:
         else:
             left = value
     return Node(path, left, right, _combine_at(combine, left, right, path))
+
+
+def check_depth(depth: int) -> None:
+    """Refuse a tree depth that is not an int in [0, HARD_DEPTH_CAP].
+
+    A non-int, a bool included, raises DomainError, a negative depth
+    PreconditionError and one above the cap, read at call time,
+    DepthLimitError.
+    """
+    if not isinstance(depth, int) or isinstance(depth, bool):
+        raise DomainError(f"depth must be an int, got {depth!r}")
+    if depth < 0:
+        raise PreconditionError(f"depth must be >= 0, got {depth}")
+    if depth > HARD_DEPTH_CAP:
+        raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")
 
 
 def check_point_size(size: int) -> None:
@@ -183,13 +199,10 @@ def mirrored(seed_left, seed_right, combine: Callable) -> tuple:
 def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[Node]:
     """Yield all nodes with path length <= depth in breadth-first order.
 
-    Order is deterministic: by level, L before R within a level.  Depths
-    beyond HARD_DEPTH_CAP raise DepthLimitError before any work is done.
+    Order is deterministic: by level, L before R within a level.  check_depth
+    refuses a bad depth before any work is done.
     """
-    if depth < 0:
-        raise PreconditionError(f"depth must be >= 0, got {depth}")
-    if depth > HARD_DEPTH_CAP:
-        raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")
+    check_depth(depth)
     queue = deque([("", seed_left, seed_right)])
     while queue:
         path, left, right = queue.popleft()

@@ -34,7 +34,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
-from .errors import DepthLimitError, DomainError, PreconditionError
+from .errors import DomainError
 from .export import KINDS
 from .markov import springborn_mediant, vieta_walk
 from .rational import (
@@ -44,7 +44,7 @@ from .rational import (
     convergent_matrix,
     format_fraction,
 )
-from .tree import HARD_DEPTH_CAP, descend, enumerate_tree, mirrored
+from .tree import check_depth, descend, enumerate_tree, mirrored
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
 COMPANION_COORDINATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5))
@@ -412,16 +412,13 @@ SUITES: dict = {
 def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     """Run the named suites (in listed order) on one shared window.
 
-    Every argument is checked before any suite runs: an empty list, an
-    unknown name or a repeated Cohn parameter raises DomainError, a negative
-    depth PreconditionError, a depth above HARD_DEPTH_CAP or |a| >= HARD_A_CAP
-    DepthLimitError.
+    Every argument is checked before any suite runs: the depth by
+    tree.check_depth and each Cohn parameter by cohn.check_cohn_parameter,
+    and an empty list, an unknown or repeated name or a repeated Cohn
+    parameter raises DomainError.
     """
     names = list(names)
-    if depth < 0:
-        raise PreconditionError(f"depth must be >= 0, got {depth}")
-    if depth > HARD_DEPTH_CAP:
-        raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")
+    check_depth(depth)
     a_values = tuple(a_values)
     for a in a_values:
         check_cohn_parameter(a)
@@ -433,6 +430,8 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     for name in names:
         if name not in SUITES:
             raise DomainError(f"unknown suite {name!r}; {expected}")
+    if len(set(names)) < len(names):
+        raise DomainError(f"--suites must be distinct, got {', '.join(names)}")
     window = Window(depth, a_values)
     reports = []
     for name in names:

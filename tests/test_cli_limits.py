@@ -18,12 +18,16 @@ from topograph import (
     cohn_A,
     cohn_at,
     cohn_B,
+    enumerate_tree,
+    farey_mediant,
+    from_json,
     left_companion,
     locate,
     markov_cf,
     markov_fraction,
     markov_triple_at,
     run_suites,
+    to_json,
 )
 from topograph.cli import main
 
@@ -129,7 +133,8 @@ def test_unwritable_out_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("suites,message", [
     ("index,nosuch", "unknown suite 'nosuch'"),
     (",", "no suite named"),
-], ids=["unknown", "empty"])
+    ("words,index,words", "--suites must be distinct"),
+], ids=["unknown", "empty", "repeat"])
 def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, suites, message):
     ran = []
     for name in list(SUITES):
@@ -172,6 +177,66 @@ def test_depth_above_the_cap_raises_before_any_suite_runs(monkeypatch, suites, d
     with pytest.raises(DepthLimitError, match=f"depth {depth} exceeds cap"):
         run_suites(suites.split(","), depth)
     assert ran == []
+
+
+# The one rule for every depth and Cohn parameter that enters the library:
+# an int (not a bool), the depth in [0, HARD_DEPTH_CAP] and |a| < HARD_A_CAP.
+DEPTH_CASES = [(True, DomainError), (1.5, DomainError), ("2", DomainError),
+               (-1, PreconditionError), (25, DepthLimitError)]
+A_CASES = [(True, DomainError), (0.5, DomainError), ("1", DomainError)]
+FAREY = json.loads(to_json(build_export("farey", 1)))
+COHN = json.loads(to_json(build_export("cohn", 1)))
+
+DEPTH_ENTRIES = {
+    "enumerate_tree": lambda d: next(enumerate_tree(Fraction(0), Fraction(1), farey_mediant, d)),
+    "build_export": lambda d: build_export("farey", d),
+    "run_suites": lambda d: run_suites(["index"], d),
+    "from_json": lambda d: from_json(json.dumps({**FAREY, "depth": d})),
+}
+A_ENTRIES = {
+    "cohn_A": cohn_A,
+    "cohn_at": lambda a: cohn_at(Fraction(1, 2), a),
+    "build_export": lambda a: build_export("cohn", 1, a),
+    "run_suites": lambda a: run_suites(["index"], 2, (a,)),
+    "from_json": lambda a: from_json(json.dumps({**COHN, "a": a})),
+}
+
+
+def _refused_as(entry: str, error: type) -> type:
+    # from_json reports every ValueError as a malformed file.
+    return DomainError if entry == "from_json" and issubclass(error, ValueError) else error
+
+
+@pytest.mark.parametrize("entry", DEPTH_ENTRIES)
+@pytest.mark.parametrize("depth,error", DEPTH_CASES, ids=[repr(d) for d, _ in DEPTH_CASES])
+def test_every_depth_entry_refuses_by_one_rule(entry, depth, error):
+    with pytest.raises(_refused_as(entry, error)):
+        DEPTH_ENTRIES[entry](depth)
+
+
+@pytest.mark.parametrize("entry", A_ENTRIES)
+@pytest.mark.parametrize("a,error", A_CASES, ids=[repr(a) for a, _ in A_CASES])
+def test_every_cohn_parameter_entry_refuses_by_one_rule(entry, a, error):
+    with pytest.raises(_refused_as(entry, error)):
+        A_ENTRIES[entry](a)
+
+
+# --max-depth is the CLI's own cap; the library refuses the rest.
+CLI_DEPTH_CASES = [
+    (("--depth", "25", "--max-depth", "30"), "depth 25 exceeds cap 24"),
+    (("--depth", "13"), "depth 13 exceeds cap 12"),
+    (("--depth", "-1"), "depth must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("command", [("tree", "--kind", "farey"), ("verify",)], ids=["tree", "verify"])
+@pytest.mark.parametrize("argv,message", CLI_DEPTH_CASES,
+                         ids=[" ".join(argv) for argv, _ in CLI_DEPTH_CASES])
+def test_bad_depth_exits_2_at_once(capsys, command, argv, message):
+    code, out, err, elapsed = run_cli(capsys, *command, *argv)
+    assert code == 2 and out == ""
+    assert message in err
+    assert elapsed < AT_ONCE_S
 
 
 @pytest.mark.parametrize("a_values,message", [

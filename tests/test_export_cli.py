@@ -159,9 +159,10 @@ def test_from_json_rejects_garbage():
         {"kind": "farey", "depth": -1, "nodes": []},
         {**farey, "nodes": farey["nodes"][::-1]},
         {**farey, "nodes": [farey["nodes"][0], farey["nodes"][1], farey["nodes"][1]]},
-        {**farey, "depth": 25},
         {**farey, "a": 3},
         {k: v for k, v in cohn.items() if k != "a"},
+        {**farey, "extra": 1},
+        {**cohn, "extra": 1},
         *({**irrational, "nodes": [{**irrational["nodes"][0], "value": value}]}
           for value in ({"P": "1", "B": "-3", "Q": "0", "D": "4"},
                         {"P": "1", "B": "1", "Q": "0", "D": "5"},
@@ -181,9 +182,11 @@ def test_from_json_rejects_garbage():
     ):
         with pytest.raises(DomainError):
             from_json(json.dumps(payload))
-    # refused as build_export refuses it
+    # refused as build_export refuses them
     with pytest.raises(DepthLimitError):
         from_json(json.dumps({**cohn, "a": 2**64}))
+    with pytest.raises(DepthLimitError):
+        from_json(json.dumps({**farey, "depth": 25}))
 
 
 def test_from_json_refuses_a_deep_junk_file_at_the_root():

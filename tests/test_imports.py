@@ -61,3 +61,28 @@ def test_every_import_is_used():
     unused = {(path.stem, name) for path in SOURCES if path.stem != "__init__"
               for name in _unused_imports(path)}
     assert unused == set()
+
+
+# Each hard cap, the module that defines it and the one function that
+# compares with it.
+CAP_RULES = {"HARD_DEPTH_CAP": ("tree", "check_depth"),
+             "HARD_A_CAP": ("cohn", "check_cohn_parameter")}
+
+
+def _cap_reads(path: Path) -> set:
+    """(cap, enclosing function or None) for every read of a hard cap outside an f-string."""
+    tree = ast.parse(path.read_text(), str(path))
+    in_fstring = {id(node) for joined in ast.walk(tree) if isinstance(joined, ast.JoinedStr)
+                  for node in ast.walk(joined)}
+    function_of = {id(node): function.name for function in ast.walk(tree)
+                   if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+    return {(node.id, function_of.get(id(node))) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id in CAP_RULES
+            and isinstance(node.ctx, ast.Load) and id(node) not in in_fstring}
+
+
+def test_each_hard_cap_is_compared_in_one_place():
+    # Elsewhere a cap appears only in a help text or a message.
+    stray = {(path.stem, cap, function) for path in SOURCES
+             for cap, function in _cap_reads(path) if CAP_RULES[cap] != (path.stem, function)}
+    assert stray == set()
