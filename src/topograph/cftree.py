@@ -22,7 +22,7 @@ from operator import add, mul
 
 from .errors import DomainError
 from .rational import Mat2, _convergents, _validate_word, cf_eval
-from .tree import check_point_size, mirrored, value_at
+from .tree import check_coordinate, check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
 WORD_SEED_RIGHT = (1, 1)
@@ -113,9 +113,9 @@ def left_companion(t: Fraction, m: int) -> Fraction:
     The word has 2qm letters for t = p/q, so q * m beyond HARD_POINT_CAP
     raises DepthLimitError before any work.
     """
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError(f"repetition count must be an int >= 1, got {m!r}")
-    check_point_size(Fraction(t).denominator * m)
+    check_point_size(check_coordinate(t).denominator * m)
     return cf_eval(markov_cf(t) * m)
 
 

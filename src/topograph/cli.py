@@ -34,7 +34,7 @@ from .cftree import (
 )
 from .cohn import cohn_at, cohn_index, trace_map
 from .errors import TopographError
-from .export import EXPORT_FORMATS, TREE_KINDS, build_export, render
+from .export import EXPORT_FORMATS, TREE_KINDS, TreeExport, render
 from .markov import markov_fraction, markov_triple_at
 from .rational import (
     cf_eval,
@@ -123,8 +123,8 @@ def cmd_cf(args) -> int:
 
 def cmd_tree(args) -> int:
     _check_depth(args)
-    export = build_export(args.kind, args.depth, args.a)
-    text = render(export, args.format)
+    # The writers grow the tree from the header alone, so no node is built here.
+    text = render(TreeExport(args.kind, args.depth, args.a), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -5,19 +5,23 @@ All exports are deterministic: breadth-first node order, canonical JSON
 DOT and CSV.  Big integers are serialized as decimal strings so nothing
 downstream has to parse arbitrary-precision numbers.
 
-A tree of N nodes holds N + 2 distinct regions, and each node shares its two
-parent regions with the nodes above it, so every render serializes each
-region once.  JSON is written directly from a fixed per-node template,
-byte-identical to json.dumps(..., indent=1, sort_keys=True); CSV cells are
-quoted as csv.writer quotes them.
+A tree is fixed by its kind, depth and a, so every writer grows the tree
+from the export's header and no writer reads its nodes.  A tree of N nodes
+holds N + 2 distinct regions, and each node shares its two parent regions
+with the nodes above it, so each region's fragment (JSON text, CSV cell or
+DOT label) is made once, when the region is grown, and carried down the walk
+to the nodes below.  The cf tree's words obey the concatenation rule in
+their text too: a word's fragment is spliced from its parents' fragments,
+and only the two seeds are formatted.  JSON is written directly from a fixed
+per-node template, byte-identical to json.dumps(..., indent=1,
+sort_keys=True); CSV cells are quoted as csv.writer quotes them.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
 verify window reads the irrational tree's convergent matrices before the lift.
 
-A tree is fixed by its kind, depth and a, so from_json parses no value: it
-regrows the tree as build_export does, and loads a file only if every node in
-it is the one to_json writes there.
+from_json parses no value: it regrows the tree as build_export does, and
+loads a file only if every node in it is the one to_json writes there.
 """
 
 from __future__ import annotations
@@ -25,6 +29,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from operator import add
 from typing import Callable, Iterator, Optional
 
@@ -40,7 +45,7 @@ from .rational import (
     format_fraction,
     format_mat2,
 )
-from .tree import Node, check_depth, enumerate_tree, format_path
+from .tree import Node, _walk, check_depth, format_path
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,10 @@ class Kind:
     parent regions.  text renders a value for CSV cells and DOT labels, and
     encode for JSON; nothing reads a value back, since from_json regrows the
     tree.  lift, when set, maps every region of the enumerated tree, seeds
-    included, to the exported value (a fixed point for irrational).  Only a
-    kind that takes_a reads the parameter a, and only its exports record it.
+    included, to the exported value (a fixed point for irrational).  join,
+    when set, makes the render of a node's value from the renders of its
+    parent regions, as _splice does for words.  Only a kind that takes_a
+    reads the parameter a, and only its exports record it.
     """
 
     seeds: Callable
@@ -61,6 +68,20 @@ class Kind:
     encode: Callable
     lift: Optional[Callable] = None
     takes_a: bool = False
+    join: Optional[Callable] = None
+
+
+def _splice(s: str, t: str) -> str:
+    """The render of the word x + y, from the render s of x and t of y.
+
+    Every render of a word (text, JSON string, CSV cell, DOT label) is its
+    letters between brackets, with the brackets at the ends and only quoting
+    outside them.  The quoting is the same for every word of the cf tree:
+    each has at least two letters, so a comma, and CSV quotes every cell.
+    So s up to its last letter, a comma, and t from its first letter on is
+    the render of x + y: the concatenation rule, in text.
+    """
+    return s[:s.rindex("]")] + "," + t[t.index("[") + 1:]
 
 
 KINDS = {
@@ -75,7 +96,7 @@ KINDS = {
     # Plain concatenation: the seeds are even words of positive ints and
     # concatenation keeps them so; cf_concat's checks are for callers' words.
     "cf": Kind(lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), add,
-               format_cf_word, format_cf_word),
+               format_cf_word, format_cf_word, join=_splice),
     # The cf tree's convergent matrices, by the concatenation rule: a word's
     # matrix is the product of its parents', and its fixed point the word's
     # periodization.
@@ -98,55 +119,51 @@ def _kind(name: str) -> Kind:
 
 @dataclass(frozen=True)
 class TreeExport:
-    """A finished enumeration: kind, depth, Cohn parameter (if any), nodes."""
+    """A finished enumeration: kind, depth, Cohn parameter (if any), nodes.
+
+    The writers read only the header, kind, depth and (for a kind that takes
+    it) a, since these fix the tree; build_export and from_json fill in the
+    nodes for library callers.
+    """
 
     kind: str
     depth: int
     a: Optional[int]
-    nodes: tuple
+    nodes: tuple = ()
 
 
-def _once(fn: Callable) -> Callable:
-    """fn, called once per distinct argument object.
+def _itself(value):
+    return value
 
-    enumerate_tree hands each node its parents' own value objects, so a tree
-    of N nodes holds N + 2 distinct regions.  The memo is keyed by id() and
-    holds each argument beside its result, so no argument is freed and no id
-    reused while the memo lives.  Equal values held in distinct objects are
-    each computed.
+
+def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
+          join: Optional[Callable] = None) -> Iterator[tuple]:
+    """spec's tree to depth, breadth-first, as (path, left, right, value) tuples.
+
+    Each region is given as what it carries, out(lift(region)), made once,
+    when the region is grown, and handed down to the nodes below it.  Given
+    join, a node carries join(left's carry, right's carry) instead, and out
+    runs on the two seeds alone.  The depth and a are checked before any work.
     """
-    memo = {}
+    check_depth(depth)
+    lift = spec.lift or _itself
+    seeds = spec.seeds(a)
+    if join is not None:
+        return _walk(*[out(lift(seed)) for seed in seeds], join, depth)
 
-    def once(value):
-        key = id(value)
-        try:
-            return memo[key][1]
-        except KeyError:
-            result = fn(value)
-            memo[key] = (value, result)
-            return result
+    def combine(x, y):
+        value = spec.combine(x[0], y[0])
+        return value, out(lift(value))
 
-    return once
-
-
-def _grow(spec: Kind, depth: int, a: Optional[int]) -> Iterator[Node]:
-    """Lazily yield spec's tree to depth (at most HARD_DEPTH_CAP), breadth-first.
-
-    A kind with a lift is enumerated with its seeds and combine, and each
-    distinct region is lifted once, so the lifted nodes share their parents'
-    lifted objects as the enumerated ones do.
-    """
-    nodes = enumerate_tree(*spec.seeds(a), spec.combine, depth)
-    if spec.lift is None:
-        return nodes
-    lift = _once(spec.lift)
-    return (Node(n.path, lift(n.left), lift(n.right), lift(n.value)) for n in nodes)
+    nodes = _walk(*[(seed, out(lift(seed))) for seed in seeds], combine, depth)
+    return ((path, left[1], right[1], value[1]) for path, left, right, value in nodes)
 
 
 def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
     """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP)."""
     spec = _kind(kind)
-    return TreeExport(kind, depth, a if spec.takes_a else None, tuple(_grow(spec, depth, a)))
+    nodes = tuple(starmap(Node, _grow(spec, depth, a, _itself)))
+    return TreeExport(kind, depth, a if spec.takes_a else None, nodes)
 
 
 # ============================================================
@@ -179,15 +196,16 @@ def to_json(export: TreeExport) -> str:
     kind encodes it.  Keys come in sorted order, and a node's fields sit at
     nesting level 3.  Paths are letters L and R, or '-', so need no escaping.
     """
-    encode = _kind(export.kind).encode
-    field = _once(lambda value: _json_at(encode(value), 3))
-    head = "" if export.a is None else f' "a": {export.a},\n'
-    nodes = ",\n".join([
-        f'  {{\n   "left": {field(n.left)},\n   "path": "{format_path(n.path)}",'
-        f'\n   "right": {field(n.right)},\n   "value": {field(n.value)}\n  }}'
-        for n in export.nodes])
+    spec = _kind(export.kind)
+    nodes = _grow(spec, export.depth, export.a,
+                  lambda value: _json_at(spec.encode(value), 3), spec.join)
+    head = f' "a": {export.a},\n' if spec.takes_a else ""
+    body = ",\n".join([
+        f'  {{\n   "left": {left},\n   "path": "{format_path(path)}",'
+        f'\n   "right": {right},\n   "value": {value}\n  }}'
+        for path, left, right, value in nodes])
     return (f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n'
-            f' "nodes": [\n{nodes}\n ]\n}}\n')
+            f' "nodes": [\n{body}\n ]\n}}\n')
 
 
 def from_json(text: str) -> TreeExport:
@@ -217,15 +235,19 @@ def from_json(text: str) -> TreeExport:
             raise ValueError(f"{len(raw_nodes)} nodes do not fill a tree of depth {depth}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
-    encode = _once(spec.encode)
+    join = None
+    if spec.join is not None:
+        def join(x, y):
+            return spec.combine(x[0], y[0]), spec.join(x[1], y[1])
+
+    grown = _grow(spec, depth, a, lambda value: (value, spec.encode(value)), join)
     nodes = []
-    for raw, node in zip(raw_nodes, _grow(spec, depth, a)):
-        path = format_path(node.path)
-        if raw != {"path": path, "left": encode(node.left), "right": encode(node.right),
-                   "value": encode(node.value)}:
-            raise DomainError(f"malformed tree export: node {path} is not the node "
+    for raw, (path, left, right, value) in zip(raw_nodes, grown):
+        shown = format_path(path)
+        if raw != {"path": shown, "left": left[1], "right": right[1], "value": value[1]}:
+            raise DomainError(f"malformed tree export: node {shown} is not the node "
                               f"the {kind} tree grows there")
-        nodes.append(node)
+        nodes.append(Node(path, left[0], right[0], value[0]))
     return TreeExport(kind, depth, a, tuple(nodes))
 
 
@@ -238,10 +260,10 @@ def _csv_cell(text: str) -> str:
 
 
 def to_csv(export: TreeExport) -> str:
-    text = _kind(export.kind).text
-    cell = _once(lambda value: _csv_cell(text(value)))
-    rows = [f"{format_path(n.path)},{cell(n.value)},{cell(n.left)},{cell(n.right)}\n"
-            for n in export.nodes]
+    spec = _kind(export.kind)
+    nodes = _grow(spec, export.depth, export.a,
+                  lambda value: _csv_cell(spec.text(value)), spec.join)
+    rows = [f"{format_path(path)},{value},{left},{right}\n" for path, left, right, value in nodes]
     return "path,value,left,right\n" + "".join(rows)
 
 
@@ -252,28 +274,25 @@ def to_dot(export: TreeExport) -> str:
     the region's value; edges connect each new region to the two regions it
     was combined from.  A node's left parent is the node at its path cut
     before the last R (the left seed if there is none), and its right parent
-    the node at its path cut before the last L.
+    the node at its path cut before the last L.  Paths need no escaping.
     """
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    text = _kind(export.kind).text
-    root = export.nodes[0]  # its two parents are the seed regions
+    spec = _kind(export.kind)
+    nodes = _grow(spec, export.depth, export.a, lambda value: quote(spec.text(value)), spec.join)
     lines = [f"graph {export.kind} {{", "  node [shape=plaintext];"]
-    lines.append(f"  seed_L [label={quote(text(root.left))}];")
-    lines.append(f"  seed_R [label={quote(text(root.right))}];")
-    for n in export.nodes:
-        lines.append(f"  {quote(format_path(n.path))} [label={quote(text(n.value))}];")
-    lines.append("  seed_L -- seed_R;")
-    for n in export.nodes:
-        last_r, last_l = n.path.rfind("R"), n.path.rfind("L")
-        left_id = quote(format_path(n.path[:last_r])) if last_r >= 0 else "seed_L"
-        right_id = quote(format_path(n.path[:last_l])) if last_l >= 0 else "seed_R"
-        me = quote(format_path(n.path))
-        lines.append(f"  {me} -- {left_id};")
-        lines.append(f"  {me} -- {right_id};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    edges = ["  seed_L -- seed_R;"]
+    for path, left, right, value in nodes:
+        if not path:  # the root's two parents are the seed regions
+            lines += [f"  seed_L [label={left}];", f"  seed_R [label={right}];"]
+        me = f'"{format_path(path)}"'
+        lines.append(f"  {me} [label={value}];")
+        last_r, last_l = path.rfind("R"), path.rfind("L")
+        left_id = f'"{format_path(path[:last_r])}"' if last_r >= 0 else "seed_L"
+        right_id = f'"{format_path(path[:last_l])}"' if last_l >= 0 else "seed_R"
+        edges += [f"  {me} -- {left_id};", f"  {me} -- {right_id};"]
+    return "\n".join(lines + edges + ["}"]) + "\n"
 
 
 EXPORT_FORMATS = {"json": to_json, "dot": to_dot, "csv": to_csv}

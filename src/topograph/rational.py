@@ -190,8 +190,9 @@ def cf_concat(a, b) -> tuple:
 
 def format_cf_word(word, periodic: bool = False) -> str:
     """Render like '[2,2,1,1]'; a leading '~' marks periodic repetition."""
-    # A list comprehension: on CPython 3.11 it joins faster than a generator
-    # or map(str, word), and exports format every word of the cf tree.
+    # The letter-by-letter reference.  Exports format only the cf tree's two
+    # seeds here and splice every other word's render from its parents'
+    # (export._splice); the tests check each splice against this.
     body = "[" + ",".join([str(c) for c in word]) + "]"
     return "~" + body if periodic else body
 

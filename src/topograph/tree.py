@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import starmap
 from typing import Any, Callable, Iterator
 
 from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
@@ -122,6 +123,17 @@ def check_point_size(size: int) -> None:
         raise DepthLimitError(f"point query size {size} exceeds cap {HARD_POINT_CAP}")
 
 
+def check_coordinate(t) -> Fraction:
+    """t as a Fraction; a coordinate must be an int or a Fraction, not a bool.
+
+    A float or a decimal string is refused with DomainError rather than
+    read as the binary fraction it happens to hold.
+    """
+    if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
+        raise DomainError(f"coordinate must be an int or a Fraction, got {t!r}")
+    return Fraction(t)
+
+
 def locate_runs(t: Fraction) -> list:
     """Path of t in the Farey tree as runs [(step, k), ...], from t's quotients.
 
@@ -131,7 +143,7 @@ def locate_runs(t: Fraction) -> list:
     Costs O(n) divisions, not O(path steps).  Coordinates with denominator
     beyond HARD_POINT_CAP raise DepthLimitError before any work.
     """
-    t = Fraction(t)
+    t = check_coordinate(t)
     if not 0 < t < 1:
         raise DomainError(f"locate needs 0 < t < 1, got {t}")
     check_point_size(t.denominator)
@@ -175,7 +187,7 @@ def value_at(t: Fraction, seed_left, seed_right, combine: Callable, power: Calla
     descend_runs along locate_runs(t), so combine must be associative and
     power(X, k) its k-th power.
     """
-    t = Fraction(t)
+    t = check_coordinate(t)
     if not 0 <= t <= 1:
         raise DomainError(f"coordinate must lie in [0, 1], got {t}")
     if t == 0:
@@ -196,6 +208,22 @@ def mirrored(seed_left, seed_right, combine: Callable) -> tuple:
     return seed_right, seed_left, lambda x, y: combine(y, x)
 
 
+def _walk(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tuple]:
+    """Yield (path, left, right, value) for every node to depth, breadth-first.
+
+    The one tree walker: enumerate_tree wraps its tuples in Node, and the
+    exports grow their carried regions through it.  The depth is not checked.
+    """
+    queue = deque([("", seed_left, seed_right)])
+    while queue:
+        path, left, right = queue.popleft()
+        value = _combine_at(combine, left, right, path)
+        yield path, left, right, value
+        if len(path) < depth:
+            queue.append((path + "L", left, value))
+            queue.append((path + "R", value, right))
+
+
 def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[Node]:
     """Yield all nodes with path length <= depth in breadth-first order.
 
@@ -203,11 +231,4 @@ def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iter
     refuses a bad depth before any work is done.
     """
     check_depth(depth)
-    queue = deque([("", seed_left, seed_right)])
-    while queue:
-        path, left, right = queue.popleft()
-        value = _combine_at(combine, left, right, path)
-        yield Node(path, left, right, value)
-        if len(path) < depth:
-            queue.append((path + "L", left, value))
-            queue.append((path + "R", value, right))
+    yield from starmap(Node, _walk(seed_left, seed_right, combine, depth))

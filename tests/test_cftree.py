@@ -190,8 +190,10 @@ def test_companion_examples():
     assert left_companion(Fraction(1, 2), 1) == Fraction(12, 5)
     assert left_companion(Fraction(1, 2), 2) == Fraction(179, 75)
     assert left_companion(Fraction(1), 2) == Fraction(29, 12)
-    with pytest.raises(DomainError):
-        left_companion(Fraction(1, 2), 0)
+    # The repetition count is an int >= 1, and a bool is no int here.
+    for m in (0, True, 1.0):
+        with pytest.raises(DomainError, match="repetition count"):
+            left_companion(Fraction(1, 2), m)
 
 
 def test_companions_walk_down_onto_the_limit():

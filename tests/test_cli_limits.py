@@ -221,6 +221,32 @@ def test_every_cohn_parameter_entry_refuses_by_one_rule(entry, a, error):
         A_ENTRIES[entry](a)
 
 
+# A coordinate is an int or a Fraction.  A float is not read as the binary
+# fraction it holds (0.1 would need the denominator 2**55), a bool not as 0
+# or 1, and a string not parsed.
+POINT_CASES = [0.5, 0.1, True, False, "1/2", None]
+POINT_ENTRIES = {
+    "locate": locate,
+    "markov_fraction": markov_fraction,
+    "cohn_at": cohn_at,
+    "markov_cf": markov_cf,
+    "markov_triple_at": lambda t: markov_triple_at(locate(t)),
+    "left_companion": lambda t: left_companion(t, 1),
+}
+
+
+@pytest.mark.parametrize("entry", POINT_ENTRIES)
+@pytest.mark.parametrize("t", POINT_CASES, ids=repr)
+def test_every_point_entry_refuses_a_coordinate_that_is_no_fraction(entry, t):
+    with pytest.raises(DomainError, match="coordinate must be an int or a Fraction"):
+        POINT_ENTRIES[entry](t)
+
+
+def test_int_coordinates_are_the_boundaries():
+    assert markov_fraction(0) == Fraction(0) and markov_fraction(1) == Fraction(1, 2)
+    assert markov_cf(1) == markov_cf(Fraction(1)) and left_companion(1, 2) == Fraction(29, 12)
+
+
 # --max-depth is the CLI's own cap; the library refuses the rest.
 CLI_DEPTH_CASES = [
     (("--depth", "25", "--max-depth", "30"), "depth 25 exceeds cap 24"),

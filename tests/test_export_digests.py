@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import pytest
 
-from topograph import TREE_KINDS, build_export, from_json, render, to_dot, to_json
+from topograph import TREE_KINDS, DomainError, build_export, from_json, render, to_dot, to_json
 from topograph.cli import build_parser
 from topograph.verify import DEFAULT_A_VALUES
 
@@ -188,11 +188,13 @@ def test_dot_seed_labels():
     # irrational seeds are the periodized seed words (2, 2) and (1, 1)
     assert _seed_lines(build_export("irrational", 0)) == [
         '  seed_L [label="(4+√32)/4"];', '  seed_R [label="(1+√5)/2"];']
-    # read off the root node, so an export without its a keeps the a = 2 seeds
+    # grown from the header, so the seeds are the export's a = 2 seeds, and a
+    # cohn export without its a names no tree
     cohn = build_export("cohn", 0, 2)
-    for export in (cohn, replace(cohn, a=None)):
-        assert _seed_lines(export) == [
-            '  seed_L [label="[[2,1],[1,1]]"];', '  seed_R [label="[[5,2],[2,1]]"];']
+    assert _seed_lines(cohn) == [
+        '  seed_L [label="[[2,1],[1,1]]"];', '  seed_R [label="[[5,2],[2,1]]"];']
+    with pytest.raises(DomainError, match="Cohn parameter must be an int"):
+        to_dot(replace(cohn, a=None))
 
 
 def test_cli_kind_choices_are_the_registry():

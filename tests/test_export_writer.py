@@ -1,8 +1,11 @@
-"""The direct JSON and CSV writers against the standard library's.
+"""The direct writers against the routes they replaced.
 
-to_json and to_csv write each distinct region once, and from_json encodes
-each once.  The reference here is the route they replaced: the whole payload
-through json.dumps, and every row through csv.writer.
+Each writer grows the tree from the export's header and renders each
+distinct region once, and from_json encodes each once; a cf word's render
+is spliced from its parents' renders.  The references here read the built
+nodes instead: the whole payload through json.dumps, every row through
+csv.writer, every DOT label through text, and every word letter by letter
+through format_cf_word.
 """
 
 import csv
@@ -12,7 +15,16 @@ from dataclasses import replace
 
 import pytest
 
-from topograph import TREE_KINDS, build_export, from_json, to_csv, to_json
+from topograph import (
+    TREE_KINDS,
+    TreeExport,
+    build_export,
+    enumerate_tree,
+    from_json,
+    to_csv,
+    to_dot,
+    to_json,
+)
 from topograph.export import KINDS, _csv_cell
 from topograph.tree import format_path
 from topograph.verify import DEFAULT_A_VALUES
@@ -44,12 +56,72 @@ def reference_csv(tree) -> str:
     return buf.getvalue()
 
 
+def reference_dot(tree) -> str:
+    def quote(s: str) -> str:
+        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    text = KINDS[tree.kind].text
+    root = tree.nodes[0]  # its two parents are the seed regions
+    lines = [f"graph {tree.kind} {{", "  node [shape=plaintext];"]
+    lines.append(f"  seed_L [label={quote(text(root.left))}];")
+    lines.append(f"  seed_R [label={quote(text(root.right))}];")
+    for n in tree.nodes:
+        lines.append(f"  {quote(format_path(n.path))} [label={quote(text(n.value))}];")
+    lines.append("  seed_L -- seed_R;")
+    for n in tree.nodes:
+        last_r, last_l = n.path.rfind("R"), n.path.rfind("L")
+        left_id = quote(format_path(n.path[:last_r])) if last_r >= 0 else "seed_L"
+        right_id = quote(format_path(n.path[:last_l])) if last_l >= 0 else "seed_R"
+        me = quote(format_path(n.path))
+        lines.append(f"  {me} -- {left_id};")
+        lines.append(f"  {me} -- {right_id};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("kind,a", CASES)
 def test_writers_match_the_standard_library(kind, a):
     for depth in range(10):
         tree = build_export(kind, depth, a)
         assert to_json(tree) == reference_json(tree), depth
         assert to_csv(tree) == reference_csv(tree), depth
+
+
+@pytest.mark.parametrize("kind,a", CASES)
+def test_dot_writer_matches_the_node_by_node_route(kind, a):
+    for depth in range(10):
+        tree = build_export(kind, depth, a)
+        assert to_dot(tree) == reference_dot(tree), depth
+
+
+@pytest.mark.parametrize("kind,a", CASES)
+def test_writers_read_the_header_alone(kind, a):
+    # kind, depth and a fix the tree, so the writers never read the nodes.
+    for depth in range(6):
+        built = build_export(kind, depth, a)
+        header = TreeExport(kind, depth, built.a)
+        for writer in (to_json, to_csv, to_dot):
+            assert writer(header) == writer(built), (writer.__name__, depth)
+
+
+CF = KINDS["cf"]
+# The four renders of a word, each from format_cf_word letter by letter.
+WORD_RENDERS = {
+    "text": CF.text,
+    "json": lambda word: json.dumps(CF.encode(word)),
+    "csv": lambda word: _csv_cell(CF.text(word)),
+    "dot": lambda word: '"' + CF.text(word) + '"',
+}
+
+
+@pytest.mark.parametrize("render", WORD_RENDERS)
+def test_splice_is_the_concatenation_rule_in_text(render):
+    show = WORD_RENDERS[render]
+    pairs = 0
+    for node in enumerate_tree(*CF.seeds(0), CF.combine, 9):
+        assert CF.join(show(node.left), show(node.right)) == show(node.left + node.right)
+        pairs += 1
+    assert pairs == 2 ** 10 - 1
 
 
 def test_csv_quotes_as_csv_writer_does():
@@ -73,17 +145,19 @@ def test_each_region_is_serialized_once(kind, monkeypatch):
 
     monkeypatch.setitem(KINDS, kind, replace(spec, encode=counted("encode"), text=counted("text")))
     for depth in range(9):
-        regions = 2 ** (depth + 1) + 1
+        # A cf word's render is spliced from its parents', so only the two
+        # seeds are formatted.
+        formatted = 2 if kind == "cf" else 2 ** (depth + 1) + 1
         tree = build_export(kind, depth, 1)
         calls.update(encode=0, text=0)
         text = to_json(tree)
         to_csv(tree)
-        assert calls == {"encode": regions, "text": regions}, depth
+        assert calls == {"encode": formatted, "text": formatted}, depth
         # A loaded tree is regrown, so its nodes share regions as built ones do.
         calls.update(encode=0, text=0)
         loaded = from_json(text)
-        assert calls == {"encode": regions, "text": 0}, depth
+        assert calls == {"encode": formatted, "text": 0}, depth
         calls.update(encode=0, text=0)
         to_json(loaded)
         to_csv(loaded)
-        assert calls == {"encode": regions, "text": regions}, depth
+        assert calls == {"encode": formatted, "text": formatted}, depth

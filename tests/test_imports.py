@@ -4,6 +4,7 @@ README and pyproject.toml promise no dependencies outside the standard
 library, and the verification layer sits above the structures it checks, so
 only the command line and the package's exports may import it.  And every
 module uses what it imports; only __init__ imports names to export them.
+tree holds the one breadth-first walker, so no other module takes a queue.
 """
 
 import ast
@@ -86,3 +87,18 @@ def test_each_hard_cap_is_compared_in_one_place():
     stray = {(path.stem, cap, function) for path in SOURCES
              for cap, function in _cap_reads(path) if CAP_RULES[cap] != (path.stem, function)}
     assert stray == set()
+
+
+def _reads_deque(path: Path) -> bool:
+    """Whether a module imports deque or reads collections.deque."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.ImportFrom) and any(a.name == "deque" for a in node.names):
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "deque":
+            return True
+    return False
+
+
+def test_only_tree_holds_a_queue():
+    # A second breadth-first walker would need one; the exports walk through tree._walk.
+    assert {path.stem for path in SOURCES if _reads_deque(path)} == {"tree"}
