@@ -9,11 +9,13 @@ Subcommands:
   verify  run cross-verification suites
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or parse error, an exceeded cap, or an unwritable --out.  Tree and
-verify depths are capped (default 12, override with --max-depth, hard
-ceiling 24); point queries at t = p/q with companion repetition m are capped
-at q * m <= HARD_POINT_CAP, a triple PATH at Farey denominator
-q <= HARD_TRIPLE_CAP, and a Cohn parameter at |a| < HARD_A_CAP.
+2 usage or parse error, an option the command does not use, an exceeded
+cap, or an unwritable --out, and 3 an internal error (a bug, or running out
+of memory), reported with its traceback.  Tree and verify depths are capped
+(default 12, override with --max-depth, hard ceiling 24); point queries at
+t = p/q with companion repetition m are capped at q * m <= HARD_POINT_CAP, a
+triple PATH at Farey denominator q <= HARD_TRIPLE_CAP, and a Cohn parameter
+at |a| < HARD_A_CAP.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import json
 import re
 import sys
+import traceback
 from contextlib import contextmanager
 from dataclasses import asdict
 
@@ -34,7 +37,7 @@ from .cftree import (
 )
 from .cohn import cohn_at, cohn_index, trace_map
 from .errors import TopographError
-from .export import EXPORT_FORMATS, TREE_KINDS, TreeExport, render
+from .export import EXPORT_FORMATS, KINDS, TREE_KINDS, build_export, render
 from .markov import markov_fraction, markov_triple_at
 from .rational import (
     cf_eval,
@@ -104,6 +107,8 @@ def cmd_cohn(args) -> int:
 
 
 def cmd_cf(args) -> int:
+    if args.m is not None and args.mode != "companion":
+        raise TopographError("--m applies only to --mode companion")
     t = parse_fraction(args.coordinate)
     word = markov_cf(t)
     payload = {"coordinate": format_fraction(t)}
@@ -114,8 +119,9 @@ def cmd_cf(args) -> int:
         payload["word"] = format_cf_word(word, periodic=True)
         payload["value"] = format_qi(periodic_value(word))
     else:
-        payload["m"] = str(args.m)
-        payload["companion"] = format_fraction(left_companion(t, args.m))
+        m = 1 if args.m is None else args.m
+        payload["m"] = str(m)
+        payload["companion"] = format_fraction(left_companion(t, m))
         payload["limit"] = format_qi(markov_irrationality(markov_fraction(t)))
     _print_payload(payload, args.format == "json")
     return 0
@@ -123,8 +129,9 @@ def cmd_cf(args) -> int:
 
 def cmd_tree(args) -> int:
     _check_depth(args)
-    # The writers grow the tree from the header alone, so no node is built here.
-    text = render(TreeExport(args.kind, args.depth, args.a), args.format)
+    if args.a is not None and not KINDS[args.kind].takes_a:
+        raise TopographError(f"--a is a Cohn parameter; the {args.kind} tree takes none")
+    text = render(build_export(args.kind, args.depth, args.a or 0), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -191,15 +198,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("coordinate", help="fraction like 1/2")
     p_cf.add_argument("--mode", choices=("word", "periodic", "companion"),
                       default="word")
-    p_cf.add_argument("--m", type=int, default=1,
-                      help="repetition count for --mode companion")
+    p_cf.add_argument("--m", type=int,
+                      help="repetition count for --mode companion (default 1)")
     add_format(p_cf)
     p_cf.set_defaults(func=cmd_cf)
 
     p_tree = sub.add_parser("tree", help="enumerate a tree and serialize it")
     p_tree.add_argument("--kind", choices=TREE_KINDS, required=True)
     p_tree.add_argument("--depth", type=int, required=True)
-    p_tree.add_argument("--a", type=int, default=0, help="Cohn parameter")
+    p_tree.add_argument("--a", type=int, help="Cohn parameter, for --kind cohn (default 0)")
     add_format(p_tree, choices=tuple(EXPORT_FORMATS))
     p_tree.add_argument("--out", help="write to this file instead of stdout")
     p_tree.add_argument("--max-depth", type=int, default=DEFAULT_CLI_DEPTH_CAP,
@@ -251,6 +258,10 @@ def main(argv=None) -> int:
     except (TopographError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not a counterexample, so never exit 1
+        traceback.print_exc()
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

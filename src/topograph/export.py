@@ -5,29 +5,33 @@ All exports are deterministic: breadth-first node order, canonical JSON
 DOT and CSV.  Big integers are serialized as decimal strings so nothing
 downstream has to parse arbitrary-precision numbers.
 
-A tree is fixed by its kind, depth and a, so every writer grows the tree
-from the export's header and no writer reads its nodes.  A tree of N nodes
-holds N + 2 distinct regions, and each node shares its two parent regions
-with the nodes above it, so each region's fragment (JSON text, CSV cell or
-DOT label) is made once, when the region is grown, and carried down the walk
-to the nodes below.  The cf tree's words obey the concatenation rule in
-their text too: a word's fragment is spliced from its parents' fragments,
-and only the two seeds are formatted.  JSON is written directly from a fixed
-per-node template, byte-identical to json.dumps(..., indent=1,
-sort_keys=True); CSV cells are quoted as csv.writer quotes them.
+A tree is fixed by its kind, depth and a, so an export is just that header
+(TreeExport), checked by build_export.  Every writer, and from_json, grows
+the tree from the header alone, and an export's nodes, for library callers,
+are grown on first use.  A tree of N nodes holds N + 2 distinct regions, and
+each node shares its two parent regions with the nodes above it, so each
+region's fragment (JSON text, CSV cell or DOT label) is made once, when the
+region is grown, and carried down the walk to the nodes below.  The cf
+tree's words obey the concatenation rule in their text too: a word's
+fragment is spliced from its parents' fragments, and only the two seeds are
+formatted.  JSON is written directly from a fixed per-node template,
+byte-identical to json.dumps(..., indent=1, sort_keys=True); CSV cells are
+quoted as csv.writer quotes them.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
 verify window reads the irrational tree's convergent matrices before the lift.
 
-from_json parses no value: it regrows the tree as build_export does, and
-loads a file only if every node in it is the one to_json writes there.
+from_json parses no value: it regrows the tree from the file's header as
+to_json grows it, and loads a file only if every node in it is the one
+to_json writes there.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import starmap
 from operator import add
@@ -53,13 +57,14 @@ class Kind:
     """One value tree: how it grows and how its values serialize.
 
     seeds(a) is the seed pair and combine fills in every node from its two
-    parent regions.  text renders a value for CSV cells and DOT labels, and
-    encode for JSON; nothing reads a value back, since from_json regrows the
-    tree.  lift, when set, maps every region of the enumerated tree, seeds
-    included, to the exported value (a fixed point for irrational).  join,
-    when set, makes the render of a node's value from the renders of its
-    parent regions, as _splice does for words.  Only a kind that takes_a
-    reads the parameter a, and only its exports record it.
+    parent regions, so a header (kind, depth, a) fixes the tree.  text
+    renders a value for CSV cells and DOT labels, and encode for JSON;
+    nothing reads a value back, since from_json regrows the tree.  lift,
+    when set, maps every region of the enumerated tree, seeds included, to
+    the exported value (a fixed point for irrational).  join, when set,
+    makes the render of a node's value from the renders of its parent
+    regions, as _splice does for words.  Only a kind that takes_a reads the
+    parameter a, and only its exports record it.
     """
 
     seeds: Callable
@@ -119,17 +124,19 @@ def _kind(name: str) -> Kind:
 
 @dataclass(frozen=True)
 class TreeExport:
-    """A finished enumeration: kind, depth, Cohn parameter (if any), nodes.
+    """A tree export's header: kind, depth and, for a kind that takes it, a.
 
-    The writers read only the header, kind, depth and (for a kind that takes
-    it) a, since these fix the tree; build_export and from_json fill in the
-    nodes for library callers.
+    These fix the tree, so the header is all a writer or loader reads, and
+    build_export checks it.  nodes is the tree grown from it on first use.
     """
 
     kind: str
     depth: int
     a: Optional[int]
-    nodes: tuple = ()
+
+    @cached_property
+    def nodes(self) -> tuple:
+        return tuple(starmap(Node, _grow(_kind(self.kind), self.depth, self.a, _itself)))
 
 
 def _itself(value):
@@ -160,10 +167,16 @@ def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
 
 
 def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
-    """Enumerate a tree to the given depth (at most HARD_DEPTH_CAP)."""
+    """The header of kind's tree to depth (at most HARD_DEPTH_CAP), checked.
+
+    The one place a header is checked: the kind, the depth and, for a kind
+    that takes it, a; a is None for every other kind.  Nothing is grown here.
+    """
     spec = _kind(kind)
-    nodes = tuple(starmap(Node, _grow(spec, depth, a, _itself)))
-    return TreeExport(kind, depth, a if spec.takes_a else None, nodes)
+    check_depth(depth)
+    if spec.takes_a:
+        check_cohn_parameter(a)
+    return TreeExport(kind, depth, a if spec.takes_a else None)
 
 
 # ============================================================
@@ -211,14 +224,14 @@ def to_json(export: TreeExport) -> str:
 def from_json(text: str) -> TreeExport:
     """Load what to_json writes: the whole breadth-first tree of its depth.
 
-    The header must hold exactly the keys to_json writes.  The depth, the
-    Cohn parameter and the node count are checked before any node is grown,
-    the first two as build_export checks them, so a depth above
-    HARD_DEPTH_CAP or |a| >= HARD_A_CAP raises DepthLimitError.  Then the
-    tree is regrown node by node beside the file, and the first node that is
-    not the one to_json writes there, '2/4' for '1/2' or a value its parents
-    do not combine to, raises DomainError, as does every other refusal.  The
-    loaded nodes are the regrown ones.
+    The header must hold exactly the keys to_json writes, and is checked by
+    build_export, so a depth above HARD_DEPTH_CAP or |a| >= HARD_A_CAP raises
+    DepthLimitError; the node count is checked before any node is grown.
+    Then the tree is regrown beside the file as to_json grows it, and the
+    first node that is not the one to_json writes there, '2/4' for '1/2' or
+    a value its parents do not combine to, raises DomainError, as does every
+    other refusal.  The loaded export is the header; its nodes are grown on
+    first use.
     """
     try:
         payload = json.loads(text)
@@ -228,27 +241,18 @@ def from_json(text: str) -> TreeExport:
         if payload.keys() != keys:
             raise ValueError(f"a {kind} export has the keys {sorted(keys)}, got {sorted(payload)}")
         depth, a, raw_nodes = payload["depth"], payload.get("a"), payload["nodes"]
-        check_depth(depth)
-        if spec.takes_a:
-            check_cohn_parameter(a)
+        export = build_export(kind, depth, a)
         if len(raw_nodes) != 2 ** (depth + 1) - 1:
             raise ValueError(f"{len(raw_nodes)} nodes do not fill a tree of depth {depth}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
-    join = None
-    if spec.join is not None:
-        def join(x, y):
-            return spec.combine(x[0], y[0]), spec.join(x[1], y[1])
-
-    grown = _grow(spec, depth, a, lambda value: (value, spec.encode(value)), join)
-    nodes = []
+    grown = _grow(spec, depth, a, spec.encode, spec.join)
     for raw, (path, left, right, value) in zip(raw_nodes, grown):
         shown = format_path(path)
-        if raw != {"path": shown, "left": left[1], "right": right[1], "value": value[1]}:
+        if raw != {"path": shown, "left": left, "right": right, "value": value}:
             raise DomainError(f"malformed tree export: node {shown} is not the node "
                               f"the {kind} tree grows there")
-        nodes.append(Node(path, left[0], right[0], value[0]))
-    return TreeExport(kind, depth, a, tuple(nodes))
+    return export
 
 
 def _csv_cell(text: str) -> str:

@@ -1,4 +1,5 @@
-"""Caps and exit codes: oversized point queries and unwritable output exit 2 at once."""
+"""Caps and exit codes: oversized point queries, unwritable output and unused
+options exit 2 at once, and an internal error exits 3."""
 
 import json
 import time
@@ -29,6 +30,7 @@ from topograph import (
     run_suites,
     to_json,
 )
+from topograph import cli
 from topograph.cli import main
 
 # Generous: a refused query does no work, but the machine may be busy.
@@ -333,3 +335,46 @@ def test_oversized_cohn_parameter_exits_2_before_any_work(capsys, monkeypatch, a
     with pytest.raises(DepthLimitError, match="exceeds cap"):
         run_suites(["index", "relations"], 12, (0, a))
     assert ran == []
+
+
+UNUSED_OPTIONS = [
+    (("tree", "--kind", "farey", "--depth", "1", "--a", "99999999999999999999999999"), "--a"),
+    (("tree", "--kind", "cf", "--depth", "1", "--a", "0", "--format", "json"), "--a"),
+    (("cf", "1/2", "--m", "5"), "--m"),
+    (("cf", "1/2", "--mode", "periodic", "--m", "1"), "--m"),
+]
+
+
+@pytest.mark.parametrize("argv,option", UNUSED_OPTIONS,
+                         ids=[" ".join(argv) for argv, _ in UNUSED_OPTIONS])
+def test_an_option_the_command_does_not_use_exits_2_before_any_work(capsys, monkeypatch,
+                                                                    argv, option):
+    ran = []
+    for name in ("render", "markov_cf"):
+        monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
+    code, out, err, elapsed = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {option} ")
+    assert elapsed < AT_ONCE_S
+    assert ran == []
+
+
+def test_an_option_that_applies_keeps_its_default(capsys):
+    for plain, spelled in ((("tree", "--kind", "cohn", "--depth", "2", "--format", "json"),
+                            ("--a", "0")),
+                           (("cf", "1/2", "--mode", "companion"), ("--m", "1"))):
+        code, out, err, _ = run_cli(capsys, *plain)
+        assert code == 0 and err == ""
+        assert run_cli(capsys, *plain, *spelled)[:3] == (0, out, "")
+
+
+def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
+    # 1 means only that a counterexample was found; a bug is neither that nor a usage error.
+    def broken(t):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setattr(cli, "markov_fraction", broken)
+    code, out, err, _ = run_cli(capsys, "mu", "1/2")
+    assert code == 3 and out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.endswith("error: internal error: ZeroDivisionError: planted\n")

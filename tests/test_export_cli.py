@@ -14,6 +14,8 @@ from topograph import (
     build_export,
     from_json,
     make_qi,
+    markov_irrationality,
+    mirror,
     periodic_value,
     rational,
     render,
@@ -70,6 +72,22 @@ def test_irrational_export_depth_one():
     assert export.nodes[0].right == make_qi(1, 1, 2, 5)
 
 
+@pytest.mark.parametrize("depth", range(9))
+def test_word_exports_hold_the_mirrored_markov_tree(depth):
+    # At path P the cf and irrational exports hold the values of the Markov
+    # node at mirror(P), with left and right swapped.
+    markov = {n.path: n for n in build_export("markov", depth).nodes}
+    cf, irrational = build_export("cf", depth).nodes, build_export("irrational", depth).nodes
+    assert len(cf) == len(irrational) == len(markov)
+    for word, qi in zip(cf, irrational):
+        assert word.path == qi.path
+        m = markov[mirror(word.path)]
+        swapped = (m.right, m.left, m.value)
+        assert (word.left, word.right, word.value) == tuple(
+            rational.cf_expand_even(2 + x) for x in swapped)
+        assert (qi.left, qi.right, qi.value) == tuple(map(markov_irrationality, swapped))
+
+
 def _periodized_word_tree(depth):
     """The replaced irrational route: periodic_value of every cf export region."""
     return [(periodic_value(n.left), periodic_value(n.right), periodic_value(n.value))
@@ -108,6 +126,7 @@ def test_irrational_export_lifts_each_region_once(depth, monkeypatch):
 
     monkeypatch.setitem(KINDS, "irrational", replace(spec, lift=lift))
     tree = build_export("irrational", depth)
+    tree.nodes
     assert len(calls) == 2 ** (depth + 1) + 1
     assert [(n.left, n.right, n.value) for n in tree.nodes] == _periodized_word_tree(depth)
 

@@ -4,7 +4,9 @@ README and pyproject.toml promise no dependencies outside the standard
 library, and the verification layer sits above the structures it checks, so
 only the command line and the package's exports may import it.  And every
 module uses what it imports; only __init__ imports names to export them.
-tree holds the one breadth-first walker, so no other module takes a queue.
+tree holds the one breadth-first walker, so no other module takes a queue,
+and export.build_export the one header rule, so no other code makes a
+TreeExport.
 """
 
 import ast
@@ -70,13 +72,18 @@ CAP_RULES = {"HARD_DEPTH_CAP": ("tree", "check_depth"),
              "HARD_A_CAP": ("cohn", "check_cohn_parameter")}
 
 
+def _function_of(tree: ast.AST) -> dict:
+    """id of every node inside a function: the innermost enclosing function's name."""
+    return {id(node): function.name for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+
+
 def _cap_reads(path: Path) -> set:
     """(cap, enclosing function or None) for every read of a hard cap outside an f-string."""
     tree = ast.parse(path.read_text(), str(path))
     in_fstring = {id(node) for joined in ast.walk(tree) if isinstance(joined, ast.JoinedStr)
                   for node in ast.walk(joined)}
-    function_of = {id(node): function.name for function in ast.walk(tree)
-                   if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+    function_of = _function_of(tree)
     return {(node.id, function_of.get(id(node))) for node in ast.walk(tree)
             if isinstance(node, ast.Name) and node.id in CAP_RULES
             and isinstance(node.ctx, ast.Load) and id(node) not in in_fstring}
@@ -102,3 +109,18 @@ def _reads_deque(path: Path) -> bool:
 def test_only_tree_holds_a_queue():
     # A second breadth-first walker would need one; the exports walk through tree._walk.
     assert {path.stem for path in SOURCES if _reads_deque(path)} == {"tree"}
+
+
+def _header_makers(path: Path) -> set:
+    """The enclosing function (or None) of every call TreeExport(...) in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return {function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "TreeExport" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))}
+
+
+def test_only_build_export_makes_a_header():
+    # build_export is the one place a header is checked; from_json and the CLI go through it.
+    makers = {(path.stem, function) for path in SOURCES for function in _header_makers(path)}
+    assert makers == {("export", "build_export")}

@@ -148,6 +148,12 @@ def test_word_formatting():
         parse_cf_word("2,2")
 
 
+@pytest.mark.parametrize("text", ["[2,x]", "[]", "[2,,2]"])
+def test_word_parse_refuses_an_entry_that_is_no_int(text):
+    with pytest.raises(DomainError, match="cannot parse word"):
+        parse_cf_word(text)
+
+
 def test_round_trip_random_sample():
     """expand then eval is the identity on a deterministic random sample."""
     rng = random.Random(20260819)
