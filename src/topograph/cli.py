@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error, an option the command does not use, an exceeded
-cap, or an unwritable --out, and 3 an internal error (a bug, or running out
+cap, or an unwritable --out or stdout (a closed pipe too, even when the
+message cannot be written), and 3 an internal error (a bug, or running out
 of memory), reported with its traceback.  Tree and verify depths are capped
 (default 12, override with --max-depth, hard ceiling 24); point queries at
 t = p/q with companion repetition m are capped at q * m <= HARD_POINT_CAP, a
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import traceback
@@ -145,11 +147,16 @@ def cmd_verify(args) -> int:
     names = list(SUITES) if args.suites == "all" else [
         s.strip() for s in args.suites.split(",") if s.strip()
     ]
-    try:
-        a_values = tuple(int(a) for a in args.a_values.split(","))
-    except ValueError:
-        raise TopographError(f"--a-values must be comma-separated integers, "
-                             f"got {args.a_values!r}") from None
+    if args.a_values is None:
+        a_values = DEFAULT_A_VALUES
+    elif "index" not in names:
+        raise TopographError("--a-values applies only to the index suite")
+    else:
+        try:
+            a_values = tuple(int(a) for a in args.a_values.split(","))
+        except ValueError:
+            raise TopographError(f"--a-values must be comma-separated integers, "
+                                 f"got {args.a_values!r}") from None
     reports = run_suites(names, args.depth, a_values)
     if args.format == "json":
         print(json.dumps([{**asdict(r), "wall_time": round(r.wall_time, 6),
@@ -218,8 +225,9 @@ def build_parser() -> argparse.ArgumentParser:
                           help="comma-separated suite names, or 'all'; "
                                f"available: {', '.join(SUITES)}")
     p_verify.add_argument("--depth", type=int, default=8)
-    p_verify.add_argument("--a-values", default=",".join(str(a) for a in DEFAULT_A_VALUES),
-                          help="comma-separated Cohn parameters for the index suite")
+    p_verify.add_argument("--a-values",
+                          help="comma-separated Cohn parameters for the index suite "
+                               f"(default {','.join(map(str, DEFAULT_A_VALUES))})")
     add_format(p_verify)
     p_verify.add_argument("--max-depth", type=int, default=DEFAULT_CLI_DEPTH_CAP,
                           help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
@@ -249,18 +257,36 @@ def _any_int_digits():
         sys.set_int_max_str_digits(limit)
 
 
+def _report_error(text: str) -> None:
+    """Print text to stderr, even when stdout or stderr is a closed pipe.
+
+    A stream that cannot be flushed is pointed at devnull (the Python docs'
+    SIGPIPE note), so neither this message nor the interpreter's own flush at
+    exit raises, and the exit code stays the one main returns.
+    """
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            if stream is sys.stderr:
+                print(text, file=stream)
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         with _any_int_digits():
-            return args.func(args)
+            code = args.func(args)
+        sys.stdout.flush()  # so an unwritable stdout is an output error, exit 2
+        return code
     except (TopographError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report_error(f"error: {exc}")
         return 2
     except Exception as exc:  # a bug, not a counterexample, so never exit 1
-        traceback.print_exc()
-        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _report_error(f"{traceback.format_exc()}error: internal error: "
+                      f"{type(exc).__name__}: {exc}")
         return 3
 
 

@@ -1,11 +1,13 @@
 """Cross-verification suites tying the five structures together.
 
-run_suites builds one Window per call, the breadth-first Markov and word
-lists to the requested depth, and every tree suite reads it.  The window
-also carries each word's convergent matrix down the word tree as the product
-of its parents' matrices, the concatenation rule, so the convergent kernel
-runs once per node, in the words suite, and the periodization suite reads the
-carried product; each is checked against the Markov fraction.  The index and
+run_suites builds one Window per call, which caches the breadth-first Markov
+tree to the requested depth, and every tree suite reads it.  The words and
+periodization suites each walk one more tree beside it, in the Markov tree's
+order and held by nothing: the word tree, and the product tree that carries
+each word's convergent matrix down the word tree as the product of its
+parents' matrices, the concatenation rule.  So the convergent kernel runs
+once per node, in the words suite, the periodization suite reads the carried
+product, and each is checked against the Markov fraction.  The index and
 monotonicity suites read the order in t off the window's leaves and compare
 ratios by integer cross products, without building Fractions.
 
@@ -22,7 +24,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cftree import (
     compare_gap,
@@ -94,16 +96,16 @@ class VerifyReport:
 class Window:
     """The breadth-first window of the fraction tree to a given depth.
 
-    markov is the Node list of the Markov fraction tree; words[i] is the word
-    at the path of markov[i], and convergents[i] its convergent matrix,
-    carried down the word tree by Mat2 products from the seed words' matrices
-    rather than computed from the word: KINDS["irrational"] before its lift.
-    The word trees are enumerated through tree.mirrored, so they come in the
-    fraction tree's order.  The window's leaves run left to right in t, and
-    the first leaf's left, then each leaf's value and right, lists every node
-    and both seeds in increasing t.  a_values are the index suite's Cohn
-    parameters, already checked by run_suites.
-    Each tree is enumerated once, on first use, and never beyond depth.
+    markov, the Node list of the Markov fraction tree, is the one tree the
+    window caches.  mirrored_values(kind) walks KINDS[kind]'s tree anew on
+    each call, through tree.mirrored, so its values come in markov's order:
+    the word at each node for "cf", and for "irrational" (before its lift)
+    the word's convergent matrix, carried down the word tree by Mat2
+    products rather than computed from the word.  The window's leaves run
+    left to right in t, and the first leaf's left, then each leaf's value
+    and right, lists every node and both seeds in increasing t.  a_values
+    are the index suite's Cohn parameters, already checked by run_suites.
+    No tree is enumerated beyond depth.
     """
 
     def __init__(self, depth: int, a_values=DEFAULT_A_VALUES):
@@ -116,17 +118,10 @@ class Window:
         # computes each node's children with, so a change to it reaches both.
         return list(enumerate_tree(*KINDS["markov"].seeds(0), springborn_mediant, self.depth))
 
-    @cached_property
-    def words(self) -> list:
-        words = KINDS["cf"]
-        word_tree = mirrored(*words.seeds(0), words.combine)
-        return [node.value for node in enumerate_tree(*word_tree, self.depth)]
-
-    @cached_property
-    def convergents(self) -> list:
-        irrational = KINDS["irrational"]
-        product_tree = mirrored(*irrational.seeds(0), irrational.combine)
-        return [node.value for node in enumerate_tree(*product_tree, self.depth)]
+    def mirrored_values(self, kind: str) -> Iterator:
+        spec = KINDS[kind]
+        tree = mirrored(*spec.seeds(0), spec.combine)
+        return (node.value for node in enumerate_tree(*tree, self.depth))
 
 
 # ============================================================
@@ -216,14 +211,14 @@ def suite_index(window: Window) -> VerifyReport:
     index and fails both index checks.
     """
     report = VerifyReport("index", window.depth, params={"a_values": list(window.a_values)})
-    markov = [(n.value.numerator, n.value.denominator, n.value) for n in window.markov]
     for a in window.a_values:
         # Seeded through this module's cohn_A and cohn_B, so a test can plant
         # a matrix that is not a Cohn matrix and see every check catch it.
         cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, KINDS["cohn"].combine,
                                     window.depth)
         leaves = []  # each leaf's matrix and its right region's, in increasing t
-        for (p, q, mf), cnode in zip(markov, cohn_nodes):
+        for node, cnode in zip(window.markov, cohn_nodes):
+            p, q = node.value.numerator, node.value.denominator
             m, path = cnode.value, cnode.path
             e11, e12 = m.e11, m.e12
             det, trace = m.det(), m.trace()
@@ -234,7 +229,7 @@ def suite_index(window: Window) -> VerifyReport:
                           lambda: f"top row {(e11, e12)}, expected {(a * q + p, q)}", a=a)
             report.record("index", e12 != 0 and e11 * q == (a * q + p) * e12, path,
                           lambda: f"index {_ratio_text(e11, e12, 'e12')}, "
-                                  f"expected a + {format_fraction(mf)}", a=a)
+                                  f"expected a + {format_fraction(node.value)}", a=a)
             if a == 0:
                 num = 3 * p * q - p * p - 1
                 div, rem = divmod(num, q)
@@ -264,7 +259,7 @@ def suite_words(window: Window) -> VerifyReport:
     they are coprime and q_k > 0, so equal pairs are equal values.
     """
     report = VerifyReport("words", window.depth)
-    for node, word in zip(window.markov, window.words):
+    for node, word in zip(window.markov, window.mirrored_values("cf")):
         target = 2 + node.value
         expanded = cf_expand_even(target)
         report.record("letters", word == expanded, node.path,
@@ -283,7 +278,7 @@ def suite_periodization(window: Window) -> VerifyReport:
     is the periodization, and the closed form must solve its quadratic.
     """
     report = VerifyReport("periodization", window.depth)
-    for node, m in zip(window.markov, window.convergents):
+    for node, m in zip(window.markov, window.mirrored_values("irrational")):
         got = fixed_point(m)
         want = markov_irrationality(node.value)
         report.record("closed-form", got == want, node.path,
@@ -414,8 +409,8 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
 
     Every argument is checked before any suite runs: the depth by
     tree.check_depth and each Cohn parameter by cohn.check_cohn_parameter,
-    and an empty list, an unknown or repeated name or a repeated Cohn
-    parameter raises DomainError.
+    and an empty list, an unknown or repeated name, a repeated Cohn parameter
+    or, when index runs, no Cohn parameter at all raises DomainError.
     """
     names = list(names)
     check_depth(depth)
@@ -432,6 +427,8 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
             raise DomainError(f"unknown suite {name!r}; {expected}")
     if len(set(names)) < len(names):
         raise DomainError(f"--suites must be distinct, got {', '.join(names)}")
+    if "index" in names and not a_values:
+        raise DomainError("--a-values must name a Cohn parameter for the index suite")
     window = Window(depth, a_values)
     reports = []
     for name in names:

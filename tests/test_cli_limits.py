@@ -2,6 +2,9 @@
 options exit 2 at once, and an internal error exits 3."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -342,6 +345,8 @@ UNUSED_OPTIONS = [
     (("tree", "--kind", "cf", "--depth", "1", "--a", "0", "--format", "json"), "--a"),
     (("cf", "1/2", "--m", "5"), "--m"),
     (("cf", "1/2", "--mode", "periodic", "--m", "1"), "--m"),
+    (("verify", "--suites", "words", "--depth", "2", "--a-values", "5,7"), "--a-values"),
+    (("verify", "--suites", "relations,words", "--a-values", "0"), "--a-values"),
 ]
 
 
@@ -350,7 +355,7 @@ UNUSED_OPTIONS = [
 def test_an_option_the_command_does_not_use_exits_2_before_any_work(capsys, monkeypatch,
                                                                     argv, option):
     ran = []
-    for name in ("render", "markov_cf"):
+    for name in ("render", "markov_cf", "run_suites"):
         monkeypatch.setattr(cli, name, lambda *args, name=name: ran.append(name))
     code, out, err, elapsed = run_cli(capsys, *argv)
     assert code == 2 and out == ""
@@ -378,3 +383,42 @@ def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
     assert code == 3 and out == ""
     assert "Traceback (most recent call last)" in err
     assert err.endswith("error: internal error: ZeroDivisionError: planted\n")
+
+
+def test_the_index_suite_with_no_cohn_parameter_raises_before_any_suite_runs(monkeypatch):
+    # It would pass having checked nothing.  Suites that read no Cohn
+    # parameter do not need one.
+    assert run_suites(["relations"], 1, ())[0].checks["cross-left"] == 3
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
+    for names in (["index"], ["relations", "index"]):
+        with pytest.raises(DomainError, match="--a-values must name a Cohn parameter"):
+            run_suites(names, 3, ())
+    assert ran == []
+
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--depth", "1", "--format", "json"),
+    ("tree", "--kind", "farey", "--depth", "10", "--format", "csv"),
+    ("mu", "1/2"),
+], ids=" ".join)
+@pytest.mark.parametrize("closed", ["stdout", "stdout-and-stderr"])
+def test_a_closed_output_pipe_exits_2(argv, closed):
+    # With stderr closed too, the error message cannot be written either;
+    # the exit code must still say "output error", never 1 (a counterexample).
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "topograph.cli", *argv], stdout=write_end,
+            stderr=write_end if closed == "stdout-and-stderr" else subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    if closed == "stdout":
+        assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr

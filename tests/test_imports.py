@@ -6,7 +6,8 @@ only the command line and the package's exports may import it.  And every
 module uses what it imports; only __init__ imports names to export them.
 tree holds the one breadth-first walker, so no other module takes a queue,
 and export.build_export the one header rule, so no other code makes a
-TreeExport.
+TreeExport.  The verify window caches one tree, the Markov tree every suite
+shares; a tree read by one suite is walked by that suite and held by nothing.
 """
 
 import ast
@@ -124,3 +125,22 @@ def test_only_build_export_makes_a_header():
     # build_export is the one place a header is checked; from_json and the CLI go through it.
     makers = {(path.stem, function) for path in SOURCES for function in _header_makers(path)}
     assert makers == {("export", "build_export")}
+
+
+def _cached_properties(path: Path) -> list:
+    """(class, method) of every cached_property decorator in a module, and
+    None for any other read of the name."""
+    tree = ast.parse(path.read_text(), str(path))
+    decorated = {id(decorator): (cls.name, method.name) for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for method in cls.body
+                 if isinstance(method, ast.FunctionDef) for decorator in method.decorator_list}
+    return [decorated.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "cached_property"
+            and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute) and node.attr == "cached_property"]
+
+
+def test_the_verify_window_caches_only_the_markov_tree():
+    # words and periodization walk their trees through Window.mirrored_values.
+    [verify] = [path for path in SOURCES if path.stem == "verify"]
+    assert _cached_properties(verify) == [("Window", "markov")]

@@ -1,13 +1,14 @@
 """The verify window's fast routes against the references they replace.
 
-Window.convergents carries each word's convergent matrix down the word tree
-as a product (the concatenation rule); the reference is the convergent kernel
-on each word.  The index and monotonicity suites read the order in t off the
-window's leaves; the reference is a sort of the Farey window.  Window.words
-and Window.convergents read the word trees through tree.mirrored; the
-reference reverses each breadth-first level of the word tree as it is
-addressed.  The fault tests plant one bad value where a suite reads it and
-pin the report it gives.
+Window.mirrored_values("irrational") walks the product tree, which carries
+each word's convergent matrix down the word tree as a product (the
+concatenation rule); the reference is the convergent kernel on each word of
+Window.mirrored_values("cf").  The index and monotonicity suites read the
+order in t off the window's leaves; the reference is a sort of the Farey
+window.  Both walks read the word trees through tree.mirrored; the reference
+reverses each breadth-first level of the word tree as it is addressed.  The
+fault tests plant one bad value where a suite reads it and pin the report it
+gives.
 """
 
 from dataclasses import replace
@@ -35,8 +36,10 @@ from topograph.verify import Window
 @pytest.mark.parametrize("depth", range(10))
 def test_carried_matrices_are_the_kernel_matrices(depth):
     window = Window(depth)
-    assert len(window.convergents) == len(window.words) == 2 ** (depth + 1) - 1
-    for word, m in zip(window.words, window.convergents):
+    words = list(window.mirrored_values("cf"))
+    products = list(window.mirrored_values("irrational"))
+    assert len(products) == len(words) == 2 ** (depth + 1) - 1
+    for word, m in zip(words, products):
         assert m == convergent_matrix(word), word
 
 
@@ -55,9 +58,11 @@ def _level_reversed(seed_left, seed_right, combine, depth):
 @pytest.mark.parametrize("depth", range(10))
 def test_mirrored_word_trees_are_the_level_reversed_trees(depth):
     window = Window(depth)
-    assert window.words == _level_reversed((2, 2), (1, 1), cf_concat, depth)
+    words = _level_reversed((2, 2), (1, 1), cf_concat, depth)
+    assert list(window.mirrored_values("cf")) == words
     seeds = convergent_matrix((2, 2)), convergent_matrix((1, 1))
-    assert window.convergents == _level_reversed(*seeds, Mat2.__matmul__, depth)
+    products = _level_reversed(*seeds, Mat2.__matmul__, depth)
+    assert list(window.mirrored_values("irrational")) == products
 
 
 @pytest.mark.parametrize("depth", range(10))
