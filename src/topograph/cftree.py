@@ -21,8 +21,8 @@ from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import DomainError
-from .rational import Mat2, _convergents, _validate_word, cf_eval
-from .tree import check_coordinate, check_point_size, mirrored, value_at
+from .rational import Mat2, _convergents, _validate_word, cf_eval, check_rational
+from .tree import check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
 WORD_SEED_RIGHT = (1, 1)
@@ -101,7 +101,7 @@ def markov_irrationality(mf: Fraction) -> QuadraticIrrational:
     Validity of mf as a Markov fraction is the caller's business; the formula
     itself only needs a denominator, and 9q^2 - 4 is never a perfect square.
     """
-    mf = Fraction(mf)
+    mf = check_rational(mf, "Markov fraction")
     p, q = mf.numerator, mf.denominator
     return make_qi(2 * p + q, 1, 2 * q, 9 * q * q - 4)
 
@@ -115,7 +115,7 @@ def left_companion(t: Fraction, m: int) -> Fraction:
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         raise DomainError(f"repetition count must be an int >= 1, got {m!r}")
-    check_point_size(check_coordinate(t).denominator * m)
+    check_point_size(check_rational(t, "coordinate").denominator * m)
     return cf_eval(markov_cf(t) * m)
 
 
@@ -131,7 +131,7 @@ def qi_compare(r, x: QuadraticIrrational) -> int:
     to s^2 against tau^2 * D; ties cannot happen for nonsquare D but are
     reported honestly anyway.
     """
-    r = Fraction(r)
+    r = check_rational(r, "r")
     u, v = r.numerator, r.denominator
     s = u * x.Q - v * x.P
     tau = v * x.B
@@ -162,7 +162,7 @@ def compare_gap(r1, r2, x: QuadraticIrrational) -> int:
     |r1 - x|^2 - |r2 - x|^2 = (r1 - r2) * (r1 + r2 - 2x), so the answer is a
     product of two signs, the second of which is a qi_compare of the average.
     """
-    r1, r2 = Fraction(r1), Fraction(r2)
+    r1, r2 = check_rational(r1, "r1"), check_rational(r2, "r2")
     if r1 == r2:
         return 0
     left = 1 if r1 > r2 else -1

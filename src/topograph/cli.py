@@ -11,12 +11,13 @@ Subcommands:
 Exit codes: 0 success / all checks pass, 1 verification failure,
 2 usage or parse error, an option the command does not use, an exceeded
 cap, or an unwritable --out or stdout (a closed pipe too, even when the
-message cannot be written), and 3 an internal error (a bug, or running out
-of memory), reported with its traceback.  Tree and verify depths are capped
-(default 12, override with --max-depth, hard ceiling 24); point queries at
-t = p/q with companion repetition m are capped at q * m <= HARD_POINT_CAP, a
-triple PATH at Farey denominator q <= HARD_TRIPLE_CAP, and a Cohn parameter
-at |a| < HARD_A_CAP.
+message cannot be written), and 3 an internal error (a bug, such as an
+InvariantError or a CombineError, or running out of memory), reported with
+its traceback.  Tree and verify depths are capped (default 12, override
+with --max-depth, hard ceiling 24); point queries at t = p/q with companion
+repetition m are capped at q * m <= HARD_POINT_CAP, a triple PATH at Farey
+denominator q <= HARD_TRIPLE_CAP, a Cohn parameter at |a| < HARD_A_CAP, and
+verify --a-values at HARD_A_VALUES_CAP entries.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .cftree import (
     periodic_value,
 )
 from .cohn import cohn_at, cohn_index, trace_map
-from .errors import TopographError
+from .errors import CombineError, InvariantError, TopographError
 from .export import EXPORT_FORMATS, KINDS, TREE_KINDS, build_export, render
 from .markov import markov_fraction, markov_triple_at
 from .rational import (
@@ -173,8 +174,17 @@ def cmd_verify(args) -> int:
 # parser
 # ============================================================
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that lets an OSError from printing help or usage
+    propagate, where argparse drops it, so main exits 2 on a closed stream."""
+
+    def _print_message(self, message, file=None):
+        if message:
+            (file or sys.stderr).write(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="topograph",
         description="Exact arithmetic on the Conway topograph: Farey and Markov "
                     "fractions, Markov triples, Cohn matrices, and continued "
@@ -273,21 +283,31 @@ def _report_error(text: str) -> None:
             os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
+def _internal_error(exc: Exception) -> int:
+    """Report a bug with its traceback: exit 3, never 1 (a counterexample)."""
+    _report_error(f"{traceback.format_exc()}error: internal error: "
+                  f"{type(exc).__name__}: {exc}")
+    return 3
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # --help or a usage error, which argparse has printed
+            sys.stdout.flush()
+            raise
         with _any_int_digits():
             code = args.func(args)
         sys.stdout.flush()  # so an unwritable stdout is an output error, exit 2
         return code
+    except (InvariantError, CombineError) as exc:  # every input is checked before a walk
+        return _internal_error(exc)
     except (TopographError, ValueError, OSError) as exc:
         _report_error(f"error: {exc}")
         return 2
-    except Exception as exc:  # a bug, not a counterexample, so never exit 1
-        _report_error(f"{traceback.format_exc()}error: internal error: "
-                      f"{type(exc).__name__}: {exc}")
-        return 3
+    except Exception as exc:
+        return _internal_error(exc)
 
 
 if __name__ == "__main__":

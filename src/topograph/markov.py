@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .cohn import cohn_at, cohn_index
 from .errors import DepthLimitError, DomainError, InvariantError, PreconditionError
-from .rational import format_fraction
+from .rational import check_rational, format_fraction
 from .tree import _check_path
 
 
@@ -31,7 +31,7 @@ def springborn_mediant(lo: Fraction, hi: Fraction) -> Fraction:
     Fraction reduces the result; on tree nodes the reduction factor is
     exactly p2*q1 - p1*q2.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = check_rational(lo, "lo"), check_rational(hi, "hi")
     if lo >= hi:
         raise PreconditionError(
             f"weighted mediant needs lo < hi, got {format_fraction(lo)} >= {format_fraction(hi)}"
@@ -76,8 +76,8 @@ class MarkovTriple:
 
     def __post_init__(self):
         x, y, z = self.x, self.y, self.z
-        if min(x, y, z) < 1:
-            raise DomainError(f"triple components must be positive, got {(x, y, z)}")
+        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in (x, y, z)):
+            raise DomainError(f"triple components must be positive ints, got {(x, y, z)!r}")
         if x * x + y * y + z * z != 3 * x * y * z:
             raise DomainError(f"{(x, y, z)} does not satisfy x^2 + y^2 + z^2 = 3xyz")
 
@@ -156,8 +156,8 @@ def markov_child(x: int, y: int) -> int:
     tree; the discriminant 9x^2y^2 - 4(x^2 + y^2) must be a perfect square
     of the right parity or the pair was not a pair of topograph neighbors.
     """
-    if x < 1 or y < 1:
-        raise DomainError(f"parent numbers must be positive, got {(x, y)}")
+    if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in (x, y)):
+        raise DomainError(f"parent numbers must be positive ints, got {(x, y)!r}")
     disc = 9 * x * x * y * y - 4 * (x * x + y * y)
     root = isqrt(disc)
     if root * root != disc or (3 * x * y + root) % 2:

@@ -4,7 +4,8 @@ words, and 2x2 integer matrices.
 Everything here is exact.  Fractions are stdlib ``fractions.Fraction`` (always
 reduced, denominator positive); continued fraction words are tuples of
 positive ints; matrices are plain 4-tuples of ints wrapped in a frozen
-dataclass.  No floats anywhere.
+dataclass.  check_rational is the one rule by which a function argument
+becomes a Fraction: an int or a Fraction, never a float, a bool or a string.
 """
 
 from __future__ import annotations
@@ -24,6 +25,16 @@ def make_fraction(num: int, den: int) -> Fraction:
     if den == 0:
         raise DomainError("fraction denominator must be nonzero")
     return Fraction(num, den)
+
+
+def check_rational(x, what: str) -> Fraction:
+    """The one rule for a rational argument: a Fraction as it is, an int as
+    Fraction(x); a bool, float, Decimal or string raises DomainError naming what."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise DomainError(f"{what} must be an int or a Fraction, got {x!r}")
+    return Fraction(x)
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -109,7 +120,7 @@ def cf_expand_even(x: Fraction) -> tuple:
     odd rewrites the tail c -> (c - 1, 1).  The rewrite preserves the value,
     so cf_eval inverts this exactly.
     """
-    x = Fraction(x)
+    x = check_rational(x, "x")
     if x <= 1:
         raise DomainError(f"even expansion needs x > 1, got {format_fraction(x)}")
     word = partial_quotients(x.numerator, x.denominator)
@@ -236,7 +247,7 @@ class Mat2:
         )
 
     def __pow__(self, n: int) -> "Mat2":
-        if not isinstance(n, int) or n < 0:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise DomainError("matrix powers are defined for integer n >= 0 only")
         result = Mat2.identity()
         base = self

@@ -28,12 +28,12 @@ from itertools import starmap
 from typing import Any, Callable, Iterator
 
 from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
-from .rational import partial_quotients
+from .rational import check_rational, partial_quotients
 
-# Hard ceiling on enumeration depth, a backstop only: node count, not
-# integer size, drives memory, at about 2.6-2.9x per level (a markov JSON
-# export needs 1.33 GB at depth 16).  The CLI's default cap of 12 is what
-# keeps one command inside an 8 GB machine.
+# Hard ceiling on enumeration depth, a backstop only: each level has twice
+# the nodes of the one above and about 2.8x the exported bytes.  At depth 14
+# a JSON export peaked at 28-301 MB by kind (cf the most) and verify at
+# 118 MB (2-core VM, CPython 3.11.7); the CLI's default cap is 12.
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the
@@ -118,20 +118,13 @@ def check_depth(depth: int) -> None:
 
 
 def check_point_size(size: int) -> None:
-    """Refuse a point query whose size q * m exceeds HARD_POINT_CAP."""
-    if size > HARD_POINT_CAP:
-        raise DepthLimitError(f"point query size {size} exceeds cap {HARD_POINT_CAP}")
+    """Refuse a point query whose size q * m exceeds HARD_POINT_CAP.
 
-
-def check_coordinate(t) -> Fraction:
-    """t as a Fraction; a coordinate must be an int or a Fraction, not a bool.
-
-    A float or a decimal string is refused with DomainError rather than
-    read as the binary fraction it happens to hold.
+    The message names the size by its bits: it may have any number of digits.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, Fraction)):
-        raise DomainError(f"coordinate must be an int or a Fraction, got {t!r}")
-    return Fraction(t)
+    if size > HARD_POINT_CAP:
+        raise DepthLimitError(f"point query size of {size.bit_length()} bits exceeds cap "
+                              f"q * m <= {HARD_POINT_CAP}")
 
 
 def locate_runs(t: Fraction) -> list:
@@ -143,7 +136,7 @@ def locate_runs(t: Fraction) -> list:
     Costs O(n) divisions, not O(path steps).  Coordinates with denominator
     beyond HARD_POINT_CAP raise DepthLimitError before any work.
     """
-    t = check_coordinate(t)
+    t = check_rational(t, "coordinate")
     if not 0 < t < 1:
         raise DomainError(f"locate needs 0 < t < 1, got {t}")
     check_point_size(t.denominator)
@@ -187,7 +180,7 @@ def value_at(t: Fraction, seed_left, seed_right, combine: Callable, power: Calla
     descend_runs along locate_runs(t), so combine must be associative and
     power(X, k) its k-th power.
     """
-    t = check_coordinate(t)
+    t = check_rational(t, "coordinate")
     if not 0 <= t <= 1:
         raise DomainError(f"coordinate must lie in [0, 1], got {t}")
     if t == 0:

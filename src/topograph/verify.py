@@ -36,7 +36,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
-from .errors import DomainError
+from .errors import DepthLimitError, DomainError
 from .export import KINDS
 from .markov import springborn_mediant, vieta_walk
 from .rational import (
@@ -49,6 +49,10 @@ from .rational import (
 from .tree import check_depth, descend, enumerate_tree, mirrored
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
+# Hard ceiling on the number of Cohn parameters: each is one more Cohn tree
+# walk in the index suite, about 1 s at depth 14 (2-core VM), so an index
+# run at depth 14 on 48 parameters near 2**64 took 52 s.
+HARD_A_VALUES_CAP = 48
 COMPANION_COORDINATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(2, 5))
 COMPANION_MAX_REPEAT = 8
 HOMOMORPHISM_CASES = 400
@@ -409,12 +413,16 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
 
     Every argument is checked before any suite runs: the depth by
     tree.check_depth and each Cohn parameter by cohn.check_cohn_parameter,
-    and an empty list, an unknown or repeated name, a repeated Cohn parameter
+    more than HARD_A_VALUES_CAP Cohn parameters raise DepthLimitError, and
+    an empty list, an unknown or repeated name, a repeated Cohn parameter
     or, when index runs, no Cohn parameter at all raises DomainError.
     """
     names = list(names)
     check_depth(depth)
     a_values = tuple(a_values)
+    if len(a_values) > HARD_A_VALUES_CAP:
+        raise DepthLimitError(f"--a-values of {len(a_values)} Cohn parameters exceeds cap "
+                              f"{HARD_A_VALUES_CAP}")
     for a in a_values:
         check_cohn_parameter(a)
     if len(set(a_values)) < len(a_values):

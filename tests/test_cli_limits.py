@@ -1,11 +1,13 @@
 """Caps and exit codes: oversized point queries, unwritable output and unused
 options exit 2 at once, and an internal error exits 3."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -15,26 +17,38 @@ from topograph import (
     HARD_POINT_CAP,
     HARD_TRIPLE_CAP,
     SUITES,
+    CohnMatrix,
     DepthLimitError,
     DomainError,
+    MarkovTriple,
+    Mat2,
     PreconditionError,
     build_export,
+    cf_expand_even,
     cohn_A,
     cohn_at,
     cohn_B,
+    compare_gap,
     enumerate_tree,
     farey_mediant,
     from_json,
     left_companion,
     locate,
     markov_cf,
+    markov_child,
     markov_fraction,
+    markov_irrationality,
     markov_triple_at,
+    qi_compare,
     run_suites,
+    springborn_mediant,
     to_json,
 )
 from topograph import cli
 from topograph.cli import main
+from topograph.export import KINDS
+from topograph.tree import check_point_size
+from topograph.verify import HARD_A_VALUES_CAP
 
 # Generous: a refused query does no work, but the machine may be busy.
 AT_ONCE_S = 2.0
@@ -247,6 +261,28 @@ def test_every_point_entry_refuses_a_coordinate_that_is_no_fraction(entry, t):
         POINT_ENTRIES[entry](t)
 
 
+# Every other rational argument follows the same rule, rational.check_rational.
+RATIONAL_CASES = [0.5, True, "1/2", Decimal("2.5"), None]
+GOLDEN = markov_irrationality(Fraction(2, 5))
+RATIONAL_ARGUMENTS = {
+    "cf_expand_even x": cf_expand_even,
+    "springborn_mediant lo": lambda x: springborn_mediant(x, Fraction(1, 2)),
+    "springborn_mediant hi": lambda x: springborn_mediant(Fraction(0), x),
+    "markov_irrationality Markov fraction": markov_irrationality,
+    "qi_compare r": lambda x: qi_compare(x, GOLDEN),
+    "compare_gap r1": lambda x: compare_gap(x, Fraction(3), GOLDEN),
+    "compare_gap r2": lambda x: compare_gap(Fraction(3), x, GOLDEN),
+}
+
+
+@pytest.mark.parametrize("argument", RATIONAL_ARGUMENTS)
+@pytest.mark.parametrize("x", RATIONAL_CASES, ids=repr)
+def test_every_rational_argument_refuses_what_is_no_fraction(argument, x):
+    what = argument.partition(" ")[2]
+    with pytest.raises(DomainError, match=f"^{what} must be an int or a Fraction, got "):
+        RATIONAL_ARGUMENTS[argument](x)
+
+
 def test_int_coordinates_are_the_boundaries():
     assert markov_fraction(0) == Fraction(0) and markov_fraction(1) == Fraction(1, 2)
     assert markov_cf(1) == markov_cf(Fraction(1)) and left_companion(1, 2) == Fraction(29, 12)
@@ -384,6 +420,66 @@ def test_an_internal_error_exits_3_not_1(capsys, monkeypatch):
     assert "Traceback (most recent call last)" in err
     assert err.endswith("error: internal error: ZeroDivisionError: planted\n")
 
+    # A broken invariant or a failed combine is a TopographError, but no
+    # input reaches either: every input is checked before a walk.
+    monkeypatch.setattr(cli, "cohn_at", lambda t, a: CohnMatrix(Mat2(1, 1, 0, 1), 0))
+    code, out, err, _ = run_cli(capsys, "cohn", "1/2")
+    assert code == 3 and out == ""
+    assert "Traceback (most recent call last)" in err
+    assert "error: internal error: InvariantError: trace 2 != 3 * e12 = 3" in err
+
+    def failing(lo, hi):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setitem(KINDS, "markov", dataclasses.replace(KINDS["markov"], combine=failing))
+    code, out, err, _ = run_cli(capsys, "tree", "--kind", "markov", "--depth", "2")
+    assert code == 3 and out == ""
+    assert "Traceback (most recent call last)" in err
+    assert err.endswith("error: internal error: CombineError: "
+                        "combine failed at node 'root': planted\n")
+
+
+def test_more_cohn_parameters_than_the_cap_exit_2_before_any_suite_runs(capsys, monkeypatch):
+    # Each parameter is one more Cohn tree walk in the index suite.
+    [report] = run_suites(["index"], 1, range(HARD_A_VALUES_CAP))
+    assert report.ok and len(report.params["a_values"]) == HARD_A_VALUES_CAP
+    ran = []
+    for name in list(SUITES):
+        monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
+    a_values = range(HARD_A_VALUES_CAP + 1)
+    with pytest.raises(DepthLimitError, match=f"{len(a_values)} Cohn parameters exceeds cap"):
+        run_suites(["relations", "index"], 12, a_values)
+    code, out, err, elapsed = run_cli(capsys, "verify", "--suites", "index", "--depth", "12",
+                                      "--a-values", ",".join(map(str, a_values)))
+    assert code == 2 and out == ""
+    assert "exceeds cap" in err
+    assert elapsed < AT_ONCE_S
+    assert ran == []
+
+
+def test_a_point_size_is_named_by_its_bits():
+    # Writing a size of 120,000 digits out in decimal would make the message that long.
+    for size, bits in ((HARD_POINT_CAP + 1, 18), (10**120000, 398632)):
+        with pytest.raises(DepthLimitError) as refused:
+            check_point_size(size)
+        assert str(refused.value) == (f"point query size of {bits} bits exceeds cap "
+                                      f"q * m <= {HARD_POINT_CAP}")
+
+
+@pytest.mark.parametrize("entry", [
+    lambda: Mat2(1, 1, 0, 1) ** True,
+    lambda: Mat2(1, 1, 0, 1) ** 2.0,
+    lambda: MarkovTriple(1.0, 2.0, 5.0),
+    lambda: MarkovTriple(True, 2, 5),
+    lambda: MarkovTriple(1, 2, 5.0),
+    lambda: markov_child(True, 2),
+    lambda: markov_child(1, 2.0),
+], ids=["Mat2**True", "Mat2**2.0", "MarkovTriple(floats)", "MarkovTriple(True,...)",
+        "MarkovTriple(...,5.0)", "markov_child(True,2)", "markov_child(1,2.0)"])
+def test_integer_entries_refuse_a_bool_or_a_float(entry):
+    with pytest.raises(DomainError):
+        entry()
+
 
 def test_the_index_suite_with_no_cohn_parameter_raises_before_any_suite_runs(monkeypatch):
     # It would pass having checked nothing.  Suites that read no Cohn
@@ -405,6 +501,7 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     ("verify", "--depth", "1", "--format", "json"),
     ("tree", "--kind", "farey", "--depth", "10", "--format", "csv"),
     ("mu", "1/2"),
+    ("mu", "--help"),
 ], ids=" ".join)
 @pytest.mark.parametrize("closed", ["stdout", "stdout-and-stderr"])
 def test_a_closed_output_pipe_exits_2(argv, closed):
@@ -422,3 +519,22 @@ def test_a_closed_output_pipe_exits_2(argv, closed):
     assert proc.returncode == 2
     if closed == "stdout":
         assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+def test_help_on_a_closed_stdout_exits_2(buffered):
+    # Unbuffered, argparse's write fails at once; buffered, only main's flush
+    # finds the closed pipe, where the interpreter's own flush at exit gave 120.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "topograph.cli", "mu", "--help"],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env={**env, "PYTHONPATH": SRC}, timeout=60, check=False)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr

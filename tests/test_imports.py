@@ -70,7 +70,10 @@ def test_every_import_is_used():
 # Each hard cap, the module that defines it and the one function that
 # compares with it.
 CAP_RULES = {"HARD_DEPTH_CAP": ("tree", "check_depth"),
-             "HARD_A_CAP": ("cohn", "check_cohn_parameter")}
+             "HARD_A_CAP": ("cohn", "check_cohn_parameter"),
+             "HARD_POINT_CAP": ("tree", "check_point_size"),
+             "HARD_TRIPLE_CAP": ("markov", "markov_triple_at"),
+             "HARD_A_VALUES_CAP": ("verify", "run_suites")}
 
 
 def _function_of(tree: ast.AST) -> dict:
@@ -144,3 +147,19 @@ def test_the_verify_window_caches_only_the_markov_tree():
     # words and periodization walk their trees through Window.mirrored_values.
     [verify] = [path for path in SOURCES if path.stem == "verify"]
     assert _cached_properties(verify) == [("Window", "markov")]
+
+
+def _fraction_copies(path: Path) -> set:
+    """The enclosing function (or None) of every call Fraction(<name>) in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return {function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and "Fraction" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and len(node.args) == 1 and not node.keywords and isinstance(node.args[0], ast.Name)}
+
+
+def test_only_check_rational_makes_an_argument_a_fraction():
+    # Fraction(x) also parses strings and reads floats; check_rational refuses them.
+    copies = {(path.stem, function) for path in SOURCES for function in _fraction_copies(path)}
+    assert copies == {("rational", "check_rational")}
