@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import DomainError
-from .rational import Mat2, _convergents, _validate_word, cf_eval, check_rational
+from .rational import Mat2, _convergents, _validate_word, cf_eval, check_int, check_rational
 from .tree import check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
@@ -61,6 +61,7 @@ class QuadraticIrrational:
 
 def make_qi(P: int, B: int, Q: int, D: int) -> QuadraticIrrational:
     """Canonicalize and validate a quadratic irrational."""
+    P, B, Q, D = check_int(P, "P"), check_int(B, "B"), check_int(Q, "Q"), check_int(D, "D")
     if D <= 0 or isqrt(D) ** 2 == D:
         raise DomainError(f"D must be a positive nonsquare, got {D}")
     if B <= 0 or Q <= 0:
@@ -113,8 +114,7 @@ def left_companion(t: Fraction, m: int) -> Fraction:
     The word has 2qm letters for t = p/q, so q * m beyond HARD_POINT_CAP
     raises DepthLimitError before any work.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
-        raise DomainError(f"repetition count must be an int >= 1, got {m!r}")
+    check_int(m, "repetition count", 1)
     check_point_size(check_rational(t, "coordinate").denominator * m)
     return cf_eval(markov_cf(t) * m)
 

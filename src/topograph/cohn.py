@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthLimitError, DomainError, InvariantError
-from .rational import Mat2
+from .rational import Mat2, check_int
 from .tree import value_at
 
 
@@ -50,9 +50,7 @@ def check_cohn_parameter(a: int) -> None:
     A non-int a, a bool included, raises DomainError, and |a| >= HARD_A_CAP
     DepthLimitError.
     """
-    if not isinstance(a, int) or isinstance(a, bool):
-        raise DomainError(f"Cohn parameter must be an int, got {a!r}")
-    if not -HARD_A_CAP < a < HARD_A_CAP:
+    if not -HARD_A_CAP < check_int(a, "Cohn parameter") < HARD_A_CAP:
         raise DepthLimitError(f"Cohn parameter of {a.bit_length()} bits exceeds cap |a| < 2**64")
 
 

@@ -17,7 +17,7 @@ from math import gcd, isqrt
 
 from .cohn import cohn_at, cohn_index
 from .errors import DepthLimitError, DomainError, InvariantError, PreconditionError
-from .rational import check_rational, format_fraction
+from .rational import check_int, check_rational, format_fraction
 from .tree import _check_path
 
 
@@ -75,9 +75,7 @@ class MarkovTriple:
     z: int
 
     def __post_init__(self):
-        x, y, z = self.x, self.y, self.z
-        if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in (x, y, z)):
-            raise DomainError(f"triple components must be positive ints, got {(x, y, z)!r}")
+        x, y, z = (check_int(c, "triple component", 1) for c in (self.x, self.y, self.z))
         if x * x + y * y + z * z != 3 * x * y * z:
             raise DomainError(f"{(x, y, z)} does not satisfy x^2 + y^2 + z^2 = 3xyz")
 
@@ -156,8 +154,7 @@ def markov_child(x: int, y: int) -> int:
     tree; the discriminant 9x^2y^2 - 4(x^2 + y^2) must be a perfect square
     of the right parity or the pair was not a pair of topograph neighbors.
     """
-    if not all(isinstance(c, int) and not isinstance(c, bool) and c >= 1 for c in (x, y)):
-        raise DomainError(f"parent numbers must be positive ints, got {(x, y)!r}")
+    x, y = check_int(x, "parent number", 1), check_int(y, "parent number", 1)
     disc = 9 * x * x * y * y - 4 * (x * x + y * y)
     root = isqrt(disc)
     if root * root != disc or (3 * x * y + root) % 2:

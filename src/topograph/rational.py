@@ -6,6 +6,8 @@ reduced, denominator positive); continued fraction words are tuples of
 positive ints; matrices are plain 4-tuples of ints wrapped in a frozen
 dataclass.  check_rational is the one rule by which a function argument
 becomes a Fraction: an int or a Fraction, never a float, a bool or a string.
+check_int is the one rule for an integer argument: an int, never a bool, at
+least a minimum where the argument has one.
 """
 
 from __future__ import annotations
@@ -22,9 +24,18 @@ from .errors import DomainError, PreconditionError
 
 def make_fraction(num: int, den: int) -> Fraction:
     """Reduced fraction with positive denominator; zero denominator is a DomainError."""
-    if den == 0:
+    check_int(num, "fraction numerator")
+    if check_int(den, "fraction denominator") == 0:
         raise DomainError("fraction denominator must be nonzero")
     return Fraction(num, den)
+
+
+def check_int(x, what: str, least: int | None = None) -> int:
+    """x if an int, not a bool, and not below least if given; else DomainError naming what."""
+    if isinstance(x, bool) or not isinstance(x, int) or least is not None and x < least:
+        bound = "" if least is None else f" >= {least}"
+        raise DomainError(f"{what} must be an int{bound}, got {x!r}")
+    return x
 
 
 def check_rational(x, what: str) -> Fraction:
@@ -91,8 +102,7 @@ def _validate_word(word, *, even: bool = False) -> tuple:
     # accepts int subclasses other than bool).
     if not (set(map(type, w)) == {int} and min(w) >= 1):
         for c in w:
-            if not isinstance(c, int) or isinstance(c, bool) or c < 1:
-                raise DomainError(f"continued fraction quotients must be positive ints, got {c!r}")
+            check_int(c, "continued fraction quotient", 1)
     if even and len(w) % 2:
         raise PreconditionError(f"word length must be even, got {len(w)}")
     return w
@@ -247,8 +257,7 @@ class Mat2:
         )
 
     def __pow__(self, n: int) -> "Mat2":
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
-            raise DomainError("matrix powers are defined for integer n >= 0 only")
+        check_int(n, "matrix power", 0)
         result = Mat2.identity()
         base = self
         while n:

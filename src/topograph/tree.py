@@ -28,7 +28,7 @@ from itertools import starmap
 from typing import Any, Callable, Iterator
 
 from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
-from .rational import check_rational, partial_quotients
+from .rational import check_int, check_rational, partial_quotients
 
 # Hard ceiling on enumeration depth, a backstop only: each level has twice
 # the nodes of the one above and about 2.8x the exported bytes.  At depth 14
@@ -109,9 +109,7 @@ def check_depth(depth: int) -> None:
     PreconditionError and one above the cap, read at call time,
     DepthLimitError.
     """
-    if not isinstance(depth, int) or isinstance(depth, bool):
-        raise DomainError(f"depth must be an int, got {depth!r}")
-    if depth < 0:
+    if check_int(depth, "depth") < 0:
         raise PreconditionError(f"depth must be >= 0, got {depth}")
     if depth > HARD_DEPTH_CAP:
         raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")

@@ -46,7 +46,7 @@ from .rational import (
     convergent_matrix,
     format_fraction,
 )
-from .tree import check_depth, descend, enumerate_tree, mirrored
+from .tree import check_depth, descend, enumerate_tree, format_path, mirrored
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
 # Hard ceiling on the number of Cohn parameters: each is one more Cohn tree
@@ -92,7 +92,7 @@ class VerifyReport:
         self.failed[name] = self.failed.get(name, 0) + 1
         if self.first_counterexample is None:
             self.first_counterexample = {
-                "check": name, **context, "path": path or "-",
+                "check": name, **context, "path": format_path(path),
                 "detail": detail() if callable(detail) else detail,
             }
 
@@ -359,8 +359,9 @@ def suite_distinctness(window: Window) -> VerifyReport:
     for node in nodes:
         q = node.value.denominator
         report.record("distinct", q not in seen, node.path,
-                      lambda: f"Markov number {q} repeats at {seen.get(q)} and {node.path or '-'}")
-        seen.setdefault(q, node.path or "-")
+                      lambda: f"Markov number {q} repeats at {seen.get(q)} and "
+                              f"{format_path(node.path)}")
+        seen.setdefault(q, format_path(node.path))
     rng = random.Random(RNG_SEED)
     sample = rng.sample(nodes, min(40, len(nodes)))
     for node in sample:

@@ -4,6 +4,7 @@ options exit 2 at once, and an internal error exits 3."""
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -24,6 +25,7 @@ from topograph import (
     Mat2,
     PreconditionError,
     build_export,
+    cf_eval,
     cf_expand_even,
     cohn_A,
     cohn_at,
@@ -34,6 +36,8 @@ from topograph import (
     from_json,
     left_companion,
     locate,
+    make_fraction,
+    make_qi,
     markov_cf,
     markov_child,
     markov_fraction,
@@ -283,6 +287,50 @@ def test_every_rational_argument_refuses_what_is_no_fraction(argument, x):
         RATIONAL_ARGUMENTS[argument](x)
 
 
+# An integer argument follows one rule too, rational.check_int: an int, not a
+# bool, a float or a string, and at least its minimum where it has one.
+INT_CASES = [True, False, 1.0, "1", None]
+# argument: (a call passing it, the start of its message, its minimum or None)
+INT_ARGUMENTS = {
+    "enumerate_tree depth": (lambda n: list(enumerate_tree(Fraction(0), Fraction(1),
+                                                           farey_mediant, n)),
+                             "depth must be an int", 0),
+    "cohn_A a": (cohn_A, "Cohn parameter must be an int", None),
+    "left_companion m": (lambda n: left_companion(Fraction(1, 2), n),
+                         "repetition count must be an int >= 1", 1),
+    "Mat2 ** n": (lambda n: Mat2(1, 1, 0, 1) ** n, "matrix power must be an int >= 0", 0),
+    "MarkovTriple": (lambda n: MarkovTriple(1, 1, n), "triple component must be an int >= 1", 1),
+    "markov_child": (lambda n: markov_child(n, 1), "parent number must be an int >= 1", 1),
+    "cf_eval letter": (lambda n: cf_eval((2, n)),
+                       "continued fraction quotient must be an int >= 1", 1),
+    "make_fraction num": (lambda n: make_fraction(n, 2), "fraction numerator must be an int",
+                          None),
+    "make_fraction den": (lambda n: make_fraction(1, n), "fraction denominator must be an int",
+                          None),
+    "make_qi P": (lambda n: make_qi(n, 1, 2, 5), "P must be an int", None),
+    "make_qi B": (lambda n: make_qi(1, n, 2, 5), "B must be an int", None),
+    "make_qi Q": (lambda n: make_qi(1, 1, n, 5), "Q must be an int", None),
+    "make_qi D": (lambda n: make_qi(1, 1, 2, n), "D must be an int", None),
+}
+INT_REFUSALS = [(argument, x) for argument, (_, _, least) in INT_ARGUMENTS.items()
+                for x in INT_CASES + ([] if least is None else [least - 1])]
+
+
+@pytest.mark.parametrize("argument,x", INT_REFUSALS,
+                         ids=[f"{argument}-{x!r}" for argument, x in INT_REFUSALS])
+def test_every_integer_argument_refuses_what_is_no_int(argument, x):
+    call, message, least = INT_ARGUMENTS[argument]
+    if argument == "enumerate_tree depth" and x == -1:
+        # A negative depth is an int out of range, not a wrong type.
+        with pytest.raises(PreconditionError, match="^depth must be >= 0, got -1$"):
+            call(x)
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}, got {re.escape(repr(x))}$"):
+            call(x)
+    if least is not None:
+        call(least)
+
+
 def test_int_coordinates_are_the_boundaries():
     assert markov_fraction(0) == Fraction(0) and markov_fraction(1) == Fraction(1, 2)
     assert markov_cf(1) == markov_cf(Fraction(1)) and left_companion(1, 2) == Fraction(29, 12)
@@ -504,37 +552,26 @@ SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), 
     ("mu", "--help"),
 ], ids=" ".join)
 @pytest.mark.parametrize("closed", ["stdout", "stdout-and-stderr"])
-def test_a_closed_output_pipe_exits_2(argv, closed):
+@pytest.mark.parametrize("unbuffered", [False, True], ids=[pytest.HIDDEN_PARAM, "unbuffered"])
+def test_a_closed_output_pipe_exits_2(argv, closed, unbuffered):
     # With stderr closed too, the error message cannot be written either;
     # the exit code must still say "output error", never 1 (a counterexample).
+    # Unbuffered, a write to the closed pipe fails at once; buffered, the
+    # default (so unnamed in the ids), only a flush finds it: for --help that
+    # is main's own, where the interpreter's flush at exit gave 120.  The
+    # runner's PYTHONUNBUFFERED must not choose the mode.
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "topograph.cli", *argv], stdout=write_end,
             stderr=write_end if closed == "stdout-and-stderr" else subprocess.PIPE,
-            env={**os.environ, "PYTHONPATH": SRC}, timeout=60, check=False)
+            env={**env, "PYTHONPATH": SRC}, timeout=60, check=False)
     finally:
         os.close(write_end)
     assert proc.returncode == 2
     if closed == "stdout":
         assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr
-
-
-@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
-def test_help_on_a_closed_stdout_exits_2(buffered):
-    # Unbuffered, argparse's write fails at once; buffered, only main's flush
-    # finds the closed pipe, where the interpreter's own flush at exit gave 120.
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    if not buffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    read_end, write_end = os.pipe()
-    os.close(read_end)
-    try:
-        proc = subprocess.run([sys.executable, "-m", "topograph.cli", "mu", "--help"],
-                              stdout=write_end, stderr=subprocess.PIPE,
-                              env={**env, "PYTHONPATH": SRC}, timeout=60, check=False)
-    finally:
-        os.close(write_end)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr

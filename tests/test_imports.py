@@ -8,6 +8,8 @@ tree holds the one breadth-first walker, so no other module takes a queue,
 and export.build_export the one header rule, so no other code makes a
 TreeExport.  The verify window caches one tree, the Markov tree every suite
 shares; a tree read by one suite is walked by that suite and held by nothing.
+rational.check_int is the one integer rule, so only it and check_rational,
+which refuses a bool as a rational, tell a bool from an int.
 """
 
 import ast
@@ -163,3 +165,22 @@ def test_only_check_rational_makes_an_argument_a_fraction():
     # Fraction(x) also parses strings and reads floats; check_rational refuses them.
     copies = {(path.stem, function) for path in SOURCES for function in _fraction_copies(path)}
     assert copies == {("rational", "check_rational")}
+
+
+def _bool_tests(path: Path) -> set:
+    """The enclosing function (or None) of every call isinstance(<expr>, bool) in a
+    module, bool alone or in a tuple of types."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return {function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+            and len(node.args) == 2
+            and any(getattr(kind, "id", None) == "bool"
+                    for kind in getattr(node.args[1], "elts", [node.args[1]]))}
+
+
+def test_only_check_int_tells_a_bool_from_an_int():
+    # A bool is an int to isinstance; a hand-written copy of the test drifts in spelling
+    # and message, and the argument it forgets takes True as 1.
+    tests = {(path.stem, function) for path in SOURCES for function in _bool_tests(path)}
+    assert tests == {("rational", "check_int"), ("rational", "check_rational")}
