@@ -558,20 +558,35 @@ def test_a_closed_output_pipe_exits_2(argv, closed, unbuffered):
     # the exit code must still say "output error", never 1 (a counterexample).
     # Unbuffered, a write to the closed pipe fails at once; buffered, the
     # default (so unnamed in the ids), only a flush finds it: for --help that
-    # is main's own, where the interpreter's flush at exit gave 120.  The
-    # runner's PYTHONUNBUFFERED must not choose the mode.
+    # is main's own, where the interpreter's flush at exit gave 120.
+    proc = _run_on_a_closed_pipe(argv, closed, unbuffered)
+    assert proc.returncode == 2
+    if closed == "stdout":
+        assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False], ids=["buffered"])
+def test_help_on_a_closed_stdout_exits_2(unbuffered):
+    # Buffered, main's flush must find the closed pipe and report it once:
+    # nothing may be left for the interpreter's flush at exit, which would add
+    # an "Exception ignored" message and exit 120.
+    proc = _run_on_a_closed_pipe(("mu", "--help"), "stdout", unbuffered)
+    assert proc.returncode == 2
+    assert re.fullmatch(rb"error: [^\n]*Broken pipe\n", proc.stderr)
+
+
+def _run_on_a_closed_pipe(argv, closed, unbuffered):
+    """Run the CLI with stdout, or stdout and stderr, on a pipe whose reader
+    is closed; the runner's PYTHONUNBUFFERED must not choose the mode."""
     env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "topograph.cli", *argv], stdout=write_end,
             stderr=write_end if closed == "stdout-and-stderr" else subprocess.PIPE,
             env={**env, "PYTHONPATH": SRC}, timeout=60, check=False)
     finally:
         os.close(write_end)
-    assert proc.returncode == 2
-    if closed == "stdout":
-        assert proc.stderr.startswith(b"error: ") and b"Broken pipe" in proc.stderr
