@@ -134,13 +134,36 @@ def cmd_tree(args) -> int:
     _check_depth(args)
     if args.a is not None and not KINDS[args.kind].takes_a:
         raise TopographError(f"--a is a Cohn parameter; the {args.kind} tree takes none")
-    text = render(build_export(args.kind, args.depth, args.a or 0), args.format)
+    export = build_export(args.kind, args.depth, args.a or 0)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _replace_atomically(args.out, lambda fh: render(export, args.format, fh))
     else:
-        sys.stdout.write(text)
+        sys.stdout.flush()  # what the text layer holds goes first
+        render(export, args.format, sys.stdout.buffer)
     return 0
+
+
+def _replace_atomically(path: str, write) -> None:
+    """Run write on a new file beside path, then move it to path in one step.
+
+    On any failure the new file is removed, so path keeps what it held, or
+    stays absent, and its directory is left as it was.  The new file is
+    created as open(path, "wb") would create path, with the umask's mode.
+    """
+    directory, name = os.path.split(os.path.abspath(path))
+    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        exc.filename = path  # name the file asked for, not the temp file
+        raise
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
 
 
 def cmd_verify(args) -> int:

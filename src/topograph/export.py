@@ -18,6 +18,15 @@ formatted.  JSON is written directly from a fixed per-node template,
 byte-identical to json.dumps(..., indent=1, sort_keys=True); CSV cells are
 quoted as csv.writer quotes them.
 
+The writers stream to an open binary file from the depth-first walk
+(tree._preorder), which holds O(depth) regions.  Pre-order reaches each
+level from left to right, which is breadth-first order within that level,
+so each node's text is appended to its level's buffer, and the levels are
+written out in order: the same bytes as a breadth-first walk.  A level's
+buffer that passes _SPILL_BYTES moves to one temp file, made only when
+first needed, so memory stays flat in the file's size.  Given no file, a
+writer returns its text, written to memory.
+
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
 verify window reads the irrational tree's convergent matrices before the lift.
@@ -29,13 +38,14 @@ to_json writes there.
 
 from __future__ import annotations
 
+import io
 import json
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import starmap
 from operator import add
-from typing import Callable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 from .cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, fixed_point, format_qi
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
@@ -49,7 +59,7 @@ from .rational import (
     format_fraction,
     format_mat2,
 )
-from .tree import Node, _walk, check_depth, format_path
+from .tree import Node, _preorder, _walk, check_depth, format_path
 
 
 @dataclass(frozen=True)
@@ -144,8 +154,8 @@ def _itself(value):
 
 
 def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
-          join: Optional[Callable] = None) -> Iterator[tuple]:
-    """spec's tree to depth, breadth-first, as (path, left, right, value) tuples.
+          join: Optional[Callable] = None, walk: Callable = _walk) -> Iterator[tuple]:
+    """spec's tree to depth, in walk's order, as (path, left, right, value) tuples.
 
     Each region is given as what it carries, out(lift(region)), made once,
     when the region is grown, and handed down to the nodes below it.  Given
@@ -156,13 +166,13 @@ def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
     lift = spec.lift or _itself
     seeds = spec.seeds(a)
     if join is not None:
-        return _walk(*[out(lift(seed)) for seed in seeds], join, depth)
+        return walk(*[out(lift(seed)) for seed in seeds], join, depth)
 
     def combine(x, y):
         value = spec.combine(x[0], y[0])
         return value, out(lift(value))
 
-    nodes = _walk(*[(seed, out(lift(seed))) for seed in seeds], combine, depth)
+    nodes = walk(*[(seed, out(lift(seed))) for seed in seeds], combine, depth)
     return ((path, left[1], right[1], value[1]) for path, left, right, value in nodes)
 
 
@@ -201,24 +211,79 @@ def _json_at(obj, level: int) -> str:
     return opening + pad + ("," + pad).join(items) + "\n" + " " * level + closing
 
 
-def to_json(export: TreeExport) -> str:
+# A writer holds up to about this many characters of a level's text in
+# memory, then moves it to the spill file.  Characters are bytes here but
+# for the irrational kind's square root signs.
+_SPILL_BYTES = 1 << 18
+
+
+def _write_by_level(out: BinaryIO, channels: int, texts: Iterable[tuple]) -> None:
+    """Write texts, (channel, text) pairs, to out one channel after another.
+
+    A pre-order walk reaches each level from left to right, so giving each
+    level of each part of a file its own channel turns the walk's texts into
+    the breadth-first file.  A channel's texts past _SPILL_BYTES are
+    appended to one temp file, made when first needed (so a small tree makes
+    none), and copied out in their channel's turn.
+    """
+    held = [[] for _ in range(channels)]
+    sizes = [0] * channels
+    spilled = [[] for _ in range(channels)]  # (offset, size) of each chunk in the spill file
+    limit, spill = _SPILL_BYTES, None
+    try:
+        for channel, text in texts:
+            held[channel].append(text)
+            sizes[channel] += len(text)
+            if sizes[channel] > limit:
+                if spill is None:
+                    import tempfile  # imported here: it costs about 8 ms, and most exports never spill
+                    spill = tempfile.TemporaryFile()
+                data = "".join(held[channel]).encode()
+                spilled[channel].append((spill.tell(), len(data)))
+                spill.write(data)
+                held[channel].clear()
+                sizes[channel] = 0
+        for channel in range(channels):
+            for offset, size in spilled[channel]:
+                spill.seek(offset)
+                out.write(spill.read(size))
+            out.write("".join(held[channel]).encode())
+    finally:
+        if spill is not None:
+            spill.close()
+
+
+def _as_text(writer: Callable, export: TreeExport) -> str:
+    buffer = io.BytesIO()
+    writer(export, buffer)
+    return buffer.getvalue().decode()
+
+
+def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     """What json.dumps(payload, indent=1, sort_keys=True) writes, plus a newline.
 
     The payload is {"kind", "depth", "a" (for a kind that takes it),
     "nodes": [{"path", "value", "left", "right"}, ...]}, each value as its
     kind encodes it.  Keys come in sorted order, and a node's fields sit at
     nesting level 3.  Paths are letters L and R, or '-', so need no escaping.
+    Written to the open binary file out; given none, returned as text.
     """
+    if out is None:
+        return _as_text(to_json, export)
     spec = _kind(export.kind)
     nodes = _grow(spec, export.depth, export.a,
-                  lambda value: _json_at(spec.encode(value), 3), spec.join)
+                  lambda value: _json_at(spec.encode(value), 3), spec.join, _preorder)
+    _, left, right, value = next(nodes)
     head = f' "a": {export.a},\n' if spec.takes_a else ""
-    body = ",\n".join([
-        f'  {{\n   "left": {left},\n   "path": "{format_path(path)}",'
-        f'\n   "right": {right},\n   "value": {value}\n  }}'
-        for path, left, right, value in nodes])
-    return (f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n'
-            f' "nodes": [\n{body}\n ]\n}}\n')
+    out.write(f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n'
+              f' "nodes": [\n  {{\n   "left": {left},\n   "path": "-",\n   "right": {right},'
+              f'\n   "value": {value}\n  }}'.encode())
+    _write_by_level(out, export.depth + 1, (
+        (len(path), f',\n  {{\n   "left": {left},\n   "path": "{path}",'
+                    f'\n   "right": {right},\n   "value": {value}\n  }}')
+        for path, left, right, value in nodes))
+    out.write(b"\n ]\n}\n")
+    return None
 
 
 def from_json(text: str) -> TreeExport:
@@ -263,47 +328,74 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def to_csv(export: TreeExport) -> str:
+def to_csv(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
+    """One row per node, as csv.writer writes it: path, value, left, right.
+
+    Written to the open binary file out; given none, returned as text.
+    """
+    if out is None:
+        return _as_text(to_csv, export)
     spec = _kind(export.kind)
     nodes = _grow(spec, export.depth, export.a,
-                  lambda value: _csv_cell(spec.text(value)), spec.join)
-    rows = [f"{format_path(path)},{value},{left},{right}\n" for path, left, right, value in nodes]
-    return "path,value,left,right\n" + "".join(rows)
+                  lambda value: _csv_cell(spec.text(value)), spec.join, _preorder)
+    out.write(b"path,value,left,right\n")
+    _write_by_level(out, export.depth + 1, (
+        (len(path), f"{format_path(path)},{value},{left},{right}\n")
+        for path, left, right, value in nodes))
+    return None
 
 
-def to_dot(export: TreeExport) -> str:
+def _dot_quote(s: str) -> str:
+    return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def to_dot(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     """Region-adjacency graph: each node's region touches both parent regions.
 
     Vertices are the two seed regions plus one region per node, labeled with
     the region's value; edges connect each new region to the two regions it
-    was combined from.  A node's left parent is the node at its path cut
-    before the last R (the left seed if there is none), and its right parent
-    the node at its path cut before the last L.  Paths need no escaping.
+    was combined from.  Every vertex line comes before every edge line.
+    Written to the open binary file out; given none, returned as text.
     """
-    def quote(s: str) -> str:
-        return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
-
+    if out is None:
+        return _as_text(to_dot, export)
     spec = _kind(export.kind)
-    nodes = _grow(spec, export.depth, export.a, lambda value: quote(spec.text(value)), spec.join)
-    lines = [f"graph {export.kind} {{", "  node [shape=plaintext];"]
-    edges = ["  seed_L -- seed_R;"]
-    for path, left, right, value in nodes:
-        if not path:  # the root's two parents are the seed regions
-            lines += [f"  seed_L [label={left}];", f"  seed_R [label={right}];"]
-        me = f'"{format_path(path)}"'
-        lines.append(f"  {me} [label={value}];")
+    nodes = _grow(spec, export.depth, export.a,
+                  lambda value: _dot_quote(spec.text(value)), spec.join, _preorder)
+    _, left, right, value = next(nodes)
+    out.write(f'graph {export.kind} {{\n  node [shape=plaintext];\n  seed_L [label={left}];\n'
+              f'  seed_R [label={right}];\n  "-" [label={value}];\n'.encode())
+    _write_by_level(out, 2 * (export.depth + 1), _dot_lines(nodes, export.depth + 1))
+    out.write(b"}\n")
+    return None
+
+
+def _dot_lines(nodes: Iterator[tuple], edges: int) -> Iterator[tuple]:
+    """(channel, text) of the edge lines of the root and of every node below it.
+
+    A node's vertex line goes to the channel of its level, and its two edge
+    lines to channel edges + its level, past every level's vertices.  A
+    node's left parent is the node at its path cut before the last R (the
+    left seed if there is none), and its right parent the node at its path
+    cut before the last L.  Paths need no escaping.
+    """
+    yield edges, '  seed_L -- seed_R;\n  "-" -- seed_L;\n  "-" -- seed_R;\n'
+    for path, _, _, value in nodes:
+        level = len(path)
+        yield level, f'  "{path}" [label={value}];\n'
         last_r, last_l = path.rfind("R"), path.rfind("L")
         left_id = f'"{format_path(path[:last_r])}"' if last_r >= 0 else "seed_L"
         right_id = f'"{format_path(path[:last_l])}"' if last_l >= 0 else "seed_R"
-        edges += [f"  {me} -- {left_id};", f"  {me} -- {right_id};"]
-    return "\n".join(lines + edges + ["}"]) + "\n"
+        yield edges + level, f'  "{path}" -- {left_id};\n  "{path}" -- {right_id};\n'
 
 
 EXPORT_FORMATS = {"json": to_json, "dot": to_dot, "csv": to_csv}
 
 
-def render(export: TreeExport, fmt: str) -> str:
+def render(export: TreeExport, fmt: str, out: Optional[BinaryIO] = None) -> Optional[str]:
+    """export in fmt (json, dot or csv), written to the open binary file out;
+    given none, returned as text."""
     writer = EXPORT_FORMATS.get(fmt)
     if writer is None:
         raise DomainError(f"unknown export format {fmt!r}; expected json, dot, or csv")
-    return writer(export)
+    return writer(export, out)

@@ -12,6 +12,7 @@ least a minimum where the argument has one.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,16 +49,21 @@ def check_rational(x, what: str) -> Fraction:
     return Fraction(x)
 
 
+# One side of a fraction's text: ASCII digits with an optional sign.  int
+# alone would also read underscores, inner blanks and other scripts' digits.
+_INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
 def parse_fraction(text: str) -> Fraction:
-    """Parse 'p/q' or a bare integer string into a Fraction."""
-    s = text.strip()
-    try:
-        if "/" in s:
-            num, _, den = s.partition("/")
-            return make_fraction(int(num), int(den))
-        return Fraction(int(s))
-    except ValueError as exc:
-        raise DomainError(f"cannot parse fraction from {text!r}") from exc
+    """Parse 'p/q' or a bare integer string into a Fraction.
+
+    Blanks around the whole text are dropped; each side must match
+    [+-]?[0-9]+, or DomainError says the text cannot be parsed.
+    """
+    num, slash, den = text.strip().partition("/")
+    if not all(_INTEGER_TEXT.fullmatch(side) for side in ((num, den) if slash else (num,))):
+        raise DomainError(f"cannot parse fraction from {text!r}")
+    return make_fraction(int(num), int(den)) if slash else Fraction(int(num))
 
 
 def format_fraction(x: Fraction) -> str:

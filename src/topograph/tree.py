@@ -10,7 +10,11 @@ stepping R is the mirror image.
 
 The walker is agnostic about the value type: it just threads the pair of
 parents and calls the supplied combine rule, wrapping any failure in a
-CombineError that records where in the tree it happened.
+CombineError that records where in the tree it happened.  It holds two
+walkers over the same nodes: _walk, breadth-first, is the reference, and
+_preorder, depth-first, holds only O(depth) regions.  Pre-order reaches each
+level from left to right, which is breadth-first order within that level,
+so the exports stream from _preorder and regroup its nodes by level.
 
 Point queries take the run-length route instead: value_at reads the path of
 a coordinate off its continued fraction as runs of equal steps (locate_runs)
@@ -32,8 +36,9 @@ from .rational import check_int, check_rational, partial_quotients
 
 # Hard ceiling on enumeration depth, a backstop only: each level has twice
 # the nodes of the one above and about 2.8x the exported bytes.  At depth 14
-# a JSON export peaked at 28-301 MB by kind (cf the most) and verify at
-# 118 MB (2-core VM, CPython 3.11.7); the CLI's default cap is 12.
+# a JSON export wrote 3-112 MB by kind (cf the most) in 0.3-1.8 s at a flat
+# 19 MB peak, and verify peaked at 118 MB (2-core VM, CPython 3.11.7); the
+# CLI's default cap is 12.
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the
@@ -202,8 +207,9 @@ def mirrored(seed_left, seed_right, combine: Callable) -> tuple:
 def _walk(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tuple]:
     """Yield (path, left, right, value) for every node to depth, breadth-first.
 
-    The one tree walker: enumerate_tree wraps its tuples in Node, and the
-    exports grow their carried regions through it.  The depth is not checked.
+    The reference walker: enumerate_tree wraps its tuples in Node, and an
+    export's nodes and from_json grow their carried regions through it.  Its
+    queue holds a whole level.  The depth is not checked.
     """
     queue = deque([("", seed_left, seed_right)])
     while queue:
@@ -213,6 +219,24 @@ def _walk(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tupl
         if len(path) < depth:
             queue.append((path + "L", left, value))
             queue.append((path + "R", value, right))
+
+
+def _preorder(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tuple]:
+    """Yield (path, left, right, value) for every node to depth, depth-first.
+
+    Pre-order, L before R: the same nodes and combines as _walk, with the
+    same CombineError paths, from a stack of at most depth + 1 pending
+    nodes, so only O(depth) regions are live.  Within each level the nodes
+    come in _walk's order.  The depth is not checked.
+    """
+    stack = [("", seed_left, seed_right)]
+    while stack:
+        path, left, right = stack.pop()
+        value = _combine_at(combine, left, right, path)
+        yield path, left, right, value
+        if len(path) < depth:
+            stack.append((path + "R", value, right))
+            stack.append((path + "L", left, value))
 
 
 def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[Node]:

@@ -299,8 +299,13 @@ INT_ARGUMENTS = {
     "left_companion m": (lambda n: left_companion(Fraction(1, 2), n),
                          "repetition count must be an int >= 1", 1),
     "Mat2 ** n": (lambda n: Mat2(1, 1, 0, 1) ** n, "matrix power must be an int >= 0", 0),
+    "MarkovTriple x": (lambda n: MarkovTriple(n, 1, 1), "triple component must be an int >= 1",
+                       1),
+    "MarkovTriple y": (lambda n: MarkovTriple(1, n, 1), "triple component must be an int >= 1",
+                       1),
     "MarkovTriple": (lambda n: MarkovTriple(1, 1, n), "triple component must be an int >= 1", 1),
     "markov_child": (lambda n: markov_child(n, 1), "parent number must be an int >= 1", 1),
+    "markov_child y": (lambda n: markov_child(1, n), "parent number must be an int >= 1", 1),
     "cf_eval letter": (lambda n: cf_eval((2, n)),
                        "continued fraction quotient must be an int >= 1", 1),
     "make_fraction num": (lambda n: make_fraction(n, 2), "fraction numerator must be an int",
@@ -512,21 +517,6 @@ def test_a_point_size_is_named_by_its_bits():
             check_point_size(size)
         assert str(refused.value) == (f"point query size of {bits} bits exceeds cap "
                                       f"q * m <= {HARD_POINT_CAP}")
-
-
-@pytest.mark.parametrize("entry", [
-    lambda: Mat2(1, 1, 0, 1) ** True,
-    lambda: Mat2(1, 1, 0, 1) ** 2.0,
-    lambda: MarkovTriple(1.0, 2.0, 5.0),
-    lambda: MarkovTriple(True, 2, 5),
-    lambda: MarkovTriple(1, 2, 5.0),
-    lambda: markov_child(True, 2),
-    lambda: markov_child(1, 2.0),
-], ids=["Mat2**True", "Mat2**2.0", "MarkovTriple(floats)", "MarkovTriple(True,...)",
-        "MarkovTriple(...,5.0)", "markov_child(True,2)", "markov_child(1,2.0)"])
-def test_integer_entries_refuse_a_bool_or_a_float(entry):
-    with pytest.raises(DomainError):
-        entry()
 
 
 def test_the_index_suite_with_no_cohn_parameter_raises_before_any_suite_runs(monkeypatch):

@@ -3,6 +3,7 @@
 import json
 import time
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -23,6 +24,7 @@ from topograph import (
     to_dot,
     to_json,
 )
+from topograph import export as export_module
 from topograph.cli import main
 from topograph.export import KINDS
 from test_cli_limits import AT_ONCE_S
@@ -323,6 +325,63 @@ def test_cli_tree_stdout_and_file(tmp_path, capsys):
     assert len(payload["nodes"]) == 7
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_cli_tree_stdout_gets_the_bytes_of_out(fmt, tmp_path, capsysbinary):
+    # The irrational tree's values hold a non-ASCII square root sign.
+    target = tmp_path / f"tree.{fmt}"
+    argv = ["tree", "--kind", "irrational", "--depth", "3", "--format", fmt]
+    assert main(argv) == 0
+    shown = capsysbinary.readouterr().out
+    assert main(argv + ["--out", str(target)]) == 0
+    assert target.read_bytes() == shown == render(build_export("irrational", 3), fmt).encode()
+
+
+def _fail_at_lr(monkeypatch):
+    # The farey tree's LR node is 2/5; its combine raises there, mid-export.
+    spec = KINDS["farey"]
+
+    def failing(left, right):
+        value = spec.combine(left, right)
+        if value == Fraction(2, 5):
+            raise ValueError("planted failure")
+        return value
+
+    monkeypatch.setitem(KINDS, "farey", replace(spec, combine=failing))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+@pytest.mark.parametrize("spill", [False, True], ids=["held", "spilled"])
+def test_a_failed_export_leaves_out_as_it_was(fmt, spill, tmp_path, capsys, monkeypatch):
+    if spill:
+        monkeypatch.setattr(export_module, "_SPILL_BYTES", 1)
+    _fail_at_lr(monkeypatch)
+    absent, kept = tmp_path / "absent.out", tmp_path / "kept.out"
+    kept.write_bytes(b"old content\n")
+    for target in (absent, kept):
+        before = sorted(tmp_path.iterdir())
+        code, out, err = run_cli(capsys, "tree", "--kind", "farey", "--depth", "3",
+                                 "--format", fmt, "--out", str(target))
+        assert code == 3 and out == ""
+        assert "CombineError" in err and "planted failure" in err
+        assert sorted(tmp_path.iterdir()) == before
+    assert not absent.exists()
+    assert kept.read_bytes() == b"old content\n"
+
+
+def test_cli_tree_out_replaces_a_file(tmp_path, capsys):
+    target = tmp_path / "tree.csv"
+    target.write_text("old content\n")
+    code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "1",
+                         "--format", "csv", "--out", str(target))
+    assert code == 0
+    assert target.read_text() == to_csv(build_export("farey", 1))
+    assert [path.name for path in tmp_path.iterdir()] == ["tree.csv"]
+    # The file has the mode open() gives a new file, not a private temp file's.
+    reference = tmp_path / "reference"
+    reference.write_text("")
+    assert target.stat().st_mode == reference.stat().st_mode
+
+
 def test_cli_tree_depth_cap(capsys):
     code, _, err = run_cli(capsys, "tree", "--kind", "markov", "--depth", "13")
     assert code == 2 and "cap" in err
@@ -340,6 +399,12 @@ def test_cli_parse_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "verify", "--suites", "nonsense", "--depth", "2")
     assert code == 2
+    # Each side of a coordinate is ASCII digits with an optional sign: int
+    # alone would also read underscores, inner blanks and other scripts' digits.
+    for coordinate in ("1_0/2_1", "1 / 2", "\uff11/\uff12"):
+        code, out, err = run_cli(capsys, "mu", coordinate)
+        assert code == 2 and out == ""
+        assert f"cannot parse fraction from {coordinate!r}" in err
 
 
 def test_cli_usage_error_exit_code():

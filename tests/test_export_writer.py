@@ -11,6 +11,8 @@ through format_cf_word.
 import csv
 import io
 import json
+import tempfile
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -20,7 +22,9 @@ from topograph import (
     TreeExport,
     build_export,
     enumerate_tree,
+    export,
     from_json,
+    render,
     to_csv,
     to_dot,
     to_json,
@@ -102,6 +106,70 @@ def test_writers_read_the_header_alone(kind, a):
         header = TreeExport(kind, depth, built.a)
         for writer in (to_json, to_csv, to_dot):
             assert writer(header) == writer(built), (writer.__name__, depth)
+
+
+REFERENCES = {"json": reference_json, "csv": reference_csv, "dot": reference_dot}
+
+
+@pytest.mark.parametrize("kind,a", CASES)
+def test_every_level_spilled_gives_the_same_bytes(kind, a, monkeypatch):
+    # At a limit of one character every text goes to the spill file.
+    monkeypatch.setattr(export, "_SPILL_BYTES", 1)
+    for depth in range(7):
+        tree = build_export(kind, depth, a)
+        for fmt, reference in REFERENCES.items():
+            assert render(tree, fmt) == reference(tree), (fmt, depth)
+
+
+def _count_spill_files(monkeypatch) -> list:
+    made = []
+    real = tempfile.TemporaryFile
+
+    def counted(*args, **kwargs):
+        made.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    return made
+
+
+@pytest.mark.parametrize("fmt", REFERENCES)
+def test_a_small_tree_makes_no_spill_file_and_a_large_one_makes_one(fmt, monkeypatch):
+    made = _count_spill_files(monkeypatch)
+    tree = build_export("markov", 8)
+    text = render(tree, fmt)
+    assert made == []
+    monkeypatch.setattr(export, "_SPILL_BYTES", 1)
+    assert render(tree, fmt) == text
+    assert made == [1]
+
+
+class _Sink:
+    """A binary file that counts what it is given and keeps none of it."""
+
+    size = 0
+
+    def write(self, data: bytes) -> int:
+        self.size += len(data)
+        return len(data)
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+def test_writers_hold_a_fraction_of_the_file(kind, monkeypatch):
+    # The text of a level past the limit leaves memory, so the peak is some
+    # levels' worth of limit and O(depth) regions, not the file; a writer
+    # that built its text whole would peak above the file's size.
+    monkeypatch.setattr(export, "_SPILL_BYTES", 1 << 12)
+    sink = _Sink()
+    tree = build_export(kind, 11, 1)
+    tracemalloc.start()
+    try:
+        to_json(tree, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.size == len(to_json(tree).encode())
+    assert peak < sink.size / 4, (peak, sink.size)
 
 
 CF = KINDS["cf"]

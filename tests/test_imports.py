@@ -4,7 +4,8 @@ README and pyproject.toml promise no dependencies outside the standard
 library, and the verification layer sits above the structures it checks, so
 only the command line and the package's exports may import it.  And every
 module uses what it imports; only __init__ imports names to export them.
-tree holds the one breadth-first walker, so no other module takes a queue,
+tree holds both walkers, the breadth-first reference and the depth-first
+core the exports stream from, so no other module takes a queue,
 and export.build_export the one header rule, so no other code makes a
 TreeExport.  The verify window caches one tree, the Markov tree every suite
 shares; a tree read by one suite is walked by that suite and held by nothing.
@@ -113,7 +114,8 @@ def _reads_deque(path: Path) -> bool:
 
 
 def test_only_tree_holds_a_queue():
-    # A second breadth-first walker would need one; the exports walk through tree._walk.
+    # A second breadth-first walker would need one; the exports walk through
+    # tree._preorder, and an export's nodes and from_json through tree._walk.
     assert {path.stem for path in SOURCES if _reads_deque(path)} == {"tree"}
 
 

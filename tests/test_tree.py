@@ -14,6 +14,7 @@ from topograph import (
     cf_concat,
     descend,
     enumerate_tree,
+    export,
     farey_mediant,
     format_path,
     locate,
@@ -114,6 +115,51 @@ def test_combine_failures_carry_path():
 
     with pytest.raises(CombineError):
         list(enumerate_tree(Fraction(0), Fraction(1), grumpy, 3))
+
+
+def _by_level(nodes) -> list:
+    # A stable sort keeps each level in the order the walk reached it.
+    return sorted(nodes, key=lambda node: len(node[0]))
+
+
+WALKED_TREES = [(kind, 0) for kind in export.TREE_KINDS] + [("cohn", 2)]
+
+
+@pytest.mark.parametrize("kind,a", WALKED_TREES, ids=[f"{k}-a{a}" for k, a in WALKED_TREES])
+def test_preorder_regrouped_by_level_is_the_breadth_first_walk(kind, a):
+    spec = export.KINDS[kind]
+    for depth in range(11):
+        walked = list(tree._walk(*spec.seeds(a), spec.combine, depth))
+        assert _by_level(tree._preorder(*spec.seeds(a), spec.combine, depth)) == walked, depth
+
+
+def test_preorder_is_depth_first_with_one_combine_per_node():
+    calls = []
+
+    def counted(left, right):
+        calls.append((left, right))
+        return farey_mediant(left, right)
+
+    order = [node[0] for node in tree._preorder(Fraction(0), Fraction(1), counted, 3)]
+    assert order == ["", "L", "LL", "LLL", "LLR", "LR", "LRL", "LRR",
+                     "R", "RL", "RLL", "RLR", "RR", "RRL", "RRR"]
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize("bad", ["", "L", "LR", "RRL"])
+def test_both_walkers_raise_at_the_failing_path(bad):
+    planted = farey_node(bad).value
+
+    def failing(left, right):
+        value = farey_mediant(left, right)
+        if value == planted:
+            raise ValueError("planted")
+        return value
+
+    for walk in (tree._walk, tree._preorder):
+        with pytest.raises(CombineError) as exc_info:
+            list(walk(Fraction(0), Fraction(1), failing, 4))
+        assert exc_info.value.path == bad, walk.__name__
 
 
 def test_path_serialization():
