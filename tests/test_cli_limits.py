@@ -336,6 +336,19 @@ def test_every_integer_argument_refuses_what_is_no_int(argument, x):
         call(least)
 
 
+# The same refusals with every other argument a real Markov value: the type
+# check must not wait for a later check to fail.
+@pytest.mark.parametrize("entry", [
+    lambda: Mat2(1, 1, 0, 1) ** True,
+    lambda: Mat2(1, 1, 0, 1) ** 2.0,
+    lambda: MarkovTriple(1, 2, 5.0),
+    lambda: markov_child(True, 2),
+], ids=["Mat2**True", "Mat2**2.0", "MarkovTriple(...,5.0)", "markov_child(True,2)"])
+def test_integer_entries_refuse_a_bool_or_a_float(entry):
+    with pytest.raises(DomainError):
+        entry()
+
+
 def test_int_coordinates_are_the_boundaries():
     assert markov_fraction(0) == Fraction(0) and markov_fraction(1) == Fraction(1, 2)
     assert markov_cf(1) == markov_cf(Fraction(1)) and left_companion(1, 2) == Fraction(29, 12)
