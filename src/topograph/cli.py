@@ -26,6 +26,7 @@ import argparse
 import json
 import os
 import re
+import stat
 import sys
 import traceback
 from contextlib import contextmanager
@@ -136,21 +137,37 @@ def cmd_tree(args) -> int:
         raise TopographError(f"--a is a Cohn parameter; the {args.kind} tree takes none")
     export = build_export(args.kind, args.depth, args.a or 0)
     if args.out:
-        _replace_atomically(args.out, lambda fh: render(export, args.format, fh))
-    else:
+        _write_out(args.out, lambda fh: render(export, args.format, fh))
+    elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # what the text layer holds goes first
         render(export, args.format, sys.stdout.buffer)
+    else:  # a text stream put in place of stdout, such as io.StringIO
+        sys.stdout.write(render(export, args.format))
     return 0
 
 
-def _replace_atomically(path: str, write) -> None:
-    """Run write on a new file beside path, then move it to path in one step.
+def _write_out(path: str, write) -> None:
+    """Run write on an open binary file whose bytes become path's.
 
-    On any failure the new file is removed, so path keeps what it held, or
-    stays absent, and its directory is left as it was.  The new file is
-    created as open(path, "wb") would create path, with the umask's mode.
+    A regular file, or none, is replaced in one step: write runs on a new
+    file beside the file path names (symlinks followed), which then moves
+    onto it.  On any failure the new file is removed, so path keeps what it
+    held, or stays absent, and its directory is left as it was.  The new
+    file takes the old file's permission bits, or the umask's mode as
+    open(path, "wb") would give it.  Any other target is written in place
+    through open(path, "wb"): a device, a FIFO, a file with other links or
+    owned by another user, or a file in a directory that cannot be written.
     """
-    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        old = os.stat(path)
+    except FileNotFoundError:
+        old = None
+    target = os.path.realpath(path)
+    if old is not None and not _replaceable(target, old):
+        with open(path, "wb") as fh:
+            write(fh)
+        return
+    directory, name = os.path.split(target)
     temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
     try:
         fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -159,11 +176,26 @@ def _replace_atomically(path: str, write) -> None:
         raise
     try:
         with os.fdopen(fd, "wb") as fh:
+            if old is not None:
+                os.fchmod(fd, stat.S_IMODE(old.st_mode))
             write(fh)
-        os.replace(temp, path)
+        os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def _replaceable(target: str, old: os.stat_result) -> bool:
+    """Whether a new file may take the place of target, the file old
+    describes: a regular file with one link, owned by this process, in a
+    directory it can write."""
+    try:
+        same = os.path.samestat(os.stat(target), old)
+    except OSError:
+        return False
+    return (same and stat.S_ISREG(old.st_mode) and old.st_nlink == 1
+            and old.st_uid == os.geteuid()
+            and os.access(os.path.dirname(target), os.W_OK | os.X_OK))
 
 
 def cmd_verify(args) -> int:

@@ -23,9 +23,11 @@ The writers stream to an open binary file from the depth-first walk
 level from left to right, which is breadth-first order within that level,
 so each node's text is appended to its level's buffer, and the levels are
 written out in order: the same bytes as a breadth-first walk.  A level's
-buffer that passes _SPILL_BYTES moves to one temp file, made only when
-first needed, so memory stays flat in the file's size.  Given no file, a
-writer returns its text, written to memory.
+buffer that passes _SPILL_BYTES moves to one temp file in TMPDIR, made
+only when first needed, so memory stays flat in the file's size (on a
+tmpfs TMPDIR the spill itself sits in RAM).  The file's head goes out with
+the levels once the walk is done, so a walk that raises writes nothing.
+Given no file, a writer returns its text, written to memory.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
@@ -217,14 +219,17 @@ def _json_at(obj, level: int) -> str:
 _SPILL_BYTES = 1 << 18
 
 
-def _write_by_level(out: BinaryIO, channels: int, texts: Iterable[tuple]) -> None:
-    """Write texts, (channel, text) pairs, to out one channel after another.
+def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Iterable[tuple],
+                    tail: str) -> None:
+    """Write head, then texts, (channel, text) pairs, one channel after
+    another, then tail, to out.
 
     A pre-order walk reaches each level from left to right, so giving each
     level of each part of a file its own channel turns the walk's texts into
     the breadth-first file.  A channel's texts past _SPILL_BYTES are
     appended to one temp file, made when first needed (so a small tree makes
-    none), and copied out in their channel's turn.
+    none), and copied out in their channel's turn.  Nothing reaches out
+    before the walk is done, so a walk that raises writes nothing.
     """
     held = [[] for _ in range(channels)]
     sizes = [0] * channels
@@ -243,11 +248,13 @@ def _write_by_level(out: BinaryIO, channels: int, texts: Iterable[tuple]) -> Non
                 spill.write(data)
                 held[channel].clear()
                 sizes[channel] = 0
+        out.write(head.encode())
         for channel in range(channels):
             for offset, size in spilled[channel]:
                 spill.seek(offset)
                 out.write(spill.read(size))
             out.write("".join(held[channel]).encode())
+        out.write(tail.encode())
     finally:
         if spill is not None:
             spill.close()
@@ -273,16 +280,14 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
     spec = _kind(export.kind)
     nodes = _grow(spec, export.depth, export.a,
                   lambda value: _json_at(spec.encode(value), 3), spec.join, _preorder)
-    _, left, right, value = next(nodes)
     head = f' "a": {export.a},\n' if spec.takes_a else ""
-    out.write(f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n'
-              f' "nodes": [\n  {{\n   "left": {left},\n   "path": "-",\n   "right": {right},'
-              f'\n   "value": {value}\n  }}'.encode())
-    _write_by_level(out, export.depth + 1, (
-        (len(path), f',\n  {{\n   "left": {left},\n   "path": "{path}",'
-                    f'\n   "right": {right},\n   "value": {value}\n  }}')
-        for path, left, right, value in nodes))
-    out.write(b"\n ]\n}\n")
+    _write_by_level(
+        out, f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n "nodes": [',
+        export.depth + 1,
+        ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": "{path or "-"}",'
+                     f'\n   "right": {right},\n   "value": {value}\n  }}')
+         for path, left, right, value in nodes),
+        "\n ]\n}\n")
     return None
 
 
@@ -338,10 +343,9 @@ def to_csv(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     spec = _kind(export.kind)
     nodes = _grow(spec, export.depth, export.a,
                   lambda value: _csv_cell(spec.text(value)), spec.join, _preorder)
-    out.write(b"path,value,left,right\n")
-    _write_by_level(out, export.depth + 1, (
+    _write_by_level(out, "path,value,left,right\n", export.depth + 1, (
         (len(path), f"{format_path(path)},{value},{left},{right}\n")
-        for path, left, right, value in nodes))
+        for path, left, right, value in nodes), "")
     return None
 
 
@@ -362,31 +366,32 @@ def to_dot(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     spec = _kind(export.kind)
     nodes = _grow(spec, export.depth, export.a,
                   lambda value: _dot_quote(spec.text(value)), spec.join, _preorder)
-    _, left, right, value = next(nodes)
-    out.write(f'graph {export.kind} {{\n  node [shape=plaintext];\n  seed_L [label={left}];\n'
-              f'  seed_R [label={right}];\n  "-" [label={value}];\n'.encode())
-    _write_by_level(out, 2 * (export.depth + 1), _dot_lines(nodes, export.depth + 1))
-    out.write(b"}\n")
+    _write_by_level(out, f"graph {export.kind} {{\n  node [shape=plaintext];\n",
+                    2 * (export.depth + 1), _dot_lines(nodes, export.depth + 1), "}\n")
     return None
 
 
 def _dot_lines(nodes: Iterator[tuple], edges: int) -> Iterator[tuple]:
-    """(channel, text) of the edge lines of the root and of every node below it.
+    """(channel, text) of the vertex and edge lines of the seeds and every node.
 
     A node's vertex line goes to the channel of its level, and its two edge
-    lines to channel edges + its level, past every level's vertices.  A
-    node's left parent is the node at its path cut before the last R (the
-    left seed if there is none), and its right parent the node at its path
-    cut before the last L.  Paths need no escaping.
+    lines to channel edges + its level, past every level's vertices; the
+    seeds' lines go first in the root's channels.  A node's left parent is
+    the node at its path cut before the last R (the left seed if there is
+    none), and its right parent the node at its path cut before the last L.
+    Paths need no escaping.
     """
-    yield edges, '  seed_L -- seed_R;\n  "-" -- seed_L;\n  "-" -- seed_R;\n'
-    for path, _, _, value in nodes:
+    for path, left, right, value in nodes:
         level = len(path)
-        yield level, f'  "{path}" [label={value}];\n'
+        if not level:
+            yield 0, f"  seed_L [label={left}];\n  seed_R [label={right}];\n"
+            yield edges, "  seed_L -- seed_R;\n"
+        shown = path or "-"
+        yield level, f'  "{shown}" [label={value}];\n'
         last_r, last_l = path.rfind("R"), path.rfind("L")
         left_id = f'"{format_path(path[:last_r])}"' if last_r >= 0 else "seed_L"
         right_id = f'"{format_path(path[:last_l])}"' if last_l >= 0 else "seed_R"
-        yield edges + level, f'  "{path}" -- {left_id};\n  "{path}" -- {right_id};\n'
+        yield edges + level, f'  "{shown}" -- {left_id};\n  "{shown}" -- {right_id};\n'
 
 
 EXPORT_FORMATS = {"json": to_json, "dot": to_dot, "csv": to_csv}

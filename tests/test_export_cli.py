@@ -1,7 +1,12 @@
 """Tree exports, serialization formats, and the command line."""
 
+import io
 import json
+import os
+import stat
+import threading
 import time
+from contextlib import redirect_stdout
 from dataclasses import replace
 from fractions import Fraction
 
@@ -380,6 +385,89 @@ def test_cli_tree_out_replaces_a_file(tmp_path, capsys):
     reference = tmp_path / "reference"
     reference.write_text("")
     assert target.stat().st_mode == reference.stat().st_mode
+
+
+def test_cli_tree_out_keeps_the_mode_of_a_replaced_file(tmp_path, capsys):
+    target = tmp_path / "tree.csv"
+    target.write_text("old content\n")
+    target.chmod(0o640)
+    code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "1",
+                         "--format", "csv", "--out", str(target))
+    assert code == 0 and target.read_text() == to_csv(build_export("farey", 1))
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+
+
+@pytest.mark.parametrize("dangling", [False, True], ids=["file", "dangling"])
+def test_cli_tree_out_writes_through_a_symlink(dangling, tmp_path, capsys):
+    links, files = tmp_path / "links", tmp_path / "files"
+    links.mkdir()
+    files.mkdir()
+    target, link = files / "tree.csv", links / "tree.csv"
+    if not dangling:
+        target.write_text("old content\n")
+    link.symlink_to(target)
+    code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "1",
+                         "--format", "csv", "--out", str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_text() == to_csv(build_export("farey", 1))
+    assert [p.name for p in links.iterdir()] == [p.name for p in files.iterdir()] == ["tree.csv"]
+
+
+def test_cli_tree_out_writes_into_a_fifo(tmp_path, capsys):
+    fifo = tmp_path / "tree.fifo"
+    os.mkfifo(fifo)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(fifo.read_bytes()))
+    reader.start()
+    try:
+        code, _, _ = run_cli(capsys, "tree", "--kind", "irrational", "--depth", "3",
+                             "--format", "dot", "--out", str(fifo))
+    finally:
+        if reader.is_alive():  # the export never opened the FIFO: let the reader go
+            with open(fifo, "wb"):
+                pass
+        reader.join()
+    assert code == 0
+    assert read == [render(build_export("irrational", 3), "dot").encode()]
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["tree.fifo"]
+
+
+def test_cli_tree_out_rewrites_a_hard_linked_file_in_place(tmp_path, capsys):
+    target, other = tmp_path / "tree.csv", tmp_path / "other.csv"
+    target.write_text("old content\n")
+    os.link(target, other)
+    inode = target.stat().st_ino
+    code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "1",
+                         "--format", "csv", "--out", str(target))
+    assert code == 0 and target.stat().st_ino == inode
+    assert other.read_text() == target.read_text() == to_csv(build_export("farey", 1))
+
+
+@pytest.mark.skipif(os.geteuid() != 0, reason="only root can give a file to another user")
+def test_cli_tree_out_keeps_the_owner_of_another_users_file(tmp_path, capsys):
+    target = tmp_path / "tree.csv"
+    target.write_text("old content\n")
+    os.chown(target, 65534, 65534)
+    code, _, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "1",
+                         "--format", "csv", "--out", str(target))
+    assert code == 0 and target.read_text() == to_csv(build_export("farey", 1))
+    assert (target.stat().st_uid, target.stat().st_gid) == (65534, 65534)
+
+
+def test_cli_tree_writes_text_to_a_text_stdout(capsys):
+    shown = io.StringIO()
+    with redirect_stdout(shown):
+        assert main(["tree", "--kind", "irrational", "--depth", "2", "--format", "json"]) == 0
+    assert shown.getvalue() == to_json(build_export("irrational", 2))
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "dot"])
+def test_a_failed_export_writes_nothing_to_stdout(fmt, capsysbinary, monkeypatch):
+    _fail_at_lr(monkeypatch)
+    assert main(["tree", "--kind", "farey", "--depth", "3", "--format", fmt]) == 3
+    assert capsysbinary.readouterr().out == b""
 
 
 def test_cli_tree_depth_cap(capsys):
