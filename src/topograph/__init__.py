@@ -60,6 +60,7 @@ from .rational import (
     make_fraction,
     parse_cf_word,
     parse_fraction,
+    parse_int,
     partial_quotients,
 )
 from .tree import (

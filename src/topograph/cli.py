@@ -8,16 +8,19 @@ Subcommands:
   tree    enumerate one of the six trees to JSON, DOT, or CSV
   verify  run cross-verification suites
 
+tree opens --out in place at the export's first write, once the walk is done.
+
 Exit codes: 0 success / all checks pass, 1 verification failure,
-2 usage or parse error, an option the command does not use, an exceeded
-cap, or an unwritable --out or stdout (a closed pipe too, even when the
-message cannot be written), and 3 an internal error (a bug, such as an
-InvariantError or a CombineError, or running out of memory), reported with
-its traceback.  Tree and verify depths are capped (default 12, override
-with --max-depth, hard ceiling 24); point queries at t = p/q with companion
-repetition m are capped at q * m <= HARD_POINT_CAP, a triple PATH at Farey
-denominator q <= HARD_TRIPLE_CAP, a Cohn parameter at |a| < HARD_A_CAP, and
-verify --a-values at HARD_A_VALUES_CAP entries.
+2 usage or parse error (an integer is ASCII digits, as rational.parse_int
+reads it), an option the command does not use, an exceeded cap, or an
+unwritable --out or stdout (a closed pipe too, even when the message cannot
+be written), and 3 an internal error (a bug, such as an InvariantError or a
+CombineError, or running out of memory), reported with its traceback.  Tree
+and verify depths are capped (default 12, override with --max-depth, hard
+ceiling 24); point queries at t = p/q with companion repetition m are capped
+at q * m <= HARD_POINT_CAP, a triple PATH at Farey denominator q <=
+HARD_TRIPLE_CAP, a Cohn parameter at |a| < HARD_A_CAP, and verify --a-values
+at HARD_A_VALUES_CAP entries.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ import argparse
 import json
 import os
 import re
-import stat
 import sys
 import traceback
 from contextlib import contextmanager
@@ -40,7 +42,7 @@ from .cftree import (
     periodic_value,
 )
 from .cohn import cohn_at, cohn_index, trace_map
-from .errors import CombineError, InvariantError, TopographError
+from .errors import CombineError, DomainError, InvariantError, TopographError
 from .export import EXPORT_FORMATS, KINDS, TREE_KINDS, build_export, render
 from .markov import markov_fraction, markov_triple_at
 from .rational import (
@@ -49,6 +51,7 @@ from .rational import (
     format_fraction,
     format_mat2,
     parse_fraction,
+    parse_int,
 )
 from .tree import HARD_DEPTH_CAP, format_path, locate, parse_path
 from .verify import DEFAULT_A_VALUES, SUITES, format_report, run_suites
@@ -60,6 +63,11 @@ def _check_depth(args) -> None:
     """Refuse a --depth beyond --max-depth; the library refuses one beyond its hard cap."""
     if args.depth > args.max_depth:
         raise TopographError(f"depth {args.depth} exceeds cap {args.max_depth}")
+
+
+def integer(text: str) -> int:
+    """The type of every integer option: rational.parse_int's rule."""
+    return parse_int(text, "integer")
 
 
 def _print_payload(payload: dict, as_json: bool):
@@ -135,9 +143,13 @@ def cmd_tree(args) -> int:
     _check_depth(args)
     if args.a is not None and not KINDS[args.kind].takes_a:
         raise TopographError(f"--a is a Cohn parameter; the {args.kind} tree takes none")
-    export = build_export(args.kind, args.depth, args.a or 0)
-    if args.out:
-        _write_out(args.out, lambda fh: render(export, args.format, fh))
+    export = build_export(args.kind, args.depth, args.a or 0)  # a header: nothing grown yet
+    if args.out is not None:
+        out = _OpenAtFirstWrite(args.out)
+        try:
+            render(export, args.format, out)
+        finally:
+            out.close()
     elif hasattr(sys.stdout, "buffer"):
         sys.stdout.flush()  # what the text layer holds goes first
         render(export, args.format, sys.stdout.buffer)
@@ -146,56 +158,39 @@ def cmd_tree(args) -> int:
     return 0
 
 
-def _write_out(path: str, write) -> None:
-    """Run write on an open binary file whose bytes become path's.
+class _OpenAtFirstWrite:
+    """The binary file at path, opened by open(path, "wb") at the first write.
 
-    A regular file, or none, is replaced in one step: write runs on a new
-    file beside the file path names (symlinks followed), which then moves
-    onto it.  On any failure the new file is removed, so path keeps what it
-    held, or stays absent, and its directory is left as it was.  The new
-    file takes the old file's permission bits, or the umask's mode as
-    open(path, "wb") would give it.  Any other target is written in place
-    through open(path, "wb"): a device, a FIFO, a file with other links or
-    owned by another user, or a file in a directory that cannot be written.
+    The writers write only once their walk is done, so a failed export
+    leaves path as it was.  What open would refuse for its name or mode is
+    refused here, before any work: no name, a directory, or what os.access
+    says cannot be written (for a new file or a dangling symlink, the
+    directory that will hold it).  An error only open or write can show,
+    such as a full disk, comes when the export is written.
     """
-    try:
-        old = os.stat(path)
-    except FileNotFoundError:
-        old = None
-    target = os.path.realpath(path)
-    if old is not None and not _replaceable(target, old):
-        with open(path, "wb") as fh:
-            write(fh)
-        return
-    directory, name = os.path.split(target)
-    temp = os.path.join(directory, f".{name}.{os.urandom(6).hex()}.tmp")
-    try:
-        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
-    except OSError as exc:
-        exc.filename = path  # name the file asked for, not the temp file
-        raise
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            if old is not None:
-                os.fchmod(fd, stat.S_IMODE(old.st_mode))
-            write(fh)
-        os.replace(temp, target)
-    except BaseException:
-        os.unlink(temp)
-        raise
 
+    def __init__(self, path: str):
+        if not os.path.basename(path):  # "", or a name that ends in a slash
+            raise TopographError(f"--out {path!r} names no file")
+        if os.path.isdir(path):
+            raise TopographError(f"--out {path!r} is a directory")
+        if os.path.exists(path):
+            writable = os.access(path, os.W_OK)
+        else:
+            directory = os.path.dirname(os.path.realpath(path))
+            writable = os.path.isdir(directory) and os.access(directory, os.W_OK | os.X_OK)
+        if not writable:
+            raise TopographError(f"cannot write --out {path!r}")
+        self.path, self.file = path, None
 
-def _replaceable(target: str, old: os.stat_result) -> bool:
-    """Whether a new file may take the place of target, the file old
-    describes: a regular file with one link, owned by this process, in a
-    directory it can write."""
-    try:
-        same = os.path.samestat(os.stat(target), old)
-    except OSError:
-        return False
-    return (same and stat.S_ISREG(old.st_mode) and old.st_nlink == 1
-            and old.st_uid == os.geteuid()
-            and os.access(os.path.dirname(target), os.W_OK | os.X_OK))
+    def write(self, data: bytes) -> int:
+        if self.file is None:
+            self.file = open(self.path, "wb")
+        return self.file.write(data)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
 
 
 def cmd_verify(args) -> int:
@@ -209,8 +204,8 @@ def cmd_verify(args) -> int:
         raise TopographError("--a-values applies only to the index suite")
     else:
         try:
-            a_values = tuple(int(a) for a in args.a_values.split(","))
-        except ValueError:
+            a_values = tuple(parse_int(a, "--a-values entry") for a in args.a_values.split(","))
+        except DomainError:
             raise TopographError(f"--a-values must be comma-separated integers, "
                                  f"got {args.a_values!r}") from None
     reports = run_suites(names, args.depth, a_values)
@@ -262,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cohn = sub.add_parser("cohn", help="Cohn matrix at a coordinate")
     p_cohn.add_argument("coordinate", help="fraction like 1/2")
-    p_cohn.add_argument("--a", type=int, default=0, help="matrix family parameter")
+    p_cohn.add_argument("--a", type=integer, default=0, help="matrix family parameter")
     add_format(p_cohn)
     p_cohn.set_defaults(func=cmd_cohn)
 
@@ -270,18 +265,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cf.add_argument("coordinate", help="fraction like 1/2")
     p_cf.add_argument("--mode", choices=("word", "periodic", "companion"),
                       default="word")
-    p_cf.add_argument("--m", type=int,
+    p_cf.add_argument("--m", type=integer,
                       help="repetition count for --mode companion (default 1)")
     add_format(p_cf)
     p_cf.set_defaults(func=cmd_cf)
 
     p_tree = sub.add_parser("tree", help="enumerate a tree and serialize it")
     p_tree.add_argument("--kind", choices=TREE_KINDS, required=True)
-    p_tree.add_argument("--depth", type=int, required=True)
-    p_tree.add_argument("--a", type=int, help="Cohn parameter, for --kind cohn (default 0)")
+    p_tree.add_argument("--depth", type=integer, required=True)
+    p_tree.add_argument("--a", type=integer, help="Cohn parameter, for --kind cohn (default 0)")
     add_format(p_tree, choices=tuple(EXPORT_FORMATS))
     p_tree.add_argument("--out", help="write to this file instead of stdout")
-    p_tree.add_argument("--max-depth", type=int, default=DEFAULT_CLI_DEPTH_CAP,
+    p_tree.add_argument("--max-depth", type=integer, default=DEFAULT_CLI_DEPTH_CAP,
                         help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
     p_tree.set_defaults(func=cmd_tree)
 
@@ -289,12 +284,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suites", default="all",
                           help="comma-separated suite names, or 'all'; "
                                f"available: {', '.join(SUITES)}")
-    p_verify.add_argument("--depth", type=int, default=8)
+    p_verify.add_argument("--depth", type=integer, default=8)
     p_verify.add_argument("--a-values",
                           help="comma-separated Cohn parameters for the index suite "
                                f"(default {','.join(map(str, DEFAULT_A_VALUES))})")
     add_format(p_verify)
-    p_verify.add_argument("--max-depth", type=int, default=DEFAULT_CLI_DEPTH_CAP,
+    p_verify.add_argument("--max-depth", type=integer, default=DEFAULT_CLI_DEPTH_CAP,
                           help=f"raise the depth cap (hard ceiling {HARD_DEPTH_CAP})")
     # argparse reads "-2,0" as an option, since it is no plain negative
     # number; no option of verify starts with '-' and a digit.

@@ -23,20 +23,39 @@ from .tree import value_at
 class CohnMatrix:
     """A matrix from the Cohn tree, tagged with its parameter.
 
-    Construction re-checks the two defining invariants (determinant 1,
-    trace = 3 * e12) so a corrupted matrix cannot masquerade as a Cohn one.
+    Construction checks that a and the four entries are ints (check_int)
+    and re-checks the two defining invariants (determinant 1, trace =
+    3 * e12) so a corrupted matrix cannot masquerade as a Cohn one.
     """
 
     m: Mat2
     a: int
 
     def __post_init__(self):
+        m = self.m
+        # Fast path for plain ints; check_int names the first bad value (and
+        # accepts int subclasses other than bool).
+        if not type(self.a) is type(m.e11) is type(m.e12) is type(m.e21) is type(m.e22) is int:
+            check_int(self.a, "Cohn parameter")
+            _check_entries(m)
         if self.m.det() != 1:
             raise InvariantError(f"determinant must be 1, got {self.m.det()} for {self.m}")
         if self.m.trace() != 3 * self.m.e12:
             raise InvariantError(
                 f"trace {self.m.trace()} != 3 * e12 = {3 * self.m.e12} for {self.m}"
             )
+
+
+def _check_entries(m: Mat2) -> Mat2:
+    """m, once each entry passes check_int; Mat2 @, the trees' combine, checks none."""
+    for entry in (m.e11, m.e12, m.e21, m.e22):
+        check_int(entry, "matrix entry")
+    return m
+
+
+def _matrix(c) -> Mat2:
+    """The matrix of a CohnMatrix, checked when it was made, or a bare Mat2, checked here."""
+    return c.m if isinstance(c, CohnMatrix) else _check_entries(c)
 
 
 # Every matrix entry of the parameter-a tree carries a's digits: a depth-8
@@ -79,7 +98,7 @@ def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
 
 def cohn_index(c) -> Fraction:
     """Top-row ratio e11/e12; accepts a CohnMatrix or a bare Mat2."""
-    m = c.m if isinstance(c, CohnMatrix) else c
+    m = _matrix(c)
     if m.e12 == 0:
         raise DomainError(f"index undefined: e12 = 0 in {m}")
     return Fraction(m.e11, m.e12)
@@ -87,7 +106,7 @@ def cohn_index(c) -> Fraction:
 
 def trace_map(c) -> int:
     """trace / 3, which the tree invariants force to equal e12 (a Markov number)."""
-    m = c.m if isinstance(c, CohnMatrix) else c
+    m = _matrix(c)
     q, r = divmod(m.trace(), 3)
     if r:
         raise InvariantError(f"trace {m.trace()} is not divisible by 3 in {m}")

@@ -26,8 +26,9 @@ written out in order: the same bytes as a breadth-first walk.  A level's
 buffer that passes _SPILL_BYTES moves to one temp file in TMPDIR, made
 only when first needed, so memory stays flat in the file's size (on a
 tmpfs TMPDIR the spill itself sits in RAM).  The file's head goes out with
-the levels once the walk is done, so a walk that raises writes nothing.
-Given no file, a writer returns its text, written to memory.
+the levels once the walk is done, so a walk that raises writes nothing: the
+CLI opens --out only at the first write, so a failed export never creates or
+truncates it.  Given no file, a writer returns its text, written to memory.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
@@ -229,7 +230,8 @@ def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Iterable[tup
     the breadth-first file.  A channel's texts past _SPILL_BYTES are
     appended to one temp file, made when first needed (so a small tree makes
     none), and copied out in their channel's turn.  Nothing reaches out
-    before the walk is done, so a walk that raises writes nothing.
+    before the walk is done, so a walk that raises writes nothing, and an
+    out that opens its file at the first write never opens it.
     """
     held = [[] for _ in range(channels)]
     sizes = [0] * channels

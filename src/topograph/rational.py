@@ -49,21 +49,36 @@ def check_rational(x, what: str) -> Fraction:
     return Fraction(x)
 
 
-# One side of a fraction's text: ASCII digits with an optional sign.  int
-# alone would also read underscores, inner blanks and other scripts' digits.
+# Integer text: ASCII digits with an optional sign.  int alone would also
+# read underscores and other scripts' digits.
 _INTEGER_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def parse_int(text: str, what: str) -> int:
+    """The one rule for integer text: blanks around it dropped, then
+    [+-]?[0-9]+ in ASCII, or DomainError naming what."""
+    digits = text.strip()
+    if not _INTEGER_TEXT.fullmatch(digits):
+        raise DomainError(f"{what} must be ASCII digits with an optional sign, got {text!r}")
+    return int(digits)
 
 
 def parse_fraction(text: str) -> Fraction:
     """Parse 'p/q' or a bare integer string into a Fraction.
 
-    Blanks around the whole text are dropped; each side must match
-    [+-]?[0-9]+, or DomainError says the text cannot be parsed.
+    Blanks around the whole text are dropped; each side is integer text
+    (parse_int) with no blank beside the slash, or DomainError says the text
+    cannot be parsed.
     """
     num, slash, den = text.strip().partition("/")
-    if not all(_INTEGER_TEXT.fullmatch(side) for side in ((num, den) if slash else (num,))):
+    sides = (num, den) if slash else (num, "1")
+    if any(side != side.strip() for side in sides):
         raise DomainError(f"cannot parse fraction from {text!r}")
-    return make_fraction(int(num), int(den)) if slash else Fraction(int(num))
+    try:
+        num, den = (parse_int(side, "fraction side") for side in sides)
+    except DomainError:
+        raise DomainError(f"cannot parse fraction from {text!r}") from None
+    return make_fraction(num, den)
 
 
 def format_fraction(x: Fraction) -> str:
@@ -232,7 +247,8 @@ def parse_cf_word(text: str) -> tuple:
     if not (s.startswith("[") and s.endswith("]")):
         raise DomainError(f"cannot parse word from {text!r}")
     try:
-        return _validate_word(int(c) for c in s[1:-1].split(","))
+        return _validate_word(parse_int(c, "continued fraction quotient")
+                              for c in s[1:-1].split(","))
     except ValueError as exc:
         raise DomainError(f"cannot parse word from {text!r}") from exc
 

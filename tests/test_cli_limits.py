@@ -30,6 +30,7 @@ from topograph import (
     cohn_A,
     cohn_at,
     cohn_B,
+    cohn_index,
     compare_gap,
     enumerate_tree,
     farey_mediant,
@@ -47,6 +48,7 @@ from topograph import (
     run_suites,
     springborn_mediant,
     to_json,
+    trace_map,
 )
 from topograph import cli
 from topograph.cli import main
@@ -144,13 +146,29 @@ def test_deep_answer_prints_in_full(capsys):
     assert int(number[-40:]) == want % 10**40
 
 
-def test_unwritable_out_exits_2(tmp_path, capsys):
-    target = tmp_path / "missing" / "x.json"
-    code, out, err, _ = run_cli(capsys, "tree", "--kind", "farey", "--depth", "2",
-                                "--out", str(target))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert not target.exists()
+def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
+    # Checked before the walk: open() alone would find these only once the
+    # export is done.
+    spec, combines = KINDS["farey"], []
+
+    def counting(left, right):
+        combines.append(1)
+        return spec.combine(left, right)
+
+    monkeypatch.setitem(KINDS, "farey", dataclasses.replace(spec, combine=counting))
+    read_only = tmp_path / "read-only"
+    read_only.mkdir(mode=0o555)
+    targets = [tmp_path / "missing" / "x.json", tmp_path, ""]
+    if os.geteuid() != 0:  # root writes whatever the mode bits say
+        targets.append(read_only / "x.json")
+    for target in targets:
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err, elapsed = run_cli(capsys, "tree", "--kind", "farey", "--depth", "12",
+                                          "--out", str(target))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert combines == [] and elapsed < AT_ONCE_S
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("suites,message", [
@@ -316,6 +334,17 @@ INT_ARGUMENTS = {
     "make_qi B": (lambda n: make_qi(1, n, 2, 5), "B must be an int", None),
     "make_qi Q": (lambda n: make_qi(1, 1, n, 5), "Q must be an int", None),
     "make_qi D": (lambda n: make_qi(1, 1, 2, n), "D must be an int", None),
+    # Mat2(1, 1, 1, 2) is a Cohn matrix: determinant 1, trace 3 * e12.
+    "CohnMatrix a": (lambda n: CohnMatrix(Mat2(1, 1, 1, 2), n), "Cohn parameter must be an int",
+                     None),
+    "CohnMatrix e11": (lambda n: CohnMatrix(Mat2(n, 1, 1, 2), 0), "matrix entry must be an int",
+                       None),
+    "CohnMatrix e22": (lambda n: CohnMatrix(Mat2(1, 1, 1, n), 0), "matrix entry must be an int",
+                       None),
+    "cohn_index Mat2 e11": (lambda n: cohn_index(Mat2(n, 1, 1, 2)),
+                            "matrix entry must be an int", None),
+    "trace_map Mat2 e21": (lambda n: trace_map(Mat2(1, 1, n, 2)), "matrix entry must be an int",
+                           None),
 }
 INT_REFUSALS = [(argument, x) for argument, (_, _, least) in INT_ARGUMENTS.items()
                 for x in INT_CASES + ([] if least is None else [least - 1])]

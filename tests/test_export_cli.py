@@ -495,6 +495,31 @@ def test_cli_parse_errors(capsys):
         assert f"cannot parse fraction from {coordinate!r}" in err
 
 
+# Every integer option and --a-values entry follows the coordinates' rule,
+# rational.parse_int: int alone would run each of these.
+INTEGER_TEXT_CASES = [
+    ("cohn", "1/2", "--a", "1_0"),
+    ("cohn", "1/2", "--a", "\uff12"),
+    ("cf", "1/2", "--mode", "companion", "--m", "1_0"),
+    ("tree", "--kind", "farey", "--depth", "1_0", "--max-depth", "12"),
+    ("tree", "--kind", "farey", "--depth", "1", "--max-depth", "1_2"),
+    ("verify", "--suites", "index", "--depth", "\u0661"),
+    ("verify", "--suites", "index", "--depth", "1", "--a-values", "1_0,\u0663"),
+]
+
+
+@pytest.mark.parametrize("argv", INTEGER_TEXT_CASES, ids=" ".join)
+def test_cli_integer_text_is_ascii_digits(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse refuses an option's text itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert ("invalid integer value" in err if "--a-values" not in argv
+            else "--a-values must be comma-separated integers" in err)
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc_info:
         main(["bogus"])

@@ -10,7 +10,9 @@ and export.build_export the one header rule, so no other code makes a
 TreeExport.  The verify window caches one tree, the Markov tree every suite
 shares; a tree read by one suite is walked by that suite and held by nothing.
 rational.check_int is the one integer rule, so only it and check_rational,
-which refuses a bool as a rational, tell a bool from an int.
+which refuses a bool as a rational, tell a bool from an int; and
+rational.parse_int the one rule for integer text, so only it calls int.  The
+CLI writes --out in place, so it names no temp file, rename or mode copy.
 """
 
 import ast
@@ -186,3 +188,43 @@ def test_only_check_int_tells_a_bool_from_an_int():
     # and message, and the argument it forgets takes True as 1.
     tests = {(path.stem, function) for path in SOURCES for function in _bool_tests(path)}
     assert tests == {("rational", "check_int"), ("rational", "check_rational")}
+
+
+def _int_calls(path: Path) -> set:
+    """The enclosing function (or None) of every call int(...) in a module, and
+    "type=int" for each argument type=int, argparse's way of calling it."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return {function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "int"} | {
+        "type=int" for node in ast.walk(tree)
+        if isinstance(node, ast.keyword) and node.arg == "type"
+        and getattr(node.value, "id", None) == "int"}
+
+
+def test_only_parse_int_reads_integer_text():
+    # int(text) also reads underscores and other scripts' digits.
+    calls = {(path.stem, function) for path in SOURCES for function in _int_calls(path)}
+    assert calls == {("rational", "parse_int")}
+
+
+def _names(path: Path) -> set:
+    """Every name a module imports or reads, and module.attribute for each
+    attribute read on a plain name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            names.add(f"{node.value.id}.{node.attr}")
+        elif isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names |= {node.module} | {alias.name for alias in node.names}
+    return names
+
+
+def test_the_cli_writes_out_in_place():
+    # A failed export never opens --out, so no temp file and rename guard it.
+    [cli] = [path for path in SOURCES if path.stem == "cli"]
+    assert _names(cli) & {"os.replace", "os.rename", "os.fchmod", "tempfile", "stat"} == set()

@@ -1,6 +1,7 @@
 """Fractions, mediants, continued fraction words, convergent matrices."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,7 @@ from topograph import (
     make_fraction,
     parse_cf_word,
     parse_fraction,
+    parse_int,
     partial_quotients,
 )
 
@@ -55,6 +57,15 @@ def test_parse_fraction():
     for junk in ("", "a/b", "1/2/3", "1.5"):
         with pytest.raises(DomainError):
             parse_fraction(junk)
+
+
+def test_parse_int_reads_only_ascii_digits():
+    # int alone reads the first, third and fourth of the refused texts.
+    assert [parse_int(text, "n") for text in (" 7 ", "+3", "-0", "007")] == [7, 3, 0, 7]
+    for text in ("1_0", "1 0", "\uff12", "\u0663", "", "+", "0x10", "1.0"):
+        with pytest.raises(DomainError, match=f"^n must be ASCII digits with an optional "
+                                              f"sign, got {re.escape(repr(text))}$"):
+            parse_int(text, "n")
 
 
 def test_format_keeps_unit_denominator():
@@ -148,7 +159,7 @@ def test_word_formatting():
         parse_cf_word("2,2")
 
 
-@pytest.mark.parametrize("text", ["[2,x]", "[]", "[2,,2]"])
+@pytest.mark.parametrize("text", ["[2,x]", "[]", "[2,,2]", "[1_0,2]", "[\uff12,2]"])
 def test_word_parse_refuses_an_entry_that_is_no_int(text):
     with pytest.raises(DomainError, match="cannot parse word"):
         parse_cf_word(text)
