@@ -184,13 +184,25 @@ class _OpenAtFirstWrite:
         self.path, self.file = path, None
 
     def write(self, data: bytes) -> int:
-        if self.file is None:
-            self.file = open(self.path, "wb")
-        return self.file.write(data)
+        with self._naming_path():
+            if self.file is None:
+                self.file = open(self.path, "wb")
+            return self.file.write(data)
 
     def close(self) -> None:
         if self.file is not None:
-            self.file.close()
+            with self._naming_path():
+                self.file.close()  # flushes what the buffer holds
+
+    @contextmanager
+    def _naming_path(self):
+        """Re-raise a write's OSError, which names no file, with path, as open's has."""
+        try:
+            yield
+        except OSError as exc:
+            if exc.filename is not None or exc.errno is None:
+                raise
+            raise OSError(exc.errno, exc.strerror, self.path) from None
 
 
 def cmd_verify(args) -> int:

@@ -73,16 +73,24 @@ def check_cohn_parameter(a: int) -> None:
         raise DepthLimitError(f"Cohn parameter of {a.bit_length()} bits exceeds cap |a| < 2**64")
 
 
+def _a_seed(a: int) -> Mat2:
+    return Mat2(a, 1, 3 * a - a * a - 1, 3 - a)
+
+
+def _b_seed(a: int) -> Mat2:
+    return Mat2(2 * a + 1, 2, -2 * a * a + 4 * a + 2, 5 - 2 * a)
+
+
 def cohn_A(a: int) -> CohnMatrix:
     """Left seed of the parameter-a tree; sits at coordinate t = 0."""
     check_cohn_parameter(a)
-    return CohnMatrix(Mat2(a, 1, 3 * a - a * a - 1, 3 - a), a)
+    return CohnMatrix(_a_seed(a), a)
 
 
 def cohn_B(a: int) -> CohnMatrix:
     """Right seed of the parameter-a tree; sits at coordinate t = 1."""
     check_cohn_parameter(a)
-    return CohnMatrix(Mat2(2 * a + 1, 2, -2 * a * a + 4 * a + 2, 5 - 2 * a), a)
+    return CohnMatrix(_b_seed(a), a)
 
 
 def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
@@ -91,9 +99,11 @@ def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
     value_at gives the seeds at the boundaries and one Mat2 power and product
     per run of the path inside.  The tests compare it with the step-by-step
     Mat2 @ descend along locate(t); the index suite checks the enumerated
-    Cohn tree against the Markov fractions.
+    Cohn tree against the Markov fractions.  a is checked once, here, and
+    the result once, as a CohnMatrix; the seeds are read as bare matrices.
     """
-    return CohnMatrix(value_at(t, cohn_A(a).m, cohn_B(a).m, Mat2.__matmul__, Mat2.__pow__), a)
+    check_cohn_parameter(a)
+    return CohnMatrix(value_at(t, _a_seed(a), _b_seed(a), Mat2.__matmul__, Mat2.__pow__), a)
 
 
 def cohn_index(c) -> Fraction:

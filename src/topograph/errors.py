@@ -4,7 +4,8 @@ Every error raised on purpose derives from TopographError, so callers can
 catch one base class.  The subclasses mirror the failure modes that exact
 arithmetic on trees actually has: bad input values, violated call contracts,
 broken structural invariants, runaway recursion depth, and a combine rule
-blowing up somewhere inside a tree walk.
+blowing up somewhere inside a tree walk.  Each survives a pickle round
+trip with its type and text, so verify's forked child can send one back.
 """
 
 
@@ -36,5 +37,9 @@ class CombineError(TopographError, RuntimeError):
     """
 
     def __init__(self, path: str, message: str):
-        self.path = path
+        self.path, self.message = path, message
         super().__init__(f"combine failed at node {path or 'root'!r}: {message}")
+
+    def __reduce__(self):
+        # args holds the formatted text, which __init__ cannot take back.
+        return type(self), (self.path, self.message)

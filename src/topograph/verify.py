@@ -15,10 +15,21 @@ Each suite checks one family of identities, counting passes and failures per
 named check and recording the first counterexample verbatim.  Suites never
 assert; they return a VerifyReport, and the CLI turns a failing report into
 exit code 1.
+
+The two groups share nothing but the Markov window, so from depth 9 (1,023
+nodes) on, given two CPUs, run_suites runs them on both: a forked child runs
+the word-tree suites (words, periodization) and the two that read no tree
+(companions, homomorphism), and the parent runs relations, index,
+monotonicity and distinctness.  Each process builds its own window.  The
+child's reports come back pickled through a pipe, so counts, counterexamples
+and the order of the reports are those of one process; only the per-suite
+times are each process's own.  A peak RSS read in the parent leaves out the
+child's.
 """
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -36,7 +47,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
-from .errors import DepthLimitError, DomainError
+from .errors import DepthLimitError, DomainError, InvariantError
 from .export import KINDS
 from .markov import springborn_mediant, vieta_walk
 from .rational import (
@@ -57,6 +68,13 @@ COMPANION_COORDINATES = (Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fractio
 COMPANION_MAX_REPEAT = 8
 HOMOMORPHISM_CASES = 400
 RNG_SEED = 0x5EED
+# The suites run_suites hands to a forked child when it splits: the two that
+# walk the word trees, and the two that read no tree.
+FORKED_SUITES = ("words", "periodization", "companions", "homomorphism")
+# The smallest window, in nodes, that run_suites splits: with every suite
+# on a 2-core VM, the split lost at depth 7 (255 nodes), broke even at 8
+# and gained from depth 9 (1,023 nodes) on.
+_SPLIT_MIN_NODES = 1023
 
 
 @dataclass
@@ -417,6 +435,13 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     more than HARD_A_VALUES_CAP Cohn parameters raise DepthLimitError, and
     an empty list, an unknown or repeated name, a repeated Cohn parameter
     or, when index runs, no Cohn parameter at all raises DomainError.
+
+    The run splits when names holds suites of both groups, the process may
+    run on two CPUs or more, and the window has _SPLIT_MIN_NODES nodes or
+    more: a forked child runs the named FORKED_SUITES, the parent the rest,
+    each on its own Window, and the reports come back in listed order.  An
+    exception a suite raises in the child is raised here with its type and
+    text; a child that sends nothing back raises InvariantError.
     """
     names = list(names)
     check_depth(depth)
@@ -439,6 +464,14 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     if "index" in names and not a_values:
         raise DomainError("--a-values must name a Cohn parameter for the index suite")
     window = Window(depth, a_values)
+    forked = [name for name in names if name in FORKED_SUITES]
+    if (0 < len(forked) < len(names) and 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES
+            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+        return _run_split(window, names, forked)
+    return _run(window, names)
+
+
+def _run(window: Window, names: list) -> list:
     reports = []
     for name in names:
         started = time.perf_counter()
@@ -446,6 +479,53 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
         report.wall_time = time.perf_counter() - started
         reports.append(report)
     return reports
+
+
+def _run_split(window: Window, names: list, forked: list) -> list:
+    """_run(window, names), with the suites in forked run by a forked child.
+
+    The child sends its reports, or the exception its suites raised, back
+    pickled through a pipe, and leaves by os._exit, so it never returns
+    into the caller's stack or flushes the stdio buffers it inherited.  The
+    parent reaps it in every case, killing it first if the parent raised.
+    """
+    import pickle  # only a split pays for these imports
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = pickle.dumps((True, _run(window, forked)))
+            except BaseException as exc:
+                try:
+                    payload = pickle.dumps((False, exc))
+                except Exception as error:  # such as an exception holding a lambda
+                    payload = pickle.dumps((False, InvariantError(
+                        f"verify child raised {exc!r}, which cannot be pickled: {error}")))
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            local = _run(window, [name for name in names if name not in forked])
+            payload = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if status or not payload:
+        raise InvariantError(f"verify child sent no result; wait status {status:#06x}")
+    ok, value = pickle.loads(payload)
+    if not ok:
+        raise value
+    by_name = {report.suite: report for report in local + value}
+    return [by_name[name] for name in names]
 
 
 def format_report(report: VerifyReport) -> str:

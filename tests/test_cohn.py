@@ -22,6 +22,7 @@ from topograph import (
     run_suites,
     trace_map,
 )
+from topograph import cohn
 
 
 def matmul(x, y):
@@ -75,6 +76,28 @@ def test_cohn_at_examples():
 def test_cohn_at_domain():
     with pytest.raises(DomainError):
         cohn_at(Fraction(3, 2), 0)
+
+
+@pytest.mark.parametrize("t,want", [
+    (Fraction(0), cohn_A(2).m),
+    (Fraction(3, 11), descend(cohn_A(2).m, cohn_B(2).m, matmul, "LLRL").value),
+    (Fraction(1), cohn_B(2).m),
+])
+def test_cohn_at_checks_a_once_and_builds_one_cohn_matrix(monkeypatch, t, want):
+    checked, built = [], []
+    real_check, real_post_init = cohn.check_cohn_parameter, CohnMatrix.__post_init__
+    monkeypatch.setattr(cohn, "check_cohn_parameter", lambda a: checked.append(a) or real_check(a))
+    monkeypatch.setattr(CohnMatrix, "__post_init__",
+                        lambda self: built.append(self) or real_post_init(self))
+    c = cohn_at(t, 2)
+    assert checked == [2]
+    assert built == [c] and type(c) is CohnMatrix and c.a == 2
+    assert c.m == want
+
+
+def test_cohn_at_refuses_a_before_t():
+    with pytest.raises(DomainError, match="Cohn parameter must be an int, got True"):
+        cohn_at(Fraction(3, 2), True)
 
 
 def test_index_examples():

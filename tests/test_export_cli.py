@@ -456,6 +456,16 @@ def test_cli_tree_out_keeps_the_owner_of_another_users_file(tmp_path, capsys):
     assert (target.stat().st_uid, target.stat().st_gid) == (65534, 65534)
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("depth", [3, 10], ids=["at-close", "at-write"])
+def test_a_full_out_is_named_in_the_error(depth, capsys):
+    # Depth 3 fits the file's buffer, so the error comes when close flushes it.
+    code, out, err = run_cli(capsys, "tree", "--kind", "farey", "--depth", str(depth),
+                             "--out", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err == "error: [Errno 28] No space left on device: '/dev/full'\n"
+
+
 def test_cli_tree_writes_text_to_a_text_stdout(capsys):
     shown = io.StringIO()
     with redirect_stdout(shown):

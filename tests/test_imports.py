@@ -13,6 +13,9 @@ rational.check_int is the one integer rule, so only it and check_rational,
 which refuses a bool as a rational, tell a bool from an int; and
 rational.parse_int the one rule for integer text, so only it calls int.  The
 CLI writes --out in place, so it names no temp file, rename or mode copy.
+verify's split is the package's one parallelism: one os.fork, in verify,
+and no thread or process pool; pickle, which only the split needs, is
+imported there and not by import topograph.
 """
 
 import ast
@@ -228,3 +231,32 @@ def test_the_cli_writes_out_in_place():
     # A failed export never opens --out, so no temp file and rename guard it.
     [cli] = [path for path in SOURCES if path.stem == "cli"]
     assert _names(cli) & {"os.replace", "os.rename", "os.fchmod", "tempfile", "stat"} == set()
+
+
+def _forks(path: Path) -> list:
+    """The enclosing function (or None) of every read of os.fork in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return [function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "fork"
+            and getattr(node.value, "id", None) == "os"]
+
+
+def test_verify_forks_once_and_nothing_else_runs_in_parallel():
+    forks = [(path.stem, function) for path in SOURCES for function in _forks(path)]
+    assert forks == [("verify", "_run_split")]
+    pools = {(path.stem, name) for path in SOURCES for name, relative in _imports(path)
+             if not relative and name in {"multiprocessing", "concurrent", "threading"}}
+    assert pools == set()
+
+
+def test_only_the_split_imports_pickle():
+    # A nested import: `import topograph` pays nothing for what only a split uses.
+    importers = set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        function_of = _function_of(tree)
+        importers |= {(path.stem, function_of.get(id(node))) for node in ast.walk(tree)
+                      if isinstance(node, ast.Import)
+                      and any(alias.name == "pickle" for alias in node.names)}
+    assert importers == {("verify", "_run_split")}

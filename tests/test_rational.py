@@ -26,6 +26,7 @@ from topograph import (
     parse_int,
     partial_quotients,
 )
+from topograph.verify import Window
 
 # words over small quotients, arbitrary content, even length
 even_words = st.lists(
@@ -231,6 +232,34 @@ def test_mat2_algebra():
     assert a ** 3 == a @ a @ a
     with pytest.raises(DomainError):
         a ** -1
+
+
+def _divmod_quotients(p: int, q: int) -> list:
+    """Euclid by divmod alone: the reference partial_quotients must match."""
+    quotients = []
+    while q:
+        a, r = divmod(p, q)
+        quotients.append(a)
+        p, q = q, r
+    return quotients
+
+
+@given(st.one_of(
+    st.tuples(st.integers(-(2**80), -1), st.integers(1, 2**80)),
+    st.integers(1, 2**80).flatmap(lambda q: st.tuples(st.integers(-q, q - 1), st.just(q))),
+    st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 0)),
+))
+def test_partial_quotients_match_divmod_alone(pair):
+    """Negative p, p < q, and q <= 0, where the plain divmod loop runs."""
+    assert partial_quotients(*pair) == _divmod_quotients(*pair)
+
+
+def test_partial_quotients_match_divmod_alone_on_the_window_targets():
+    # The words suite expands each node's 2 + p/q; depth 10 has 2,047 of them.
+    for node in Window(10).markov:
+        target = 2 + node.value
+        assert (partial_quotients(target.numerator, target.denominator)
+                == _divmod_quotients(target.numerator, target.denominator))
 
 
 @given(st.integers(-(2**80), 2**80), st.integers(1, 2**80))
