@@ -41,5 +41,6 @@ class CombineError(TopographError, RuntimeError):
         super().__init__(f"combine failed at node {path or 'root'!r}: {message}")
 
     def __reduce__(self):
-        # args holds the formatted text, which __init__ cannot take back.
-        return type(self), (self.path, self.message)
+        # args holds the formatted text, which __init__ cannot take back;
+        # the state carries any notes along.
+        return type(self), (self.path, self.message), self.__dict__

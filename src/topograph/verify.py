@@ -16,15 +16,15 @@ named check and recording the first counterexample verbatim.  Suites never
 assert; they return a VerifyReport, and the CLI turns a failing report into
 exit code 1.
 
-The two groups share nothing but the Markov window, so from depth 9 (1,023
+The two groups share nothing but the Markov window, so from depth 8 (511
 nodes) on, given two CPUs, run_suites runs them on both: a forked child runs
 the word-tree suites (words, periodization) and the two that read no tree
 (companions, homomorphism), and the parent runs relations, index,
-monotonicity and distinctness.  Each process builds its own window.  The
-child's reports come back pickled through a pipe, so counts, counterexamples
-and the order of the reports are those of one process; only the per-suite
-times are each process's own.  A peak RSS read in the parent leaves out the
-child's.
+monotonicity and distinctness.  The parent builds the Markov window before
+it forks, and the child inherits it.  The child's reports come back pickled
+through a pipe, so counts, counterexamples and the order of the reports are
+those of one process; only the per-suite times are each process's own.  A
+peak RSS read in the parent leaves out the child's.
 """
 
 from __future__ import annotations
@@ -72,9 +72,11 @@ RNG_SEED = 0x5EED
 # walk the word trees, and the two that read no tree.
 FORKED_SUITES = ("words", "periodization", "companions", "homomorphism")
 # The smallest window, in nodes, that run_suites splits: with every suite
-# on a 2-core VM, the split lost at depth 7 (255 nodes), broke even at 8
-# and gained from depth 9 (1,023 nodes) on.
-_SPLIT_MIN_NODES = 1023
+# on a 2-core VM, in 20 interleaved pairs of fresh processes per depth, the
+# split won 13 at depth 7 (255 nodes), by medians within the noise, and 19
+# at depth 8 (511 nodes), 20 at 9 and 20 at 10, by 26-42%, 13-15% and
+# 22-28% (BENCH_200d43f.json, "threshold").
+_SPLIT_MIN_NODES = 511
 
 
 @dataclass
@@ -484,14 +486,19 @@ def _run(window: Window, names: list) -> list:
 def _run_split(window: Window, names: list, forked: list) -> list:
     """_run(window, names), with the suites in forked run by a forked child.
 
-    The child sends its reports, or the exception its suites raised, back
-    pickled through a pipe, and leaves by os._exit, so it never returns
-    into the caller's stack or flushes the stdio buffers it inherited.  The
-    parent reaps it in every case, killing it first if the parent raised.
+    The window's Markov tree is built before the fork, since the parent's
+    suites all read it, so the child inherits it rather than building it
+    again.  The child sends its reports, or the exception its suites raised
+    with its traceback added as a note, back pickled through a pipe, and
+    leaves by os._exit, so it never returns into the caller's stack or
+    flushes the stdio buffers it inherited.  The parent reaps it in every
+    case, killing it first if the parent raised.
     """
     import pickle  # only a split pays for these imports
     import signal
+    import traceback
 
+    window.markov
     read_fd, write_fd = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -500,6 +507,8 @@ def _run_split(window: Window, names: list, forked: list) -> list:
             try:
                 payload = pickle.dumps((True, _run(window, forked)))
             except BaseException as exc:
+                if hasattr(exc, "add_note"):  # Python 3.11 on
+                    exc.add_note(f"In verify's forked child:\n{traceback.format_exc()}")
                 try:
                     payload = pickle.dumps((False, exc))
                 except Exception as error:  # such as an exception holding a lambda

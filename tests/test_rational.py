@@ -247,11 +247,16 @@ def _divmod_quotients(p: int, q: int) -> list:
 @given(st.one_of(
     st.tuples(st.integers(-(2**80), -1), st.integers(1, 2**80)),
     st.integers(1, 2**80).flatmap(lambda q: st.tuples(st.integers(-q, q - 1), st.just(q))),
-    st.tuples(st.integers(-(2**80), 2**80), st.integers(-(2**80), 0)),
 ))
 def test_partial_quotients_match_divmod_alone(pair):
-    """Negative p, p < q, and q <= 0, where the plain divmod loop runs."""
+    """Negative p, and p < q, where the first quotient is <= 0."""
     assert partial_quotients(*pair) == _divmod_quotients(*pair)
+
+
+@pytest.mark.parametrize("q", [0, -1, -7, -(2**80)])
+def test_partial_quotients_refuse_a_q_that_is_not_positive(q):
+    with pytest.raises(PreconditionError, match=f"need q > 0, got {q}"):
+        partial_quotients(3, q)
 
 
 def test_partial_quotients_match_divmod_alone_on_the_window_targets():
