@@ -440,10 +440,10 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
 
     The run splits when names holds suites of both groups, the process may
     run on two CPUs or more, and the window has _SPLIT_MIN_NODES nodes or
-    more: a forked child runs the named FORKED_SUITES, the parent the rest,
-    each on its own Window, and the reports come back in listed order.  An
-    exception a suite raises in the child is raised here with its type and
-    text; a child that sends nothing back raises InvariantError.
+    more: a forked child runs the named FORKED_SUITES on the window it
+    inherits, the parent the rest, and the reports come back in listed
+    order.  An exception a suite raises in the child is raised here with its
+    type and text; a child that sends nothing back raises InvariantError.
     """
     names = list(names)
     check_depth(depth)
