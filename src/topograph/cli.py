@@ -342,7 +342,9 @@ def _report_error(text: str) -> None:
                 print(text, file=stream)
             stream.flush()
         except OSError:
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, stream.fileno())
+            os.close(devnull)
 
 
 def _internal_error(exc: Exception) -> int:

@@ -4,8 +4,7 @@ Every error raised on purpose derives from TopographError, so callers can
 catch one base class.  The subclasses mirror the failure modes that exact
 arithmetic on trees actually has: bad input values, violated call contracts,
 broken structural invariants, runaway recursion depth, and a combine rule
-blowing up somewhere inside a tree walk.  Each survives a pickle round
-trip with its type and text, so verify's forked child can send one back.
+blowing up somewhere inside a tree walk.
 """
 
 
@@ -37,10 +36,5 @@ class CombineError(TopographError, RuntimeError):
     """
 
     def __init__(self, path: str, message: str):
-        self.path, self.message = path, message
+        self.path = path
         super().__init__(f"combine failed at node {path or 'root'!r}: {message}")
-
-    def __reduce__(self):
-        # args holds the formatted text, which __init__ cannot take back;
-        # the state carries any notes along.
-        return type(self), (self.path, self.message), self.__dict__

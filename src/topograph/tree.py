@@ -37,8 +37,9 @@ from .rational import check_int, check_rational, partial_quotients
 # Hard ceiling on enumeration depth, a backstop only: each level has twice
 # the nodes of the one above and about 2.8x the exported bytes.  At depth 14
 # a JSON export wrote 3-112 MB by kind (cf the most) in 0.3-1.8 s at a flat
-# 19 MB peak, and verify peaked at 118 MB (2-core VM, CPython 3.11.7); the
-# CLI's default cap is 12.
+# 19 MB peak, and verify, split over two processes, peaked at 71 MB in the
+# parent and 115 MB in its child (2-core VM, CPython 3.11.7); the CLI's
+# default cap is 12.
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the

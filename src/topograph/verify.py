@@ -24,7 +24,11 @@ monotonicity and distinctness.  The parent builds the Markov window before
 it forks, and the child inherits it.  The child's reports come back pickled
 through a pipe, so counts, counterexamples and the order of the reports are
 those of one process; only the per-suite times are each process's own.  A
-peak RSS read in the parent leaves out the child's.
+child that sends no reports leaves its suites to the parent, which runs them
+in process, so the in-process run is the one authority on failure: a suite
+that raises in the child raises again in the parent, with the in-process
+exception and traceback.  A peak RSS read in the parent leaves out the
+child's.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
-from .errors import DepthLimitError, DomainError, InvariantError
+from .errors import DepthLimitError, DomainError
 from .export import KINDS
 from .markov import springborn_mediant, vieta_walk
 from .rational import (
@@ -442,8 +446,9 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     run on two CPUs or more, and the window has _SPLIT_MIN_NODES nodes or
     more: a forked child runs the named FORKED_SUITES on the window it
     inherits, the parent the rest, and the reports come back in listed
-    order.  An exception a suite raises in the child is raised here with its
-    type and text; a child that sends nothing back raises InvariantError.
+    order.  A child that sends no reports, because a suite raised, it died
+    or it was killed, leaves its suites to the parent, which runs them
+    itself, so an error is raised as it is in one process.
     """
     names = list(names)
     check_depth(depth)
@@ -488,15 +493,17 @@ def _run_split(window: Window, names: list, forked: list) -> list:
 
     The window's Markov tree is built before the fork, since the parent's
     suites all read it, so the child inherits it rather than building it
-    again.  The child sends its reports, or the exception its suites raised
-    with its traceback added as a note, back pickled through a pipe, and
-    leaves by os._exit, so it never returns into the caller's stack or
-    flushes the stdio buffers it inherited.  The parent reaps it in every
-    case, killing it first if the parent raised.
+    again.  The child sends its reports back pickled through a pipe, or
+    nothing if its suites raise, and leaves by os._exit, so it never returns
+    into the caller's stack or flushes the stdio buffers it inherited.  The
+    parent reaps it in every case, killing it first if the parent raised.
+    The parent uses the child's reports only when the child exited with
+    status 0 and sent some; otherwise it runs the forked suites itself, and
+    since the suites are deterministic, a suite that raised in the child
+    raises here as it does in one process.
     """
     import pickle  # only a split pays for these imports
     import signal
-    import traceback
 
     window.markov
     read_fd, write_fd = os.pipe()
@@ -504,16 +511,7 @@ def _run_split(window: Window, names: list, forked: list) -> list:
     if pid == 0:
         try:
             os.close(read_fd)
-            try:
-                payload = pickle.dumps((True, _run(window, forked)))
-            except BaseException as exc:
-                if hasattr(exc, "add_note"):  # Python 3.11 on
-                    exc.add_note(f"In verify's forked child:\n{traceback.format_exc()}")
-                try:
-                    payload = pickle.dumps((False, exc))
-                except Exception as error:  # such as an exception holding a lambda
-                    payload = pickle.dumps((False, InvariantError(
-                        f"verify child raised {exc!r}, which cannot be pickled: {error}")))
+            payload = pickle.dumps(_run(window, forked))
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
         finally:
@@ -528,12 +526,8 @@ def _run_split(window: Window, names: list, forked: list) -> list:
         raise
     finally:
         _, status = os.waitpid(pid, 0)
-    if status or not payload:
-        raise InvariantError(f"verify child sent no result; wait status {status:#06x}")
-    ok, value = pickle.loads(payload)
-    if not ok:
-        raise value
-    by_name = {report.suite: report for report in local + value}
+    child = pickle.loads(payload) if payload and not status else _run(window, forked)
+    by_name = {report.suite: report for report in local + child}
     return [by_name[name] for name in names]
 
 

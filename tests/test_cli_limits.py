@@ -607,6 +607,25 @@ def test_help_on_a_closed_stdout_exits_2(unbuffered):
     assert re.fullmatch(rb"error: [^\n]*Broken pipe\n", proc.stderr)
 
 
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_closed_output_pipe_leaks_no_fd(monkeypatch, capsys):
+    # The devnull a closed stdout is pointed at must be closed once dup2 has
+    # copied it, or each in-process call leaves one more fd open.
+    def count():
+        return len(os.listdir("/proc/self/fd"))
+
+    before = count()
+    for _ in range(5):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(["mu", "1/2"]) == 2
+    monkeypatch.undo()
+    assert "Broken pipe" in capsys.readouterr().err
+    assert count() == before
+
+
 def _run_on_a_closed_pipe(argv, closed, unbuffered):
     """Run the CLI with stdout, or stdout and stderr, on a pipe whose reader
     is closed; the runner's PYTHONUNBUFFERED must not choose the mode."""
