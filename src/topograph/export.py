@@ -30,6 +30,17 @@ the levels once the walk is done, so a walk that raises writes nothing: the
 CLI opens --out only at the first write, so a failed export never creates or
 truncates it.  Given no file, a writer returns its text, written to memory.
 
+A node is a function of its two parent regions alone, so the root's two
+subtrees share nothing, and from _SPLIT_MIN_NODES nodes on, given two CPUs,
+a writer grows them on two cores: this process walks the root and its L
+subtree, and a forked child the R subtree from (root, right seed).  Within
+each level the L subtree's nodes come first, so each channel is written as
+this process's part, then the child's: the same bytes.  The child writes
+its part into a temp file made before the fork and sends back only where
+each channel's chunks lie, so this process copies them out a chunk at a
+time; the child never touches the output.  The in-process walk stays the
+one authority on failure (tree._on_two_cores).
+
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
 verify window reads the irrational tree's convergent matrices before the lift.
@@ -62,7 +73,17 @@ from .rational import (
     format_fraction,
     format_mat2,
 )
-from .tree import Node, _preorder, _walk, check_depth, format_path
+from .tree import (
+    Node,
+    _on_two_cores,
+    _preorder,
+    _right_subtree,
+    _root_and_left,
+    _two_cpus,
+    _walk,
+    check_depth,
+    format_path,
+)
 
 
 @dataclass(frozen=True)
@@ -219,47 +240,119 @@ def _json_at(obj, level: int) -> str:
 # for the irrational kind's square root signs.
 _SPILL_BYTES = 1 << 18
 
+# The smallest tree, in nodes, that a writer splits over two processes:
+# with each kind and format at depths 9-13 on a 2-core VM, the split won at
+# depths 12 and 13 (8,191 and 16,383 nodes), mostly by 12-43%, while at
+# depth 11 farey and cf tied or lost and at depth 10 they lost by 23-76%
+# (BENCH_711d063.json, "threshold").
+_SPLIT_MIN_NODES = 8191
 
-def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Iterable[tuple],
-                    tail: str) -> None:
-    """Write head, then texts, (channel, text) pairs, one channel after
-    another, then tail, to out.
+
+class _Spool:
+    """(channel, text) pairs held by channel, to be copied out channel by channel.
+
+    A channel's texts past _SPILL_BYTES move to the spill file, as
+    (offset, size) chunks: spill if given, else one temp file in TMPDIR,
+    made when first needed (so a small tree makes none).
+    """
+
+    def __init__(self, channels: int, spill: Optional[BinaryIO] = None):
+        self.held = [[] for _ in range(channels)]
+        self.sizes = [0] * channels
+        self.chunks = [[] for _ in range(channels)]
+        self.spill = spill
+
+    def add(self, texts: Iterable[tuple]) -> None:
+        for channel, text in texts:
+            self.held[channel].append(text)
+            self.sizes[channel] += len(text)
+            if self.sizes[channel] > _SPILL_BYTES:
+                self.move(channel)
+
+    def move(self, channel: int) -> None:
+        """Move the channel's held texts to the spill file."""
+        if self.spill is None:
+            import tempfile  # imported here: it costs about 8 ms, and most exports never spill
+            self.spill = tempfile.TemporaryFile()
+        data = "".join(self.held[channel]).encode()
+        self.chunks[channel].append((self.spill.tell(), len(data)))
+        self.spill.write(data)
+        self.held[channel].clear()
+        self.sizes[channel] = 0
+
+    def write(self, out: BinaryIO, channel: int) -> None:
+        for offset, size in self.chunks[channel]:
+            self.spill.seek(offset)
+            out.write(self.spill.read(size))
+        out.write("".join(self.held[channel]).encode())
+
+    def close(self) -> None:
+        if self.spill is not None:
+            self.spill.close()
+
+
+def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Callable, tail: str,
+                    depth: int) -> None:
+    """Write head, then the (channel, text) pairs texts(walk) gives for the
+    nodes walk grows, one channel after another, then tail, to out.
 
     A pre-order walk reaches each level from left to right, so giving each
     level of each part of a file its own channel turns the walk's texts into
-    the breadth-first file.  A channel's texts past _SPILL_BYTES are
-    appended to one temp file, made when first needed (so a small tree makes
-    none), and copied out in their channel's turn.  Nothing reaches out
-    before the walk is done, so a walk that raises writes nothing, and an
+    the breadth-first file.  A tree of depth that has _SPLIT_MIN_NODES
+    nodes or more is split, given two CPUs: this process spools the root and
+    its L subtree, and a forked child the R subtree, whose texts come after
+    the L subtree's in every channel (see _spool_halves).  Nothing reaches out
+    before every walk is done, so a walk that raises writes nothing, and an
     out that opens its file at the first write never opens it.
     """
-    held = [[] for _ in range(channels)]
-    sizes = [0] * channels
-    spilled = [[] for _ in range(channels)]  # (offset, size) of each chunk in the spill file
-    limit, spill = _SPILL_BYTES, None
+    parts = []
     try:
-        for channel, text in texts:
-            held[channel].append(text)
-            sizes[channel] += len(text)
-            if sizes[channel] > limit:
-                if spill is None:
-                    import tempfile  # imported here: it costs about 8 ms, and most exports never spill
-                    spill = tempfile.TemporaryFile()
-                data = "".join(held[channel]).encode()
-                spilled[channel].append((spill.tell(), len(data)))
-                spill.write(data)
-                held[channel].clear()
-                sizes[channel] = 0
+        if 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES and _two_cpus():
+            _spool_halves(parts, channels, texts)
+        else:
+            parts.append(_Spool(channels))
+            parts[0].add(texts(_preorder))
         out.write(head.encode())
         for channel in range(channels):
-            for offset, size in spilled[channel]:
-                spill.seek(offset)
-                out.write(spill.read(size))
-            out.write("".join(held[channel]).encode())
+            for part in parts:
+                part.write(out, channel)
         out.write(tail.encode())
     finally:
-        if spill is not None:
-            spill.close()
+        for part in parts:
+            part.close()
+
+
+def _spool_halves(parts: list, channels: int, texts: Callable) -> None:
+    """Append to parts the spool of the root and its L subtree, walked here,
+    and that of the R subtree, walked by a forked child.
+
+    The child spools into a temp file made before the fork, moves every
+    channel's rest there too, and sends back only the (offset, size) chunks;
+    it never touches out.  So this process copies the child's text out of
+    the file in its turn, holding no more of it than a chunk.  A child that
+    sends nothing leaves its half to this process, which walks it itself
+    into the same file: the two share the file's offset, so the walk's text
+    goes in past what the child wrote there.  A walk that raises here raises
+    as it does in one process (tree._on_two_cores).
+    """
+    import tempfile
+
+    mine, theirs = _Spool(channels), _Spool(channels, tempfile.TemporaryFile())
+    parts += [mine, theirs]
+
+    def child():
+        theirs.add(texts(_right_subtree))
+        for channel in range(channels):
+            if theirs.held[channel]:
+                theirs.move(channel)
+        theirs.spill.flush()  # the child leaves by os._exit, which flushes nothing
+        return theirs.chunks
+
+    def alone():
+        for _ in texts(_preorder):
+            pass
+
+    _, theirs.chunks = _on_two_cores(lambda: mine.add(texts(_root_and_left)), child, alone)
 
 
 def _as_text(writer: Callable, export: TreeExport) -> str:
@@ -280,16 +373,18 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
     if out is None:
         return _as_text(to_json, export)
     spec = _kind(export.kind)
-    nodes = _grow(spec, export.depth, export.a,
-                  lambda value: _json_at(spec.encode(value), 3), spec.join, _preorder)
+
+    def texts(walk):
+        nodes = _grow(spec, export.depth, export.a,
+                      lambda value: _json_at(spec.encode(value), 3), spec.join, walk)
+        return ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": '
+                            f'"{path or "-"}",\n   "right": {right},\n   "value": {value}\n  }}')
+                for path, left, right, value in nodes)
+
     head = f' "a": {export.a},\n' if spec.takes_a else ""
     _write_by_level(
         out, f'{{\n{head} "depth": {export.depth},\n "kind": {json.dumps(export.kind)},\n "nodes": [',
-        export.depth + 1,
-        ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": "{path or "-"}",'
-                     f'\n   "right": {right},\n   "value": {value}\n  }}')
-         for path, left, right, value in nodes),
-        "\n ]\n}\n")
+        export.depth + 1, texts, "\n ]\n}\n", export.depth)
     return None
 
 
@@ -343,11 +438,14 @@ def to_csv(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     if out is None:
         return _as_text(to_csv, export)
     spec = _kind(export.kind)
-    nodes = _grow(spec, export.depth, export.a,
-                  lambda value: _csv_cell(spec.text(value)), spec.join, _preorder)
-    _write_by_level(out, "path,value,left,right\n", export.depth + 1, (
-        (len(path), f"{format_path(path)},{value},{left},{right}\n")
-        for path, left, right, value in nodes), "")
+
+    def texts(walk):
+        nodes = _grow(spec, export.depth, export.a,
+                      lambda value: _csv_cell(spec.text(value)), spec.join, walk)
+        return ((len(path), f"{format_path(path)},{value},{left},{right}\n")
+                for path, left, right, value in nodes)
+
+    _write_by_level(out, "path,value,left,right\n", export.depth + 1, texts, "", export.depth)
     return None
 
 
@@ -366,10 +464,14 @@ def to_dot(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     if out is None:
         return _as_text(to_dot, export)
     spec = _kind(export.kind)
-    nodes = _grow(spec, export.depth, export.a,
-                  lambda value: _dot_quote(spec.text(value)), spec.join, _preorder)
+
+    def texts(walk):
+        nodes = _grow(spec, export.depth, export.a,
+                      lambda value: _dot_quote(spec.text(value)), spec.join, walk)
+        return _dot_lines(nodes, export.depth + 1)
+
     _write_by_level(out, f"graph {export.kind} {{\n  node [shape=plaintext];\n",
-                    2 * (export.depth + 1), _dot_lines(nodes, export.depth + 1), "}\n")
+                    2 * (export.depth + 1), texts, "}\n", export.depth)
     return None
 
 

@@ -14,7 +14,10 @@ CombineError that records where in the tree it happened.  It holds two
 walkers over the same nodes: _walk, breadth-first, is the reference, and
 _preorder, depth-first, holds only O(depth) regions.  Pre-order reaches each
 level from left to right, which is breadth-first order within that level,
-so the exports stream from _preorder and regroup its nodes by level.
+so the exports stream from _preorder and regroup its nodes by level, and
+its two parts, the root with its L subtree and the R subtree, can be walked
+by two processes and joined level by level (_on_two_cores, the package's
+one fork).
 
 Point queries take the run-length route instead: value_at reads the path of
 a coordinate off its continued fraction as runs of equal steps (locate_runs)
@@ -25,6 +28,7 @@ the word tree, into one addressed like the fraction trees.
 
 from __future__ import annotations
 
+import os
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,10 +40,11 @@ from .rational import check_int, check_rational, partial_quotients
 
 # Hard ceiling on enumeration depth, a backstop only: each level has twice
 # the nodes of the one above and about 2.8x the exported bytes.  At depth 14
-# a JSON export wrote 3-112 MB by kind (cf the most) in 0.3-1.8 s at a flat
-# 19 MB peak, and verify, split over two processes, peaked at 71 MB in the
-# parent and 115 MB in its child (2-core VM, CPython 3.11.7); the CLI's
-# default cap is 12.
+# a JSON export, split over two processes, wrote 3-118 MB by kind (cf the
+# most) in 0.13-0.77 s at a flat peak of 18-19 MB in the parent and 15 MB in
+# its child (markov, 37 MB: a median 0.42 s against 0.76 s in one process),
+# and verify, split too, peaked at 71 MB in the parent and 115 MB in its
+# child (2-core VM, CPython 3.11.7); the CLI's default cap is 12.
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the
@@ -222,15 +227,18 @@ def _walk(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tupl
             queue.append((path + "R", value, right))
 
 
-def _preorder(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tuple]:
+def _preorder(seed_left, seed_right, combine: Callable, depth: int,
+              path: str = "") -> Iterator[tuple]:
     """Yield (path, left, right, value) for every node to depth, depth-first.
 
     Pre-order, L before R: the same nodes and combines as _walk, with the
     same CombineError paths, from a stack of at most depth + 1 pending
     nodes, so only O(depth) regions are live.  Within each level the nodes
-    come in _walk's order.  The depth is not checked.
+    come in _walk's order.  Given a path, it walks the subtree at that path,
+    whose parent regions are seed_left and seed_right.  The depth is not
+    checked.
     """
-    stack = [("", seed_left, seed_right)]
+    stack = [(path, seed_left, seed_right)]
     while stack:
         path, left, right = stack.pop()
         value = _combine_at(combine, left, right, path)
@@ -238,6 +246,74 @@ def _preorder(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[
         if len(path) < depth:
             stack.append((path + "R", value, right))
             stack.append((path + "L", left, value))
+
+
+def _root_and_left(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tuple]:
+    """_preorder's first part: the root, then the root's L subtree."""
+    value = _combine_at(combine, seed_left, seed_right, "")
+    yield "", seed_left, seed_right, value
+    if depth:
+        yield from _preorder(seed_left, value, combine, depth, "L")
+
+
+def _right_subtree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[tuple]:
+    """_preorder's second part: the root's R subtree, grown from (root, seed_right).
+
+    Within each level its nodes come after the L subtree's, so the two parts,
+    joined level by level, are the tree in _walk's order.
+    """
+    if depth:
+        root = _combine_at(combine, seed_left, seed_right, "")
+        yield from _preorder(root, seed_right, combine, depth, "R")
+
+
+def _two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more."""
+    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+
+
+def _on_two_cores(parent: Callable, child: Callable, alone: Callable) -> tuple:
+    """(parent(), child()), with child() run by a forked child process.
+
+    The package's one fork.  The child sends child()'s value back pickled
+    through a pipe, or nothing if child() raises, and leaves by os._exit, so
+    it never returns into the caller's stack or flushes the stdio buffers it
+    inherited.  The in-process run is the one authority on failure: unless
+    the child exited with status 0 and sent a value, child() runs again
+    here, and when parent() raises, the child is killed and reaped, and
+    alone(), all of the work in this process, runs to raise the error one
+    process raises (parent()'s, should alone() return).  The child is reaped
+    in every case, and killed first if the parent raised.
+    """
+    import pickle  # only a split pays for these imports
+    import signal
+
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(child())
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    failed = None
+    try:
+        with open(read_fd, "rb") as pipe:
+            local = parent()
+            payload = pipe.read()
+    except BaseException as error:
+        os.kill(pid, signal.SIGKILL)
+        failed = error
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if isinstance(failed, Exception):
+        alone()
+    if failed is not None:
+        raise failed
+    return local, pickle.loads(payload) if payload and not status else child()
 
 
 def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[Node]:

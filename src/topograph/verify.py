@@ -25,15 +25,15 @@ it forks, and the child inherits it.  The child's reports come back pickled
 through a pipe, so counts, counterexamples and the order of the reports are
 those of one process; only the per-suite times are each process's own.  A
 child that sends no reports leaves its suites to the parent, which runs them
-in process, so the in-process run is the one authority on failure: a suite
-that raises in the child raises again in the parent, with the in-process
-exception and traceback.  A peak RSS read in the parent leaves out the
-child's.
+in process, and a suite that raises in the parent kills the child and runs
+the whole list again in process, so the in-process run is the one authority
+on failure: the first listed suite that raises in one process raises, with
+the in-process exception and traceback.  tree._on_two_cores holds the fork.
+A peak RSS read in the parent leaves out the child's.
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -61,7 +61,15 @@ from .rational import (
     convergent_matrix,
     format_fraction,
 )
-from .tree import check_depth, descend, enumerate_tree, format_path, mirrored
+from .tree import (
+    _on_two_cores,
+    _two_cpus,
+    check_depth,
+    descend,
+    enumerate_tree,
+    format_path,
+    mirrored,
+)
 
 DEFAULT_A_VALUES = (-2, -1, 0, 1, 2, 3)
 # Hard ceiling on the number of Cohn parameters: each is one more Cohn tree
@@ -448,7 +456,8 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     inherits, the parent the rest, and the reports come back in listed
     order.  A child that sends no reports, because a suite raised, it died
     or it was killed, leaves its suites to the parent, which runs them
-    itself, so an error is raised as it is in one process.
+    itself, and a parent suite that raises kills the child and reruns the
+    whole list in process, so an error is raised as it is in one process.
     """
     names = list(names)
     check_depth(depth)
@@ -472,8 +481,7 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
         raise DomainError("--a-values must name a Cohn parameter for the index suite")
     window = Window(depth, a_values)
     forked = [name for name in names if name in FORKED_SUITES]
-    if (0 < len(forked) < len(names) and 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2):
+    if 0 < len(forked) < len(names) and 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES and _two_cpus():
         return _run_split(window, names, forked)
     return _run(window, names)
 
@@ -493,40 +501,18 @@ def _run_split(window: Window, names: list, forked: list) -> list:
 
     The window's Markov tree is built before the fork, since the parent's
     suites all read it, so the child inherits it rather than building it
-    again.  The child sends its reports back pickled through a pipe, or
-    nothing if its suites raise, and leaves by os._exit, so it never returns
-    into the caller's stack or flushes the stdio buffers it inherited.  The
-    parent reaps it in every case, killing it first if the parent raised.
-    The parent uses the child's reports only when the child exited with
-    status 0 and sent some; otherwise it runs the forked suites itself, and
-    since the suites are deterministic, a suite that raised in the child
-    raises here as it does in one process.
+    again.  tree._on_two_cores holds the fork: a child that sends no
+    reports, because a suite raised, it died or it was killed, leaves its
+    suites to the parent, and a parent suite that raises kills the child
+    and reruns the whole list in process.  Since the suites are
+    deterministic, the first listed suite that raises in one process raises
+    here.
     """
-    import pickle  # only a split pays for these imports
-    import signal
-
     window.markov
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps(_run(window, forked))
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            local = _run(window, [name for name in names if name not in forked])
-            payload = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        _, status = os.waitpid(pid, 0)
-    child = pickle.loads(payload) if payload and not status else _run(window, forked)
+    local, child = _on_two_cores(
+        lambda: _run(window, [name for name in names if name not in forked]),
+        lambda: _run(window, forked),
+        lambda: _run(window, names))
     by_name = {report.suite: report for report in local + child}
     return [by_name[name] for name in names]
 

@@ -13,9 +13,10 @@ rational.check_int is the one integer rule, so only it and check_rational,
 which refuses a bool as a rational, tell a bool from an int; and
 rational.parse_int the one rule for integer text, so only it calls int.  The
 CLI writes --out in place, so it names no temp file, rename or mode copy.
-verify's split is the package's one parallelism: one os.fork, in verify,
-and no thread or process pool; pickle, which only the split needs, is
-imported there and not by import topograph.
+tree._on_two_cores is the package's one parallelism: one os.fork, called
+only by verify's split and the exports' split, and no thread or process
+pool; pickle, which only a split needs, is imported there and not by
+import topograph.
 """
 
 import ast
@@ -242,9 +243,20 @@ def _forks(path: Path) -> list:
             and getattr(node.value, "id", None) == "os"]
 
 
-def test_verify_forks_once_and_nothing_else_runs_in_parallel():
+def _callers(path: Path, name: str) -> list:
+    """The enclosing function (or None) of every call of name in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return [function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name]
+
+
+def test_one_helper_forks_and_nothing_else_runs_in_parallel():
     forks = [(path.stem, function) for path in SOURCES for function in _forks(path)]
-    assert forks == [("verify", "_run_split")]
+    assert forks == [("tree", "_on_two_cores")]
+    callers = sorted((path.stem, function) for path in SOURCES
+                     for function in _callers(path, "_on_two_cores"))
+    assert callers == [("export", "_spool_halves"), ("verify", "_run_split")]
     pools = {(path.stem, name) for path in SOURCES for name, relative in _imports(path)
              if not relative and name in {"multiprocessing", "concurrent", "threading"}}
     assert pools == set()
@@ -259,4 +271,4 @@ def test_only_the_split_imports_pickle():
         importers |= {(path.stem, function_of.get(id(node))) for node in ast.walk(tree)
                       if isinstance(node, ast.Import)
                       and any(alias.name == "pickle" for alias in node.names)}
-    assert importers == {("verify", "_run_split")}
+    assert importers == {("tree", "_on_two_cores")}

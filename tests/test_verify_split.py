@@ -165,16 +165,6 @@ def test_an_exception_exits_as_it_does_in_process(monkeypatch, capsys, error, si
     _no_child_left()
 
 
-def test_a_parent_that_raises_kills_the_child(forced_split, monkeypatch):
-    monkeypatch.setitem(SUITES, "words", lambda window: time.sleep(60))
-    monkeypatch.setitem(SUITES, "relations", _raising(DomainError("planted")))
-    started = time.perf_counter()
-    with pytest.raises(DomainError, match="planted"):
-        run_suites(["words", "relations"], 2)
-    assert time.perf_counter() - started < 30
-    _no_child_left()
-
-
 def _in_the_child(act, suite):
     """suite, which in a process other than this one first does act()."""
     parent = os.getpid()
@@ -185,6 +175,33 @@ def _in_the_child(act, suite):
         return suite(window)
 
     return wrapped
+
+
+def test_a_parent_that_raises_kills_the_child(forced_split, monkeypatch):
+    monkeypatch.setitem(SUITES, "words", _in_the_child(lambda: time.sleep(60), SUITES["words"]))
+    monkeypatch.setitem(SUITES, "relations", _raising(DomainError("planted")))
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match="planted"):
+        run_suites(["words", "relations"], 2)
+    assert time.perf_counter() - started < 30
+    _no_child_left()
+
+
+def test_the_first_listed_suite_that_raises_is_raised(forced_split, monkeypatch, capsys):
+    """A forked suite and a parent suite that both raise: the split raises
+    the error one process raises, that of the suite listed first, since the
+    parent's failure reruns the whole list in process."""
+    monkeypatch.setitem(SUITES, "words", _raising(ZeroDivisionError("planted")))
+    monkeypatch.setitem(SUITES, "relations", _raising(ValueError("planted")))
+    for names, error in ((["words", "relations"], ZeroDivisionError),
+                         (["relations", "words"], ValueError)):
+        with pytest.raises(error):
+            run_suites(names, 2)
+        _no_child_left()
+    assert len(forced_split) == 2
+    assert main(["verify", "--suites", "words,relations", "--depth", "2"]) == 3
+    assert main(["verify", "--suites", "relations,words", "--depth", "2"]) == 2
+    _no_child_left()
 
 
 @pytest.mark.parametrize("act", [
