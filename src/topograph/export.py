@@ -38,8 +38,9 @@ each level the L subtree's nodes come first, so each channel is written as
 this process's part, then the child's: the same bytes.  The child writes
 its part into a temp file made before the fork and sends back only where
 each channel's chunks lie, so this process copies them out a chunk at a
-time; the child never touches the output.  The in-process walk stays the
-one authority on failure (tree._on_two_cores).
+time; the child never touches the output.  A split that fails in any way
+is redone by the plain in-process walk, the rule tree._on_two_cores
+states.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 encoders of its values.  The CLI, the exports and verify all read it; the
@@ -160,8 +161,10 @@ def _kind(name: str) -> Kind:
 class TreeExport:
     """A tree export's header: kind, depth and, for a kind that takes it, a.
 
-    These fix the tree, so the header is all a writer or loader reads, and
-    build_export checks it.  nodes is the tree grown from it on first use.
+    These fix the tree, so the header is all a writer or loader reads.
+    build_export makes a checked one, and every writer, and nodes, checks
+    it again, since one may be made by hand.  nodes is the tree grown from
+    it on first use.
     """
 
     kind: str
@@ -170,7 +173,8 @@ class TreeExport:
 
     @cached_property
     def nodes(self) -> tuple:
-        return tuple(starmap(Node, _grow(_kind(self.kind), self.depth, self.a, _itself)))
+        spec = _check_header(self.kind, self.depth, self.a)
+        return tuple(starmap(Node, _grow(spec, self.depth, self.a, _itself)))
 
 
 def _itself(value):
@@ -184,9 +188,8 @@ def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
     Each region is given as what it carries, out(lift(region)), made once,
     when the region is grown, and handed down to the nodes below it.  Given
     join, a node carries join(left's carry, right's carry) instead, and out
-    runs on the two seeds alone.  The depth and a are checked before any work.
+    runs on the two seeds alone.  The caller has checked the header.
     """
-    check_depth(depth)
     lift = spec.lift or _itself
     seeds = spec.seeds(a)
     if join is not None:
@@ -200,16 +203,25 @@ def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
     return ((path, left[1], right[1], value[1]) for path, left, right, value in nodes)
 
 
-def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
-    """The header of kind's tree to depth (at most HARD_DEPTH_CAP), checked.
-
-    The one place a header is checked: the kind, the depth and, for a kind
-    that takes it, a; a is None for every other kind.  Nothing is grown here.
+def _check_header(kind: str, depth: int, a: Optional[int]) -> Kind:
+    """kind's entry of KINDS, once the header passes the one header rule:
+    a known kind, tree.check_depth and, for a kind that takes it,
+    cohn.check_cohn_parameter.  Run before anything is allocated or forked.
     """
     spec = _kind(kind)
     check_depth(depth)
     if spec.takes_a:
         check_cohn_parameter(a)
+    return spec
+
+
+def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
+    """The header of kind's tree to depth (at most HARD_DEPTH_CAP), checked.
+
+    The one place a header is made, by the one header rule (_check_header);
+    a is None for every kind that does not take it.  Nothing is grown here.
+    """
+    spec = _check_header(kind, depth, a)
     return TreeExport(kind, depth, a if spec.takes_a else None)
 
 
@@ -301,15 +313,37 @@ def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Callable, ta
     the breadth-first file.  A tree of depth that has _SPLIT_MIN_NODES
     nodes or more is split, given two CPUs: this process spools the root and
     its L subtree, and a forked child the R subtree, whose texts come after
-    the L subtree's in every channel (see _spool_halves).  Nothing reaches out
-    before every walk is done, so a walk that raises writes nothing, and an
-    out that opens its file at the first write never opens it.
+    the L subtree's in every channel.  The child spools into a temp file
+    made before the fork and sends back only the (offset, size) chunks, so
+    this process copies its text out a chunk at a time.  A split that fails
+    in any way is closed and redone by the one in-process spool
+    (tree._on_two_cores).  Nothing reaches out before every walk is done,
+    so a walk that raises writes nothing, and an out that opens its file at
+    the first write never opens it.
     """
     parts = []
     try:
         if 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES and _two_cpus():
-            _spool_halves(parts, channels, texts)
-        else:
+            import tempfile
+
+            mine, theirs = _Spool(channels), _Spool(channels, tempfile.TemporaryFile())
+            parts += [mine, theirs]
+
+            def child():
+                theirs.add(texts(_right_subtree))
+                for channel in range(channels):
+                    if theirs.held[channel]:
+                        theirs.move(channel)
+                theirs.spill.flush()  # the child leaves by os._exit, which flushes nothing
+                return theirs.chunks
+
+            try:
+                _, theirs.chunks = _on_two_cores(lambda: mine.add(texts(_root_and_left)), child)
+            except Exception:  # redone by the in-process spool below
+                mine.close()
+                theirs.close()
+                parts.clear()
+        if not parts:
             parts.append(_Spool(channels))
             parts[0].add(texts(_preorder))
         out.write(head.encode())
@@ -320,39 +354,6 @@ def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Callable, ta
     finally:
         for part in parts:
             part.close()
-
-
-def _spool_halves(parts: list, channels: int, texts: Callable) -> None:
-    """Append to parts the spool of the root and its L subtree, walked here,
-    and that of the R subtree, walked by a forked child.
-
-    The child spools into a temp file made before the fork, moves every
-    channel's rest there too, and sends back only the (offset, size) chunks;
-    it never touches out.  So this process copies the child's text out of
-    the file in its turn, holding no more of it than a chunk.  A child that
-    sends nothing leaves its half to this process, which walks it itself
-    into the same file: the two share the file's offset, so the walk's text
-    goes in past what the child wrote there.  A walk that raises here raises
-    as it does in one process (tree._on_two_cores).
-    """
-    import tempfile
-
-    mine, theirs = _Spool(channels), _Spool(channels, tempfile.TemporaryFile())
-    parts += [mine, theirs]
-
-    def child():
-        theirs.add(texts(_right_subtree))
-        for channel in range(channels):
-            if theirs.held[channel]:
-                theirs.move(channel)
-        theirs.spill.flush()  # the child leaves by os._exit, which flushes nothing
-        return theirs.chunks
-
-    def alone():
-        for _ in texts(_preorder):
-            pass
-
-    _, theirs.chunks = _on_two_cores(lambda: mine.add(texts(_root_and_left)), child, alone)
 
 
 def _as_text(writer: Callable, export: TreeExport) -> str:
@@ -372,7 +373,7 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
     """
     if out is None:
         return _as_text(to_json, export)
-    spec = _kind(export.kind)
+    spec = _check_header(export.kind, export.depth, export.a)
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
@@ -437,7 +438,7 @@ def to_csv(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     """
     if out is None:
         return _as_text(to_csv, export)
-    spec = _kind(export.kind)
+    spec = _check_header(export.kind, export.depth, export.a)
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
@@ -463,7 +464,7 @@ def to_dot(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     """
     if out is None:
         return _as_text(to_dot, export)
-    spec = _kind(export.kind)
+    spec = _check_header(export.kind, export.depth, export.a)
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,

@@ -272,48 +272,54 @@ def _two_cpus() -> bool:
     return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
 
 
-def _on_two_cores(parent: Callable, child: Callable, alone: Callable) -> tuple:
+def _on_two_cores(parent: Callable, child: Callable) -> tuple:
     """(parent(), child()), with child() run by a forked child process.
 
-    The package's one fork.  The child sends child()'s value back pickled
-    through a pipe, or nothing if child() raises, and leaves by os._exit, so
-    it never returns into the caller's stack or flushes the stdio buffers it
-    inherited.  The in-process run is the one authority on failure: unless
-    the child exited with status 0 and sent a value, child() runs again
-    here, and when parent() raises, the child is killed and reaped, and
-    alone(), all of the work in this process, runs to raise the error one
-    process raises (parent()'s, should alone() return).  The child is reaped
-    in every case, and killed first if the parent raised.
+    The package's one fork, and its one failure rule: a split that fails in
+    any way raises here, and its caller redoes all of the split's work in
+    its plain in-process run, which is the one authority on what an input
+    gives, errors included.  The child sends child()'s value back pickled
+    through a pipe and exits with status 0, or exits with status 1 if
+    child() raises, by os._exit, so it never returns into the caller's
+    stack or flushes the stdio buffers it inherited.  An os.fork that
+    raises does so with the pipe closed, a parent() that raises does so
+    once the child is killed and reaped, and a child that did not exit 0
+    after sending a value gives ChildProcessError.  The child is reaped in
+    every case, and killed first if anything, KeyboardInterrupt included,
+    interrupted the parent.
     """
     import pickle  # only a split pays for these imports
     import signal
 
     read_fd, write_fd = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
     if pid == 0:
         try:
             os.close(read_fd)
             payload = pickle.dumps(child())
             with open(write_fd, "wb") as pipe:
                 pipe.write(payload)
-        finally:
             os._exit(0)
+        finally:
+            os._exit(1)
     os.close(write_fd)
-    failed = None
     try:
         with open(read_fd, "rb") as pipe:
             local = parent()
             payload = pipe.read()
-    except BaseException as error:
+    except BaseException:
         os.kill(pid, signal.SIGKILL)
-        failed = error
+        raise
     finally:
         _, status = os.waitpid(pid, 0)
-    if isinstance(failed, Exception):
-        alone()
-    if failed is not None:
-        raise failed
-    return local, pickle.loads(payload) if payload and not status else child()
+    if status or not payload:
+        raise ChildProcessError(f"the split's child sent no value (wait status {status})")
+    return local, pickle.loads(payload)
 
 
 def enumerate_tree(seed_left, seed_right, combine: Callable, depth: int) -> Iterator[Node]:

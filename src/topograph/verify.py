@@ -24,12 +24,9 @@ monotonicity and distinctness.  The parent builds the Markov window before
 it forks, and the child inherits it.  The child's reports come back pickled
 through a pipe, so counts, counterexamples and the order of the reports are
 those of one process; only the per-suite times are each process's own.  A
-child that sends no reports leaves its suites to the parent, which runs them
-in process, and a suite that raises in the parent kills the child and runs
-the whole list again in process, so the in-process run is the one authority
-on failure: the first listed suite that raises in one process raises, with
-the in-process exception and traceback.  tree._on_two_cores holds the fork.
-A peak RSS read in the parent leaves out the child's.
+split that fails in any way is redone by the plain in-process run, the rule
+tree._on_two_cores states, so what an error raises is what one process
+raises.  A peak RSS read in the parent leaves out the child's.
 """
 
 from __future__ import annotations
@@ -454,10 +451,9 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     run on two CPUs or more, and the window has _SPLIT_MIN_NODES nodes or
     more: a forked child runs the named FORKED_SUITES on the window it
     inherits, the parent the rest, and the reports come back in listed
-    order.  A child that sends no reports, because a suite raised, it died
-    or it was killed, leaves its suites to the parent, which runs them
-    itself, and a parent suite that raises kills the child and reruns the
-    whole list in process, so an error is raised as it is in one process.
+    order.  A split that fails in any way falls through to the in-process
+    run of the whole list (tree._on_two_cores), which returns or raises
+    what one process does.
     """
     names = list(names)
     check_depth(depth)
@@ -482,7 +478,16 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     window = Window(depth, a_values)
     forked = [name for name in names if name in FORKED_SUITES]
     if 0 < len(forked) < len(names) and 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES and _two_cpus():
-        return _run_split(window, names, forked)
+        try:
+            window.markov  # the parent's suites all read it, so the child inherits it
+            local, child = _on_two_cores(
+                lambda: _run(window, [name for name in names if name not in forked]),
+                lambda: _run(window, forked))
+        except Exception:
+            pass  # redone by the in-process run below
+        else:
+            by_name = {report.suite: report for report in local + child}
+            return [by_name[name] for name in names]
     return _run(window, names)
 
 
@@ -496,27 +501,6 @@ def _run(window: Window, names: list) -> list:
     return reports
 
 
-def _run_split(window: Window, names: list, forked: list) -> list:
-    """_run(window, names), with the suites in forked run by a forked child.
-
-    The window's Markov tree is built before the fork, since the parent's
-    suites all read it, so the child inherits it rather than building it
-    again.  tree._on_two_cores holds the fork: a child that sends no
-    reports, because a suite raised, it died or it was killed, leaves its
-    suites to the parent, and a parent suite that raises kills the child
-    and reruns the whole list in process.  Since the suites are
-    deterministic, the first listed suite that raises in one process raises
-    here.
-    """
-    window.markov
-    local, child = _on_two_cores(
-        lambda: _run(window, [name for name in names if name not in forked]),
-        lambda: _run(window, forked),
-        lambda: _run(window, names))
-    by_name = {report.suite: report for report in local + child}
-    return [by_name[name] for name in names]
-
-
 def format_report(report: VerifyReport) -> str:
     status = "PASS" if report.ok else "FAIL"
     checked = sum(report.checks.values()) + report.failures
@@ -525,6 +509,10 @@ def format_report(report: VerifyReport) -> str:
             f"time={report.wall_time:.2f}s")
     if report.first_counterexample is not None:
         ce = report.first_counterexample
-        line += (f"\n  first counterexample: {ce.get('check')} at "
-                 f"{ce.get('path', '-')}: {ce.get('detail', '')}")
+        where = ce.get("path", "-")
+        context = ", ".join(f"{key}={value}" for key, value in ce.items()
+                            if key not in ("check", "path", "detail"))
+        if context:  # the index suite's a
+            where += f" ({context})"
+        line += f"\n  first counterexample: {ce.get('check')} at {where}: {ce.get('detail', '')}"
     return line

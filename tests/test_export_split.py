@@ -5,13 +5,16 @@ walks the root and its L subtree and a forked child the root's R subtree,
 and the parent writes each channel as its own part, then the child's.  Each
 test here lowers that threshold to 0 where it wants a split at a small
 depth, and compares byte for byte with the in-process output: written to
---out, to stdout through the CLI, and returned as text.  A child that sends
-nothing, because its walk raised, it exited or it was killed, leaves its
-half to the parent, which walks it itself; a walk that raises in the parent
-kills the child and raises as one process does, and --out is never created.
-No child may outlive a writer.
+--out, to stdout through the CLI, and returned as text.  A split that fails
+in any way, a child that sends nothing because its walk raised, it exited or
+it was killed, or a walk that raises in the parent, which kills the child,
+is redone by the in-process walk of the whole tree, by the rule
+tree._on_two_cores states: it writes the in-process bytes or raises as one
+process does, and then --out is never created.  No child may outlive a
+writer.
 """
 
+import errno
 import os
 import signal
 import subprocess
@@ -171,7 +174,7 @@ def _killed(in_child):
 def test_a_child_that_sends_nothing_leaves_its_half_to_the_parent(
         forced_split, monkeypatch, tmp_path, fmt, spill, act):
     # Spilled, the child has written part of its half to its file before it
-    # stops, and the parent's walk of that half goes in past it.
+    # stops, and the in-process walk that redoes the split reads none of it.
     if spill:
         monkeypatch.setattr(export, "_SPILL_BYTES", 1)
     tree = build_export("farey", 5)
@@ -230,6 +233,26 @@ def test_a_parent_that_raises_kills_the_child(forced_split, monkeypatch, tmp_pat
     assert time.perf_counter() - started < 30
     assert not target.exists()
     assert len(forced_split) == 1
+    _no_child_left()
+
+
+def test_a_fork_that_cannot_start_writes_the_in_process_bytes(monkeypatch, tmp_path):
+    # Only os.fork is made to fail, with EAGAIN as when no process can start.
+    argv = _argv("markov", 12, 0, "csv") + ["--out", str(tmp_path / "tree.csv")]
+    want = _in_process(monkeypatch, lambda: render(build_export("markov", 12), "csv")).encode()
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert main(argv) == 0
+    assert (tmp_path / "tree.csv").read_bytes() == want
+    assert calls == [1]
+    assert len(os.listdir("/proc/self/fd")) == fds
     _no_child_left()
 
 

@@ -9,8 +9,10 @@ through format_cf_word.
 """
 
 import csv
+import errno
 import io
 import json
+import os
 import tempfile
 import tracemalloc
 from dataclasses import replace
@@ -29,7 +31,8 @@ from topograph import (
     to_dot,
     to_json,
 )
-from topograph.export import KINDS, _csv_cell
+from topograph.errors import DepthLimitError, DomainError
+from topograph.export import EXPORT_FORMATS, KINDS, _csv_cell
 from topograph.tree import format_path
 from topograph.verify import DEFAULT_A_VALUES
 
@@ -131,6 +134,40 @@ def _count_spill_files(monkeypatch) -> list:
 
     monkeypatch.setattr(tempfile, "TemporaryFile", counted)
     return made
+
+
+@pytest.mark.parametrize("header,error", [
+    (TreeExport("markov", 25, None), DepthLimitError),
+    (TreeExport("cohn", 12, 2**70), DepthLimitError),
+    (TreeExport("markov", "12", None), DomainError),
+    (TreeExport("markov", 2.0, None), DomainError),
+    (TreeExport("markov", 10**6, None), DepthLimitError),
+], ids=["depth-25", "a-2**70", "depth-str", "depth-float", "depth-10**6"])
+def test_a_hand_made_header_is_refused_before_any_work(monkeypatch, header, error):
+    # TreeExport is public, so a writer checks the header before it sizes a
+    # spool by the depth, makes a temp file or forks, even where it would split.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise BlockingIOError(errno.EAGAIN, "refused in this test")
+
+    monkeypatch.setattr(os, "fork", fork)
+    made = _count_spill_files(monkeypatch)
+    tracemalloc.start()
+    try:
+        for fmt in EXPORT_FORMATS:
+            for out in (None, io.BytesIO()):
+                with pytest.raises(error):
+                    render(header, fmt, out)
+        with pytest.raises(error):
+            header.nodes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (forks, made) == ([], [])
+    assert peak < 1 << 20, peak
 
 
 @pytest.mark.parametrize("fmt", REFERENCES)

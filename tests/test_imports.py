@@ -14,9 +14,11 @@ which refuses a bool as a rational, tell a bool from an int; and
 rational.parse_int the one rule for integer text, so only it calls int.  The
 CLI writes --out in place, so it names no temp file, rename or mode copy.
 tree._on_two_cores is the package's one parallelism: one os.fork, called
-only by verify's split and the exports' split, and no thread or process
-pool; pickle, which only a split needs, is imported there and not by
-import topograph.
+only by verify's split (run_suites) and the exports' split
+(_write_by_level), each of which redoes a failed split with its own
+in-process run, by the one rule that helper's docstring states; no thread
+or process pool; pickle, which only a split needs, is imported there and
+not by import topograph.
 """
 
 import ast
@@ -256,7 +258,7 @@ def test_one_helper_forks_and_nothing_else_runs_in_parallel():
     assert forks == [("tree", "_on_two_cores")]
     callers = sorted((path.stem, function) for path in SOURCES
                      for function in _callers(path, "_on_two_cores"))
-    assert callers == [("export", "_spool_halves"), ("verify", "_run_split")]
+    assert callers == [("export", "_write_by_level"), ("verify", "run_suites")]
     pools = {(path.stem, name) for path in SOURCES for name, relative in _imports(path)
              if not relative and name in {"multiprocessing", "concurrent", "threading"}}
     assert pools == set()

@@ -1,5 +1,10 @@
-"""The shared tree walker: descent, lookup, enumeration, mirroring."""
+"""The shared tree walker: descent, lookup, enumeration, mirroring, and the
+one fork helper's contract."""
 
+import errno
+import os
+import signal
+import time
 from fractions import Fraction
 
 import pytest
@@ -197,3 +202,70 @@ def test_mirrored_tree_holds_the_value_at_the_mirrored_path(path):
     seeds = (2, 2), (1, 1)
     node = descend(*mirrored(*seeds, cf_concat), path)
     assert node.value == descend(*seeds, cf_concat, mirror(path)).value
+
+
+def _open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_healthy_split_returns_both_values():
+    # child() runs in another process, whose value comes back pickled.
+    fds = _open_fds()
+    local, (child_pid, value) = tree._on_two_cores(os.getpid, lambda: (os.getpid(), [1, None]))
+    assert local == os.getpid() != child_pid
+    assert value == [1, None]
+    assert _open_fds() == fds
+    _no_child_left()
+
+
+def _raise():
+    raise ValueError("planted")
+
+
+@pytest.mark.parametrize("child", [
+    _raise,
+    lambda: os._exit(0),
+    lambda: os._exit(7),
+    lambda: os.kill(os.getpid(), signal.SIGKILL),
+], ids=["raises", "exits-0", "exits-7", "killed"])
+def test_a_child_that_sends_no_value_raises_child_process_error(child):
+    fds = _open_fds()
+    with pytest.raises(ChildProcessError, match="wait status"):
+        tree._on_two_cores(lambda: "parent", child)
+    assert _open_fds() == fds
+    _no_child_left()
+
+
+@pytest.mark.parametrize("error", [ValueError("planted"), KeyboardInterrupt()],
+                         ids=["exception", "interrupt"])
+def test_a_parent_that_raises_raises_its_own_error_with_the_child_killed(error):
+    def parent():
+        raise error
+
+    fds = _open_fds()
+    started = time.perf_counter()
+    with pytest.raises(type(error)) as raised:
+        tree._on_two_cores(parent, lambda: time.sleep(60))
+    assert raised.value is error
+    assert time.perf_counter() - started < 30
+    assert _open_fds() == fds
+    _no_child_left()
+
+
+def test_a_fork_that_cannot_start_raises_with_the_pipe_closed(monkeypatch):
+    # Only os.fork is made to fail: no process is started to provoke it.
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = _open_fds()
+    with pytest.raises(BlockingIOError) as raised:
+        tree._on_two_cores(lambda: "parent", lambda: "child")
+    assert raised.value.errno == errno.EAGAIN
+    assert _open_fds() == fds
+    _no_child_left()

@@ -5,13 +5,14 @@ requested FORKED_SUITES while the parent runs the rest.  Each test here
 lowers that threshold to 0 where it wants a split at a small depth, and
 compares with the in-process run: every report field but wall_time, the
 order of the reports, the recorded corrupted-input reports, and what an
-exception makes of the exit code.  A child that sends no reports, because a
-suite raised, it exited or it was killed, leaves its suites to the parent,
-which runs them itself, so the in-process run is the one authority on
-failure; a healthy child's suites never run in the parent.  No child may
-outlive run_suites.
+exception makes of the exit code.  A split that fails in any way, a child
+that sends no reports because a suite raised, it exited or it was killed,
+or a parent suite that raises, is redone by the in-process run of the whole
+list, by the rule tree._on_two_cores states; a healthy child's suites never
+run in the parent.  No child may outlive run_suites.
 """
 
+import errno
 import json
 import os
 import random
@@ -229,6 +230,35 @@ def test_a_healthy_split_runs_each_forked_suite_in_the_child_alone(forced_split,
     assert [_fields(r) for r in run_suites(list(SUITES), 3)] == alone
     assert len(forced_split) == 1
     assert pids == []  # the child's appends stay in the child
+    _no_child_left()
+
+
+def _untimed(out: str) -> list:
+    return [{key: value for key, value in report.items() if key != "wall_time"}
+            for report in json.loads(out)]
+
+
+def test_a_fork_that_cannot_start_gives_the_in_process_reports(monkeypatch, capsys):
+    argv = ["verify", "--depth", "9", "--format", "json"]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert main(argv) == 0
+    want = _untimed(capsys.readouterr().out)
+    # Only os.fork is made to fail, with EAGAIN as when no process can start.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls = []
+
+    def fork():
+        calls.append(1)
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = len(os.listdir("/proc/self/fd"))
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert (_untimed(out), err) == (want, "")
+    assert calls == [1]
+    assert len(os.listdir("/proc/self/fd")) == fds
     _no_child_left()
 
 

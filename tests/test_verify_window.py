@@ -174,7 +174,7 @@ def test_zero_e12_is_a_counterexample_not_an_error(monkeypatch, capsys):
     code = main(["verify", "--suites", "index", "--depth", "2", "--a-values", "0,1"])
     out, err = capsys.readouterr()
     assert code == 1 and err == ""
-    assert "first counterexample: trace at -: trace = 2, e12 = 0" in out
+    assert "  first counterexample: trace at - (a=1): trace = 2, e12 = 0" in out.splitlines()
 
 
 def _moved_markov_node(real, value, moved):
