@@ -285,8 +285,8 @@ def _on_two_cores(parent: Callable, child: Callable) -> tuple:
     raises does so with the pipe closed, a parent() that raises does so
     once the child is killed and reaped, and a child that did not exit 0
     after sending a value gives ChildProcessError.  The child is reaped in
-    every case, and killed first if anything, KeyboardInterrupt included,
-    interrupted the parent.
+    every case, and killed first if the parent's side raised,
+    KeyboardInterrupt included.
     """
     import pickle  # only a split pays for these imports
     import signal
@@ -318,7 +318,8 @@ def _on_two_cores(parent: Callable, child: Callable) -> tuple:
     finally:
         _, status = os.waitpid(pid, 0)
     if status or not payload:
-        raise ChildProcessError(f"the split's child sent no value (wait status {status})")
+        raise ChildProcessError(f"the split's child did not exit 0 after sending a value "
+                                f"(wait status {status})")
     return local, pickle.loads(payload)
 
 
