@@ -7,6 +7,19 @@ and the ratio e11/e12 of its top row recovers a + (the Markov fraction at
 the same tree position).  The index suite in verify sweeps a window of the
 tree and checks all of that plus monotonicity, entry formulas, and, for
 a = 0, the closed forms of the bottom row.
+
+That ratio is the source paper's theorem (topograph, arXiv 2604.17401):
+Springborn's Markov fractions are the index of Aigner's Cohn matrices
+(M. Aigner, Markov's Theorem and 100 Years of the Uniqueness Conjecture,
+Springer 2013).  In one integer identity, for every coordinate t and a,
+
+    cohn_at(t, a).m = Q_a @ M.transpose() @ Q_a^-1,   Q_a = (1 0 / 2-a 1),
+
+where M = convergent_matrix(markov_cf(t)) = (p_k p_k-1 / q_k q_k-1), so
+e11/e12 = p_k/q_k - 2 + a, the Markov fraction plus a, and the transpose
+makes the word tree the mirror image of the Cohn tree.  The markov and
+triple exports grow the a = 0 tree and read e11/e12 and e12 off it;
+tests/test_point_routes.py checks the identity.
 """
 
 from __future__ import annotations

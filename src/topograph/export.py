@@ -43,8 +43,14 @@ is redone by the plain in-process walk, the rule tree._on_two_cores
 states.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
-encoders of its values.  The CLI, the exports and verify all read it; the
-verify window reads the irrational tree's convergent matrices before the lift.
+encoders of the regions its walk carries.  The markov and triple trees are
+grown as the a = 0 Cohn tree, by the source paper's theorem (see cohn): a
+node costs one integer matrix product, and its Markov fraction e11/e12 and
+Markov number e12 are read straight off the matrix, with no gcd or square
+root; the weighted mediant and markov_child stay in markov as the reference
+routes the tests compare with.  A cohn matrix's JSON comes from one fixed
+template.  The CLI, the exports and verify all read KINDS; the verify
+window reads the irrational tree's convergent matrices before the lift.
 
 from_json parses no value: it regrows the tree from the file's header as
 to_json grows it, and loads a file only if every node in it is the one
@@ -63,9 +69,8 @@ from operator import add
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 from .cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, fixed_point, format_qi
-from .cohn import check_cohn_parameter, cohn_A, cohn_B
+from .cohn import check_cohn_parameter, cohn_A, cohn_B, cohn_index
 from .errors import DomainError
-from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child, springborn_mediant
 from .rational import (
     Mat2,
     convergent_matrix,
@@ -87,28 +92,35 @@ from .tree import (
 )
 
 
+def _itself(value):
+    return value
+
+
 @dataclass(frozen=True)
 class Kind:
-    """One value tree: how it grows and how its values serialize.
+    """One value tree: how it grows and how its regions serialize.
 
     seeds(a) is the seed pair and combine fills in every node from its two
-    parent regions, so a header (kind, depth, a) fixes the tree.  text
-    renders a value for CSV cells and DOT labels, and encode for JSON;
-    nothing reads a value back, since from_json regrows the tree.  lift,
-    when set, maps every region of the enumerated tree, seeds included, to
-    the exported value (a fixed point for irrational).  join, when set,
-    makes the render of a node's value from the renders of its parent
-    regions, as _splice does for words.  Only a kind that takes_a reads the
-    parameter a, and only its exports record it.
+    parent regions, so a header (kind, depth, a) fixes the tree.  A region
+    is what the walk carries, which need not be the library's value: text
+    renders a region for CSV cells and DOT labels, and encode for JSON;
+    nothing reads a region back, since from_json regrows the tree.  lift
+    maps a region to the library's value, and only TreeExport.nodes reads
+    it.  json_text, when set, renders a region straight to the JSON text
+    that _json_at(encode(region), 3) gives, from one fixed template.  join,
+    when set, makes the render of a node's region from the renders of its
+    parent regions, as _splice does for words.  Only a kind that takes_a
+    reads the parameter a, and only its exports record it.
     """
 
     seeds: Callable
     combine: Callable
     text: Callable
     encode: Callable
-    lift: Optional[Callable] = None
+    lift: Callable = _itself
     takes_a: bool = False
     join: Optional[Callable] = None
+    json_text: Optional[Callable] = None
 
 
 def _splice(s: str, t: str) -> str:
@@ -124,15 +136,41 @@ def _splice(s: str, t: str) -> str:
     return s[:s.rindex("]")] + "," + t[t.index("[") + 1:]
 
 
+def _index_text(m: Mat2) -> str:
+    return f"{m.e11}/{m.e12}"
+
+
+def _e12_text(m: Mat2) -> str:
+    return str(m.e12)
+
+
+def _qi_fields(m: Mat2) -> dict:
+    x = fixed_point(m)
+    return {f: str(getattr(x, f)) for f in "PBQD"}
+
+
+def _cohn_json(m: Mat2) -> str:
+    """_json_at(KINDS["cohn"].encode(m), 3), from the one shape it always has."""
+    return (f'[\n    [\n     "{m.e11}",\n     "{m.e12}"\n    ],'
+            f'\n    [\n     "{m.e21}",\n     "{m.e22}"\n    ]\n   ]')
+
+
 KINDS = {
     "farey": Kind(lambda a: (Fraction(0), Fraction(1)), farey_mediant,
                   format_fraction, format_fraction),
-    "markov": Kind(lambda a: (MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT), springborn_mediant,
-                   format_fraction, format_fraction),
-    "triple": Kind(lambda a: (1, 2), markov_child, str, str),
+    # The Markov fractions as the index e11/e12 of the a = 0 Cohn tree, the
+    # source paper's theorem, and the Markov numbers as its e12 = trace / 3.
+    # The regions are the Cohn matrices, so a node costs one integer product
+    # and no gcd or isqrt.  The text is exact: cohn_A(0) and cohn_B(0) check
+    # det = 1 and trace = 3 * e12, integer products keep det = 1, so e11 and
+    # e12 are coprime, and on the a = 0 tree e12 is a Markov number, so > 0.
+    "markov": Kind(lambda a: (cohn_A(0).m, cohn_B(0).m), Mat2.__matmul__,
+                   _index_text, _index_text, lift=cohn_index),
+    "triple": Kind(lambda a: (cohn_A(0).m, cohn_B(0).m), Mat2.__matmul__,
+                   _e12_text, _e12_text, lift=lambda m: m.e12),
     "cohn": Kind(lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__, format_mat2,
                  lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]],
-                 takes_a=True),
+                 takes_a=True, json_text=_cohn_json),
     # Plain concatenation: the seeds are even words of positive ints and
     # concatenation keeps them so; cf_concat's checks are for callers' words.
     "cf": Kind(lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), add,
@@ -142,8 +180,7 @@ KINDS = {
     # periodization.
     "irrational": Kind(lambda a: (convergent_matrix(WORD_SEED_LEFT),
                                   convergent_matrix(WORD_SEED_RIGHT)),
-                       Mat2.__matmul__, format_qi,
-                       lambda x: {f: str(getattr(x, f)) for f in "PBQD"},
+                       Mat2.__matmul__, lambda m: format_qi(fixed_point(m)), _qi_fields,
                        lift=fixed_point),
 }
 
@@ -174,32 +211,27 @@ class TreeExport:
     @cached_property
     def nodes(self) -> tuple:
         spec = _check_header(self.kind, self.depth, self.a)
-        return tuple(starmap(Node, _grow(spec, self.depth, self.a, _itself)))
-
-
-def _itself(value):
-    return value
+        return tuple(starmap(Node, _grow(spec, self.depth, self.a, spec.lift)))
 
 
 def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
           join: Optional[Callable] = None, walk: Callable = _walk) -> Iterator[tuple]:
     """spec's tree to depth, in walk's order, as (path, left, right, value) tuples.
 
-    Each region is given as what it carries, out(lift(region)), made once,
-    when the region is grown, and handed down to the nodes below it.  Given
-    join, a node carries join(left's carry, right's carry) instead, and out
-    runs on the two seeds alone.  The caller has checked the header.
+    Each region is given as what it carries, out(region), made once, when
+    the region is grown, and handed down to the nodes below it.  Given join,
+    a node carries join(left's carry, right's carry) instead, and out runs
+    on the two seeds alone.  The caller has checked the header.
     """
-    lift = spec.lift or _itself
     seeds = spec.seeds(a)
     if join is not None:
-        return walk(*[out(lift(seed)) for seed in seeds], join, depth)
+        return walk(*map(out, seeds), join, depth)
 
     def combine(x, y):
         value = spec.combine(x[0], y[0])
-        return value, out(lift(value))
+        return value, out(value)
 
-    nodes = walk(*[(seed, out(lift(seed))) for seed in seeds], combine, depth)
+    nodes = walk(*[(seed, out(seed)) for seed in seeds], combine, depth)
     return ((path, left[1], right[1], value[1]) for path, left, right, value in nodes)
 
 
@@ -377,7 +409,8 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
-                      lambda value: _json_at(spec.encode(value), 3), spec.join, walk)
+                      spec.json_text or (lambda region: _json_at(spec.encode(region), 3)),
+                      spec.join, walk)
         return ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": '
                             f'"{path or "-"}",\n   "right": {right},\n   "value": {value}\n  }}')
                 for path, left, right, value in nodes)
@@ -442,7 +475,7 @@ def to_csv(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
-                      lambda value: _csv_cell(spec.text(value)), spec.join, walk)
+                      lambda region: _csv_cell(spec.text(region)), spec.join, walk)
         return ((len(path), f"{format_path(path)},{value},{left},{right}\n")
                 for path, left, right, value in nodes)
 
@@ -468,7 +501,7 @@ def to_dot(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
-                      lambda value: _dot_quote(spec.text(value)), spec.join, walk)
+                      lambda region: _dot_quote(spec.text(region)), spec.join, walk)
         return _dot_lines(nodes, export.depth + 1)
 
     _write_by_level(out, f"graph {export.kind} {{\n  node [shape=plaintext];\n",

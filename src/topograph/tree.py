@@ -41,10 +41,11 @@ from .rational import check_int, check_rational, partial_quotients
 # Hard ceiling on enumeration depth, a backstop only: each level has twice
 # the nodes of the one above and about 2.8x the exported bytes.  At depth 14
 # a JSON export, split over two processes, wrote 3-118 MB by kind (cf the
-# most) in 0.13-0.77 s at a flat peak of 18-19 MB in the parent and 15 MB in
-# its child (markov, 37 MB: a median 0.42 s against 0.76 s in one process),
-# and verify, split too, peaked at 71 MB in the parent and 115 MB in its
-# child (2-core VM, CPython 3.11.7); the CLI's default cap is 12.
+# most) in 0.15-0.93 s at a flat peak of 20 MB in the parent and 15 MB in
+# its child (markov, 37 MB: a median 0.31 s against 0.48 s in one process;
+# BENCH_a9a1ee7.json), and verify, split too, peaked at 71 MB in the parent
+# and 115 MB in its child (2-core VM, CPython 3.11.7); the CLI's default cap
+# is 12.
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the

@@ -50,7 +50,7 @@ from .cftree import (
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
 from .errors import DepthLimitError, DomainError
 from .export import KINDS
-from .markov import springborn_mediant, vieta_walk
+from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant, vieta_walk
 from .rational import (
     _convergents,
     cf_concat,
@@ -149,7 +149,8 @@ class Window:
     def markov(self) -> list:
         # Grown with this module's springborn_mediant, the rule suite_relations
         # computes each node's children with, so a change to it reaches both.
-        return list(enumerate_tree(*KINDS["markov"].seeds(0), springborn_mediant, self.depth))
+        return list(enumerate_tree(MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant,
+                                   self.depth))
 
     def mirrored_values(self, kind: str) -> Iterator:
         spec = KINDS[kind]

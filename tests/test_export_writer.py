@@ -2,10 +2,13 @@
 
 Each writer grows the tree from the export's header and renders each
 distinct region once, and from_json encodes each once; a cf word's render
-is spliced from its parents' renders.  The references here read the built
-nodes instead: the whole payload through json.dumps, every row through
-csv.writer, every DOT label through text, and every word letter by letter
-through format_cf_word.
+is spliced from its parents' renders, and the markov and triple trees are
+grown as the a = 0 Cohn tree and read off its matrices.  The references
+here share none of that: they grow each tree with its original rule (the
+weighted mediant for markov, markov_child for triple, each word's periodic
+value for irrational) and render its values with the value-level
+formatters, the whole payload through json.dumps, every row through
+csv.writer and every word letter by letter through format_cf_word.
 """
 
 import csv
@@ -16,23 +19,35 @@ import os
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
 from topograph import (
     TREE_KINDS,
+    Mat2,
     TreeExport,
     build_export,
+    cf_concat,
+    cohn_A,
+    cohn_B,
     enumerate_tree,
     export,
+    farey_mediant,
+    format_fraction,
     from_json,
+    periodic_value,
     render,
+    springborn_mediant,
     to_csv,
     to_dot,
     to_json,
 )
+from topograph.cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, format_qi
 from topograph.errors import DepthLimitError, DomainError
-from topograph.export import EXPORT_FORMATS, KINDS, _csv_cell
+from topograph.export import EXPORT_FORMATS, KINDS, _csv_cell, _json_at
+from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child
+from topograph.rational import format_cf_word, format_mat2
 from topograph.tree import format_path
 from topograph.verify import DEFAULT_A_VALUES
 
@@ -40,13 +55,48 @@ CASES = ([(kind, 0) for kind in TREE_KINDS if kind != "cohn"]
          + [("cohn", a) for a in (*DEFAULT_A_VALUES, 2**64 - 1, -(2**64 - 1))])
 
 
+# Each kind's tree by its original rule: seeds(a) and combine.
+RULES = {
+    "farey": (lambda a: (Fraction(0), Fraction(1)), farey_mediant),
+    "markov": (lambda a: (MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT), springborn_mediant),
+    "triple": (lambda a: (1, 2), markov_child),
+    "cohn": (lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__),
+    "cf": (lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), cf_concat),
+    "irrational": (lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), cf_concat),
+}
+
+
+def _qi_fields(x) -> dict:
+    return {f: str(getattr(x, f)) for f in "PBQD"}
+
+
+# Each kind's values as text (CSV cells, DOT labels) and as JSON; an
+# irrational node's value is its word's periodic value.
+FORMATTERS = {
+    "farey": (format_fraction, format_fraction),
+    "markov": (format_fraction, format_fraction),
+    "triple": (str, str),
+    "cohn": (format_mat2, lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]]),
+    "cf": (format_cf_word, format_cf_word),
+    "irrational": (lambda word: format_qi(periodic_value(word)),
+                   lambda word: _qi_fields(periodic_value(word))),
+}
+
+
+def reference_nodes(tree) -> list:
+    """Every node of tree, breadth-first, grown by its kind's original rule."""
+    seeds, combine = RULES[tree.kind]
+    return list(enumerate_tree(*seeds(tree.a), combine, tree.depth))
+
+
 def reference_json(tree) -> str:
-    encode = KINDS[tree.kind].encode
+    encode = FORMATTERS[tree.kind][1]
     payload = {
         "kind": tree.kind,
         "depth": tree.depth,
         "nodes": [{"path": format_path(n.path), "value": encode(n.value),
-                   "left": encode(n.left), "right": encode(n.right)} for n in tree.nodes],
+                   "left": encode(n.left), "right": encode(n.right)}
+                  for n in reference_nodes(tree)],
     }
     if tree.a is not None:
         payload["a"] = tree.a
@@ -54,11 +104,11 @@ def reference_json(tree) -> str:
 
 
 def reference_csv(tree) -> str:
-    text = KINDS[tree.kind].text
+    text = FORMATTERS[tree.kind][0]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["path", "value", "left", "right"])
-    for n in tree.nodes:
+    for n in reference_nodes(tree):
         writer.writerow([format_path(n.path), text(n.value), text(n.left), text(n.right)])
     return buf.getvalue()
 
@@ -67,15 +117,16 @@ def reference_dot(tree) -> str:
     def quote(s: str) -> str:
         return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
-    text = KINDS[tree.kind].text
-    root = tree.nodes[0]  # its two parents are the seed regions
+    text = FORMATTERS[tree.kind][0]
+    nodes = reference_nodes(tree)
+    root = nodes[0]  # its two parents are the seed regions
     lines = [f"graph {tree.kind} {{", "  node [shape=plaintext];"]
     lines.append(f"  seed_L [label={quote(text(root.left))}];")
     lines.append(f"  seed_R [label={quote(text(root.right))}];")
-    for n in tree.nodes:
+    for n in nodes:
         lines.append(f"  {quote(format_path(n.path))} [label={quote(text(n.value))}];")
     lines.append("  seed_L -- seed_R;")
-    for n in tree.nodes:
+    for n in nodes:
         last_r, last_l = n.path.rfind("R"), n.path.rfind("L")
         left_id = quote(format_path(n.path[:last_r])) if last_r >= 0 else "seed_L"
         right_id = quote(format_path(n.path[:last_l])) if last_l >= 0 else "seed_R"
@@ -239,8 +290,11 @@ def test_csv_quotes_as_csv_writer_does():
 
 @pytest.mark.parametrize("kind", TREE_KINDS)
 def test_each_region_is_serialized_once(kind, monkeypatch):
-    calls = {"encode": 0, "text": 0}
     spec = KINDS[kind]
+    # A kind with a JSON template writes its JSON from it, not from encode;
+    # from_json still compares each parsed node with encode's.
+    template = "json_text" if spec.json_text else "encode"
+    calls = dict.fromkeys(["encode", "text", "json_text"], 0)
 
     def counted(name):
         def fn(value):
@@ -248,21 +302,35 @@ def test_each_region_is_serialized_once(kind, monkeypatch):
             return getattr(spec, name)(value)
         return fn
 
-    monkeypatch.setitem(KINDS, kind, replace(spec, encode=counted("encode"), text=counted("text")))
+    monkeypatch.setitem(KINDS, kind, replace(
+        spec, encode=counted("encode"), text=counted("text"),
+        json_text=counted("json_text") if spec.json_text else None))
     for depth in range(9):
         # A cf word's render is spliced from its parents', so only the two
         # seeds are formatted.
         formatted = 2 if kind == "cf" else 2 ** (depth + 1) + 1
+        none = dict.fromkeys(calls, 0)
         tree = build_export(kind, depth, 1)
-        calls.update(encode=0, text=0)
+        calls.update(none)
         text = to_json(tree)
         to_csv(tree)
-        assert calls == {"encode": formatted, "text": formatted}, depth
+        assert calls == {**none, template: formatted, "text": formatted}, depth
         # A loaded tree is regrown, so its nodes share regions as built ones do.
-        calls.update(encode=0, text=0)
+        calls.update(none)
         loaded = from_json(text)
-        assert calls == {"encode": formatted, "text": 0}, depth
-        calls.update(encode=0, text=0)
+        assert calls == {**none, "encode": formatted}, depth
+        calls.update(none)
         to_json(loaded)
         to_csv(loaded)
-        assert calls == {"encode": formatted, "text": formatted}, depth
+        assert calls == {**none, template: formatted, "text": formatted}, depth
+
+
+@pytest.mark.parametrize("a", [*DEFAULT_A_VALUES, 2**64 - 1, -(2**64 - 1)])
+def test_the_cohn_json_template_is_the_generic_route(a):
+    # Negative entries and 20-digit ones included.
+    spec = KINDS["cohn"]
+    nodes = list(enumerate_tree(*spec.seeds(a), spec.combine, 8))
+    matrices = [nodes[0].left, nodes[0].right] + [node.value for node in nodes]
+    for m in matrices:
+        assert spec.json_text(m) == _json_at(spec.encode(m), 3), m
+    assert len(matrices) == 2 ** 9 + 1

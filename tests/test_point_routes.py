@@ -3,6 +3,8 @@
 The fast routes work run by run (locate_runs, descend_runs) or with plain
 ints (the convergent recurrence); the references are the step-by-step
 descend with each tree's own combine rule, and a Mat2 fold per letter.
+The Cohn matrix at t is also checked against a third route, the word's
+convergent matrix through the paper's theorem (see cohn).
 """
 
 from fractions import Fraction
@@ -147,6 +149,22 @@ def test_convergent_matrix_matches_mat2_fold(word):
 def test_convergent_matrix_matches_mat2_fold_on_markov_words(t):
     word = markov_cf(t)
     assert convergent_matrix(word) == mat2_fold(word)
+
+
+# The paper's theorem as one matrix identity: the Cohn matrix at t is the
+# transposed convergent matrix of the word at t, conjugated by Q_a.  The
+# markov and triple exports read the a = 0 Cohn tree on the strength of it.
+cohn_parameters = st.one_of(st.integers(-3, 3), st.just(2**63 - 5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 199).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))),
+       cohn_parameters)
+def test_cohn_matrix_is_the_conjugated_transposed_convergent_matrix(t, a):
+    q_a, q_a_inverse = Mat2(1, 0, 2 - a, 1), Mat2(1, 0, a - 2, 1)
+    assert q_a @ q_a_inverse == Mat2.identity()
+    m = convergent_matrix(markov_cf(t))
+    assert cohn_at(t, a).m == q_a @ m.transpose() @ q_a_inverse
 
 
 @pytest.fixture(scope="module")
