@@ -6,7 +6,7 @@ DOT and CSV.  Big integers are serialized as decimal strings so nothing
 downstream has to parse arbitrary-precision numbers.
 
 A tree is fixed by its kind, depth and a, so an export is just that header
-(TreeExport), checked by build_export.  Every writer, and from_json, grows
+(TreeExport), checked when it is made.  Every writer, and from_json, grows
 the tree from the header alone, and an export's nodes, for library callers,
 are grown on first use.  A tree of N nodes holds N + 2 distinct regions, and
 each node shares its two parent regions with the nodes above it, so each
@@ -48,8 +48,9 @@ grown as the a = 0 Cohn tree, by the source paper's theorem (see cohn): a
 node costs one integer matrix product, and its Markov fraction e11/e12 and
 Markov number e12 are read straight off the matrix, with no gcd or square
 root; the weighted mediant and markov_child stay in markov as the reference
-routes the tests compare with.  A cohn matrix's JSON comes from one fixed
-template.  The CLI, the exports and verify all read KINDS; the verify
+routes the tests compare with.  A cohn matrix's JSON, and an irrational
+region's, comes from one fixed template; every other kind's JSON value is a
+string.  The CLI, the exports and verify all read KINDS; the verify
 window reads the irrational tree's convergent matrices before the lift.
 
 from_json parses no value: it regrows the tree from the file's header as
@@ -106,8 +107,9 @@ class Kind:
     renders a region for CSV cells and DOT labels, and encode for JSON;
     nothing reads a region back, since from_json regrows the tree.  lift
     maps a region to the library's value, and only TreeExport.nodes reads
-    it.  json_text, when set, renders a region straight to the JSON text
-    that _json_at(encode(region), 3) gives, from one fixed template.  join,
+    it.  json_text is the template of a kind whose JSON value is not a
+    string: it renders a region straight to the text json.dumps(encode(region),
+    indent=1, sort_keys=True) gives at a node's nesting level.  join,
     when set, makes the render of a node's region from the renders of its
     parent regions, as _splice does for words.  Only a kind that takes_a
     reads the parameter a, and only its exports record it.
@@ -150,9 +152,15 @@ def _qi_fields(m: Mat2) -> dict:
 
 
 def _cohn_json(m: Mat2) -> str:
-    """_json_at(KINDS["cohn"].encode(m), 3), from the one shape it always has."""
+    """KINDS["cohn"].encode(m), a 2 x 2 list, as JSON at nesting level 3."""
     return (f'[\n    [\n     "{m.e11}",\n     "{m.e12}"\n    ],'
             f'\n    [\n     "{m.e21}",\n     "{m.e22}"\n    ]\n   ]')
+
+
+def _qi_json(m: Mat2) -> str:
+    """_qi_fields(m), keys in sorted order, as JSON at nesting level 3."""
+    x = fixed_point(m)
+    return f'{{\n    "B": "{x.B}",\n    "D": "{x.D}",\n    "P": "{x.P}",\n    "Q": "{x.Q}"\n   }}'
 
 
 KINDS = {
@@ -181,7 +189,7 @@ KINDS = {
     "irrational": Kind(lambda a: (convergent_matrix(WORD_SEED_LEFT),
                                   convergent_matrix(WORD_SEED_RIGHT)),
                        Mat2.__matmul__, lambda m: format_qi(fixed_point(m)), _qi_fields,
-                       lift=fixed_point),
+                       lift=fixed_point, json_text=_qi_json),
 }
 
 TREE_KINDS = tuple(KINDS)
@@ -190,7 +198,7 @@ TREE_KINDS = tuple(KINDS)
 def _kind(name: str) -> Kind:
     try:
         return KINDS[name]
-    except KeyError:
+    except (KeyError, TypeError):
         raise DomainError(f"unknown tree kind {name!r}; expected one of {TREE_KINDS}") from None
 
 
@@ -198,19 +206,27 @@ def _kind(name: str) -> Kind:
 class TreeExport:
     """A tree export's header: kind, depth and, for a kind that takes it, a.
 
-    These fix the tree, so the header is all a writer or loader reads.
-    build_export makes a checked one, and every writer, and nodes, checks
-    it again, since one may be made by hand.  nodes is the tree grown from
-    it on first use.
+    These fix the tree, so the header is all a writer or loader reads.  The
+    one header rule runs as it is made: a known kind, tree.check_depth and,
+    for a kind that takes a, cohn.check_cohn_parameter; every other kind's a
+    is None.  nodes is the tree grown from it on first use.
     """
 
     kind: str
     depth: int
     a: Optional[int]
 
+    def __post_init__(self):
+        spec = _kind(self.kind)
+        check_depth(self.depth)
+        if spec.takes_a:
+            check_cohn_parameter(self.a)
+        elif self.a is not None:
+            raise DomainError(f"a {self.kind} tree takes no Cohn parameter, so a must be None")
+
     @cached_property
     def nodes(self) -> tuple:
-        spec = _check_header(self.kind, self.depth, self.a)
+        spec = KINDS[self.kind]
         return tuple(starmap(Node, _grow(spec, self.depth, self.a, spec.lift)))
 
 
@@ -221,7 +237,7 @@ def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
     Each region is given as what it carries, out(region), made once, when
     the region is grown, and handed down to the nodes below it.  Given join,
     a node carries join(left's carry, right's carry) instead, and out runs
-    on the two seeds alone.  The caller has checked the header.
+    on the two seeds alone.  spec, depth and a come from a checked header.
     """
     seeds = spec.seeds(a)
     if join is not None:
@@ -235,49 +251,18 @@ def _grow(spec: Kind, depth: int, a: Optional[int], out: Callable,
     return ((path, left[1], right[1], value[1]) for path, left, right, value in nodes)
 
 
-def _check_header(kind: str, depth: int, a: Optional[int]) -> Kind:
-    """kind's entry of KINDS, once the header passes the one header rule:
-    a known kind, tree.check_depth and, for a kind that takes it,
-    cohn.check_cohn_parameter.  Run before anything is allocated or forked.
-    """
-    spec = _kind(kind)
-    check_depth(depth)
-    if spec.takes_a:
-        check_cohn_parameter(a)
-    return spec
-
-
 def build_export(kind: str, depth: int, a: int = 0) -> TreeExport:
-    """The header of kind's tree to depth (at most HARD_DEPTH_CAP), checked.
+    """The header of kind's tree to depth (at most HARD_DEPTH_CAP).
 
-    The one place a header is made, by the one header rule (_check_header);
-    a is None for every kind that does not take it.  Nothing is grown here.
+    The one place the package makes a header, checked as it is made; a is
+    None for every kind that does not take it.  Nothing is grown here.
     """
-    spec = _check_header(kind, depth, a)
-    return TreeExport(kind, depth, a if spec.takes_a else None)
+    return TreeExport(kind, depth, a if _kind(kind).takes_a else None)
 
 
 # ============================================================
 # formats
 # ============================================================
-
-def _json_at(obj, level: int) -> str:
-    """obj as json.dumps(obj, indent=1, sort_keys=True) writes it at nesting level.
-
-    Only the shapes an encode returns: a str, or a list or dict of them
-    (nested, and never empty).
-    """
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    pad = "\n" + " " * (level + 1)
-    if isinstance(obj, dict):
-        items = [f"{json.dumps(k)}: {_json_at(v, level + 1)}" for k, v in sorted(obj.items())]
-        opening, closing = "{", "}"
-    else:
-        items = [_json_at(v, level + 1) for v in obj]
-        opening, closing = "[", "]"
-    return opening + pad + ("," + pad).join(items) + "\n" + " " * level + closing
-
 
 # A writer holds up to about this many characters of a level's text in
 # memory, then moves it to the spill file.  Characters are bytes here but
@@ -405,11 +390,11 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
     """
     if out is None:
         return _as_text(to_json, export)
-    spec = _check_header(export.kind, export.depth, export.a)
+    spec = KINDS[export.kind]
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
-                      spec.json_text or (lambda region: _json_at(spec.encode(region), 3)),
+                      spec.json_text or (lambda region: json.dumps(spec.encode(region))),
                       spec.join, walk)
         return ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": '
                             f'"{path or "-"}",\n   "right": {right},\n   "value": {value}\n  }}')
@@ -425,9 +410,10 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
 def from_json(text: str) -> TreeExport:
     """Load what to_json writes: the whole breadth-first tree of its depth.
 
-    The header must hold exactly the keys to_json writes, and is checked by
-    build_export, so a depth above HARD_DEPTH_CAP or |a| >= HARD_A_CAP raises
-    DepthLimitError; the node count is checked before any node is grown.
+    The header must hold exactly the keys to_json writes, and is checked as
+    build_export makes it: a depth above HARD_DEPTH_CAP or |a| >= HARD_A_CAP
+    raises DepthLimitError.  The node count is checked before any node is
+    grown.
     Then the tree is regrown beside the file as to_json grows it, and the
     first node that is not the one to_json writes there, '2/4' for '1/2' or
     a value its parents do not combine to, raises DomainError, as does every
@@ -471,7 +457,7 @@ def to_csv(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     """
     if out is None:
         return _as_text(to_csv, export)
-    spec = _check_header(export.kind, export.depth, export.a)
+    spec = KINDS[export.kind]
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
@@ -497,7 +483,7 @@ def to_dot(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]:
     """
     if out is None:
         return _as_text(to_dot, export)
-    spec = _check_header(export.kind, export.depth, export.a)
+    spec = KINDS[export.kind]
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
@@ -538,7 +524,7 @@ EXPORT_FORMATS = {"json": to_json, "dot": to_dot, "csv": to_csv}
 def render(export: TreeExport, fmt: str, out: Optional[BinaryIO] = None) -> Optional[str]:
     """export in fmt (json, dot or csv), written to the open binary file out;
     given none, returned as text."""
-    writer = EXPORT_FORMATS.get(fmt)
+    writer = EXPORT_FORMATS.get(fmt) if isinstance(fmt, str) else None
     if writer is None:
         raise DomainError(f"unknown export format {fmt!r}; expected json, dot, or csv")
     return writer(export, out)

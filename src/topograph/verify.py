@@ -445,8 +445,9 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     Every argument is checked before any suite runs: the depth by
     tree.check_depth and each Cohn parameter by cohn.check_cohn_parameter,
     more than HARD_A_VALUES_CAP Cohn parameters raise DepthLimitError, and
-    an empty list, an unknown or repeated name, a repeated Cohn parameter
-    or, when index runs, no Cohn parameter at all raises DomainError.
+    names or a_values that is one string or no collection, an empty list,
+    an unknown or repeated name, a repeated Cohn parameter or, when index
+    runs, no Cohn parameter at all raises DomainError.
 
     The run splits when names holds suites of both groups, the process may
     run on two CPUs or more, and the window has _SPLIT_MIN_NODES nodes or
@@ -456,9 +457,9 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     run of the whole list (tree._on_two_cores), which returns or raises
     what one process does.
     """
-    names = list(names)
+    names = _listed(names, "suites")
     check_depth(depth)
-    a_values = tuple(a_values)
+    a_values = _listed(a_values, "--a-values")
     if len(a_values) > HARD_A_VALUES_CAP:
         raise DepthLimitError(f"--a-values of {len(a_values)} Cohn parameters exceeds cap "
                               f"{HARD_A_VALUES_CAP}")
@@ -470,7 +471,7 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     if not names:
         raise DomainError(f"no suite named; {expected}")
     for name in names:
-        if name not in SUITES:
+        if not (isinstance(name, str) and name in SUITES):
             raise DomainError(f"unknown suite {name!r}; {expected}")
     if len(set(names)) < len(names):
         raise DomainError(f"--suites must be distinct, got {', '.join(names)}")
@@ -490,6 +491,13 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
             by_name = {report.suite: report for report in local + child}
             return [by_name[name] for name in names]
     return _run(window, names)
+
+
+def _listed(values, what: str) -> tuple:
+    """values as a tuple; one string, or anything that is no collection, raises DomainError."""
+    if isinstance(values, str) or not hasattr(values, "__iter__"):
+        raise DomainError(f"{what} must be a list, got {type(values).__name__}")
+    return tuple(values)
 
 
 def _run(window: Window, names: list) -> list:

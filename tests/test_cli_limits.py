@@ -54,7 +54,7 @@ from topograph import cli
 from topograph.cli import main
 from topograph.export import KINDS
 from topograph.tree import check_point_size
-from topograph.verify import HARD_A_VALUES_CAP
+from topograph.verify import DEFAULT_A_VALUES, HARD_A_VALUES_CAP
 
 # Generous: a refused query does no work, but the machine may be busy.
 AT_ONCE_S = 2.0
@@ -171,22 +171,34 @@ def test_unwritable_out_exits_2(tmp_path, capsys, monkeypatch):
         assert sorted(tmp_path.rglob("*")) == before
 
 
-@pytest.mark.parametrize("suites,message", [
-    ("index,nosuch", "unknown suite 'nosuch'"),
-    (",", "no suite named"),
-    ("words,index,words", "--suites must be distinct"),
-], ids=["unknown", "empty", "repeat"])
-def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, suites, message):
+# case: (--suites text, or None where only a library caller can pass the
+# arguments; run_suites' names and a_values; the message)
+BAD_SUITE_LISTS = {
+    "unknown": ("index,nosuch", ["index", "nosuch"], DEFAULT_A_VALUES, "unknown suite 'nosuch'"),
+    "empty": (",", [], DEFAULT_A_VALUES, "no suite named"),
+    "repeat": ("words,index,words", ["words", "index", "words"], DEFAULT_A_VALUES,
+               "--suites must be distinct"),
+    "one-string": (None, "relations", DEFAULT_A_VALUES, "suites must be a list, got str"),
+    "no-names": (None, None, DEFAULT_A_VALUES, "suites must be a list, got NoneType"),
+    "name-list": (None, [["x"]], DEFAULT_A_VALUES, "unknown suite ['x']"),
+    "a-int": (None, ["index"], 5, "--a-values must be a list, got int"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SUITE_LISTS)
+def test_bad_suite_list_exits_2_before_any_suite_runs(capsys, monkeypatch, case):
+    suites, names, a_values, message = BAD_SUITE_LISTS[case]
     ran = []
     for name in list(SUITES):
         monkeypatch.setitem(SUITES, name, lambda window, name=name: ran.append(name))
-    code, out, err, elapsed = run_cli(capsys, "verify", "--suites", suites, "--depth", "12")
-    assert code == 2 and out == ""
-    assert message in err
-    assert ran == []
-    assert elapsed < AT_ONCE_S
-    with pytest.raises(DomainError, match=message):
-        run_suites([s for s in suites.split(",") if s], 12)
+    if suites is not None:
+        code, out, err, elapsed = run_cli(capsys, "verify", "--suites", suites, "--depth", "12")
+        assert code == 2 and out == ""
+        assert message in err
+        assert ran == []
+        assert elapsed < AT_ONCE_S
+    with pytest.raises(DomainError, match=re.escape(message)):
+        run_suites(names, 12, a_values)
     assert ran == []
 
 

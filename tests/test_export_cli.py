@@ -253,8 +253,9 @@ def test_dot_output():
 def test_render_dispatch():
     export = build_export("farey", 1)
     assert render(export, "json") == to_json(export)
-    with pytest.raises(DomainError):
-        render(export, "yaml")
+    for fmt in ("yaml", ["json"]):
+        with pytest.raises(DomainError, match="unknown export format"):
+            render(export, fmt)
 
 
 # ============================================================

@@ -45,7 +45,7 @@ from topograph import (
 )
 from topograph.cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, format_qi
 from topograph.errors import DepthLimitError, DomainError
-from topograph.export import EXPORT_FORMATS, KINDS, _csv_cell, _json_at
+from topograph.export import KINDS, _csv_cell
 from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child
 from topograph.rational import format_cf_word, format_mat2
 from topograph.tree import format_path
@@ -187,16 +187,20 @@ def _count_spill_files(monkeypatch) -> list:
     return made
 
 
-@pytest.mark.parametrize("header,error", [
-    (TreeExport("markov", 25, None), DepthLimitError),
-    (TreeExport("cohn", 12, 2**70), DepthLimitError),
-    (TreeExport("markov", "12", None), DomainError),
-    (TreeExport("markov", 2.0, None), DomainError),
-    (TreeExport("markov", 10**6, None), DepthLimitError),
-], ids=["depth-25", "a-2**70", "depth-str", "depth-float", "depth-10**6"])
-def test_a_hand_made_header_is_refused_before_any_work(monkeypatch, header, error):
-    # TreeExport is public, so a writer checks the header before it sizes a
-    # spool by the depth, makes a temp file or forks, even where it would split.
+@pytest.mark.parametrize("fields,error", [
+    (("markov", 25, None), DepthLimitError),
+    (("cohn", 12, 2**70), DepthLimitError),
+    (("markov", "12", None), DomainError),
+    (("markov", 2.0, None), DomainError),
+    (("markov", 10**6, None), DepthLimitError),
+    (("farey", 3, 5), DomainError),
+    ((["farey"], 3, None), DomainError),
+], ids=["depth-25", "a-2**70", "depth-str", "depth-float", "depth-10**6", "a-not-taken",
+        "kind-list"])
+def test_a_hand_made_header_is_refused_before_any_work(monkeypatch, fields, error):
+    # TreeExport is public, so a header checks itself as it is made: no
+    # writer sizes a spool by its depth, makes a temp file or forks for it,
+    # even where it would split.
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     forks = []
 
@@ -208,12 +212,8 @@ def test_a_hand_made_header_is_refused_before_any_work(monkeypatch, header, erro
     made = _count_spill_files(monkeypatch)
     tracemalloc.start()
     try:
-        for fmt in EXPORT_FORMATS:
-            for out in (None, io.BytesIO()):
-                with pytest.raises(error):
-                    render(header, fmt, out)
         with pytest.raises(error):
-            header.nodes
+            TreeExport(*fields)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -325,12 +325,23 @@ def test_each_region_is_serialized_once(kind, monkeypatch):
         assert calls == {**none, template: formatted, "text": formatted}, depth
 
 
+def _json_templates_match_json_dumps(kind: str, a) -> None:
+    # A node's fields sit at nesting level 3, so each line of a value after
+    # its first is indented three more spaces than json.dumps indents it.
+    spec = KINDS[kind]
+    nodes = list(enumerate_tree(*spec.seeds(a), spec.combine, 8))
+    regions = [nodes[0].left, nodes[0].right] + [node.value for node in nodes]
+    for m in regions:
+        expected = json.dumps(spec.encode(m), indent=1, sort_keys=True).replace("\n", "\n   ")
+        assert spec.json_text(m) == expected, m
+    assert len(regions) == 2 ** 9 + 1
+
+
 @pytest.mark.parametrize("a", [*DEFAULT_A_VALUES, 2**64 - 1, -(2**64 - 1)])
 def test_the_cohn_json_template_is_the_generic_route(a):
-    # Negative entries and 20-digit ones included.
-    spec = KINDS["cohn"]
-    nodes = list(enumerate_tree(*spec.seeds(a), spec.combine, 8))
-    matrices = [nodes[0].left, nodes[0].right] + [node.value for node in nodes]
-    for m in matrices:
-        assert spec.json_text(m) == _json_at(spec.encode(m), 3), m
-    assert len(matrices) == 2 ** 9 + 1
+    # The generic route is json.dumps; negative entries and 20-digit ones included.
+    _json_templates_match_json_dumps("cohn", a)
+
+
+def test_the_irrational_json_template_is_the_generic_route():
+    _json_templates_match_json_dumps("irrational", None)

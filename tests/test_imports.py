@@ -6,8 +6,10 @@ only the command line and the package's exports may import it.  And every
 module uses what it imports; only __init__ imports names to export them.
 tree holds both walkers, the breadth-first reference and the depth-first
 core the exports stream from, so no other module takes a queue,
-and export.build_export the one header rule, so no other code makes a
-TreeExport.  The verify window caches one tree, the Markov tree every suite
+TreeExport checks itself as it is made, the one header rule, so export reads
+tree.check_depth and cohn.check_cohn_parameter only in its __post_init__,
+and export.build_export is the one place the package makes a header.  The
+verify window caches one tree, the Markov tree every suite
 shares; a tree read by one suite is walked by that suite and held by nothing.
 rational.check_int is the one integer rule, so only it and check_rational,
 which refuses a bool as a rational, tell a bool from an int; and
@@ -137,9 +139,26 @@ def _header_makers(path: Path) -> set:
 
 
 def test_only_build_export_makes_a_header():
-    # build_export is the one place a header is checked; from_json and the CLI go through it.
+    # A header checks itself; build_export is the one place the package makes
+    # one, and from_json and the CLI go through it.
     makers = {(path.stem, function) for path in SOURCES for function in _header_makers(path)}
     assert makers == {("export", "build_export")}
+
+
+def test_the_header_rule_runs_only_as_a_header_is_made():
+    # A writer, nodes or build_export that checked again would be a second
+    # copy of the rule, free to drift from the first.
+    [export] = [path for path in SOURCES if path.stem == "export"]
+    tree = ast.parse(export.read_text(), str(export))
+    [made] = [method for cls in ast.walk(tree)
+              if isinstance(cls, ast.ClassDef) and cls.name == "TreeExport"
+              for method in cls.body
+              if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"]
+    inside = {id(node) for node in ast.walk(made)}
+    reads = [(node.id, id(node) in inside) for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             and node.id in {"check_depth", "check_cohn_parameter"}]
+    assert sorted(reads) == [("check_cohn_parameter", True), ("check_depth", True)]
 
 
 def _cached_properties(path: Path) -> list:
