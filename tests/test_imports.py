@@ -9,8 +9,8 @@ core the exports stream from, so no other module takes a queue,
 TreeExport checks itself as it is made, the one header rule, so export reads
 tree.check_depth and cohn.check_cohn_parameter only in its __post_init__,
 and export.build_export is the one place the package makes a header.  The
-verify window caches one tree, the Markov tree every suite
-shares; a tree read by one suite is walked by that suite and held by nothing.
+verify window caches one tree, the Markov tree every suite shares; a tree
+read by one suite is walked by that suite and held by nothing.
 rational.check_int is the one integer rule, so only it and check_rational,
 which refuses a bool as a rational, tell a bool from an int; and
 rational.parse_int the one rule for integer text, so only it calls int.  The
