@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 from operator import add, mul
 
-from .errors import DomainError
+from .errors import DomainError, shown
 from .rational import Mat2, _convergents, _validate_word, cf_eval, check_int, check_rational
 from .tree import check_point_size, mirrored, value_at
 
@@ -63,9 +63,9 @@ def make_qi(P: int, B: int, Q: int, D: int) -> QuadraticIrrational:
     """Canonicalize and validate a quadratic irrational."""
     P, B, Q, D = check_int(P, "P"), check_int(B, "B"), check_int(Q, "Q"), check_int(D, "D")
     if D <= 0 or isqrt(D) ** 2 == D:
-        raise DomainError(f"D must be a positive nonsquare, got {D}")
+        raise DomainError(f"D must be a positive nonsquare, got {shown(D, str)}")
     if B <= 0 or Q <= 0:
-        raise DomainError(f"B and Q must be positive, got B={B}, Q={Q}")
+        raise DomainError(f"B and Q must be positive, got B={shown(B, str)}, Q={shown(Q, str)}")
     g = gcd(gcd(abs(P), B), Q)
     return QuadraticIrrational(P // g, B // g, Q // g, D)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DepthLimitError, DomainError, InvariantError
+from .errors import DepthLimitError, DomainError, InvariantError, shown
 from .rational import Mat2, check_int
 from .tree import value_at
 
@@ -45,17 +45,13 @@ class CohnMatrix:
     a: int
 
     def __post_init__(self):
-        m = self.m
-        # Fast path for plain ints; check_int names the first bad value (and
-        # accepts int subclasses other than bool).
-        if not type(self.a) is type(m.e11) is type(m.e12) is type(m.e21) is type(m.e22) is int:
-            check_int(self.a, "Cohn parameter")
-            _check_entries(m)
-        if self.m.det() != 1:
-            raise InvariantError(f"determinant must be 1, got {self.m.det()} for {self.m}")
-        if self.m.trace() != 3 * self.m.e12:
+        check_int(self.a, "Cohn parameter")
+        m = _check_entries(self.m)
+        if m.det() != 1:
+            raise InvariantError(f"determinant must be 1, got {shown(m.det())} for {_shown(m)}")
+        if m.trace() != 3 * m.e12:
             raise InvariantError(
-                f"trace {self.m.trace()} != 3 * e12 = {3 * self.m.e12} for {self.m}"
+                f"trace {shown(m.trace())} != 3 * e12 = {shown(3 * m.e12)} for {_shown(m)}"
             )
 
 
@@ -64,6 +60,12 @@ def _check_entries(m: Mat2) -> Mat2:
     for entry in (m.e11, m.e12, m.e21, m.e22):
         check_int(entry, "matrix entry")
     return m
+
+
+def _shown(m: Mat2) -> str:
+    """m as repr shows it, each entry through errors.shown."""
+    return (f"Mat2(e11={shown(m.e11)}, e12={shown(m.e12)}, "
+            f"e21={shown(m.e21)}, e22={shown(m.e22)})")
 
 
 def _matrix(c) -> Mat2:
@@ -123,7 +125,7 @@ def cohn_index(c) -> Fraction:
     """Top-row ratio e11/e12; accepts a CohnMatrix or a bare Mat2."""
     m = _matrix(c)
     if m.e12 == 0:
-        raise DomainError(f"index undefined: e12 = 0 in {m}")
+        raise DomainError(f"index undefined: e12 = 0 in {_shown(m)}")
     return Fraction(m.e11, m.e12)
 
 
@@ -132,8 +134,8 @@ def trace_map(c) -> int:
     m = _matrix(c)
     q, r = divmod(m.trace(), 3)
     if r:
-        raise InvariantError(f"trace {m.trace()} is not divisible by 3 in {m}")
+        raise InvariantError(f"trace {shown(m.trace())} is not divisible by 3 in {_shown(m)}")
     if q != m.e12:
-        raise InvariantError(f"trace/3 = {q} but e12 = {m.e12} in {m}")
+        raise InvariantError(f"trace/3 = {shown(q)} but e12 = {shown(m.e12)} in {_shown(m)}")
     return q
 

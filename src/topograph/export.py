@@ -43,18 +43,19 @@ is redone by the plain in-process walk, the rule tree._on_two_cores
 states.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
-encoders of the regions its walk carries.  The markov and triple trees are
-grown as the a = 0 Cohn tree, by the source paper's theorem (see cohn): a
-node costs one integer matrix product, and its Markov fraction e11/e12 and
-Markov number e12 are read straight off the matrix, with no gcd or square
-root; the weighted mediant and markov_child stay in markov as the reference
-routes the tests compare with.  A cohn matrix's JSON, and an irrational
-region's, comes from one fixed template; every other kind's JSON value is a
-string.  The CLI, the exports and verify all read KINDS; the verify
-window reads the irrational tree's convergent matrices before the lift.
+one text render of the regions its walk carries.  The markov and triple
+trees are grown as the a = 0 Cohn tree, by the source paper's theorem (see
+cohn): a node costs one integer matrix product, and its Markov fraction
+e11/e12 and Markov number e12 are read straight off the matrix, with no gcd
+or square root; the weighted mediant and markov_child stay in markov as the
+reference routes the tests compare with.  A cohn matrix's JSON, and an
+irrational region's, comes from one fixed template; every other kind's JSON
+value is its text, as a JSON string.  The CLI, the exports and verify all
+read KINDS; the verify window reads the irrational tree's convergent
+matrices before the lift.
 
-from_json parses no value: it regrows the tree from the file's header as
-to_json grows it, and loads a file only if every node in it is the one
+from_json regrows the tree from the file's header as to_json grows it,
+with the same renders, and loads a file only if every node in it is the one
 to_json writes there.
 """
 
@@ -71,7 +72,7 @@ from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 from .cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, fixed_point, format_qi
 from .cohn import check_cohn_parameter, cohn_A, cohn_B, cohn_index
-from .errors import DomainError
+from .errors import DomainError, shown
 from .rational import (
     Mat2,
     convergent_matrix,
@@ -104,21 +105,21 @@ class Kind:
     seeds(a) is the seed pair and combine fills in every node from its two
     parent regions, so a header (kind, depth, a) fixes the tree.  A region
     is what the walk carries, which need not be the library's value: text
-    renders a region for CSV cells and DOT labels, and encode for JSON;
-    nothing reads a region back, since from_json regrows the tree.  lift
-    maps a region to the library's value, and only TreeExport.nodes reads
-    it.  json_text is the template of a kind whose JSON value is not a
-    string: it renders a region straight to the text json.dumps(encode(region),
-    indent=1, sort_keys=True) gives at a node's nesting level.  join,
-    when set, makes the render of a node's region from the renders of its
-    parent regions, as _splice does for words.  Only a kind that takes_a
-    reads the parameter a, and only its exports record it.
+    is its one render, for CSV cells, DOT labels and, as a JSON string,
+    JSON; no file's value is read back, since from_json regrows the tree.
+    lift maps a region to the library's value, and only TreeExport.nodes
+    reads it.  json_text is the JSON template of a kind whose JSON value is
+    not a string: it renders a region straight to JSON text at a node's
+    nesting level (3), as json.dumps(..., indent=1, sort_keys=True) would
+    write it there.  join, when set, makes the render of a node's region
+    from the renders of its parent regions, as _splice does for words.
+    Only a kind that takes_a reads the parameter a, and only its exports
+    record it.
     """
 
     seeds: Callable
     combine: Callable
     text: Callable
-    encode: Callable
     lift: Callable = _itself
     takes_a: bool = False
     join: Optional[Callable] = None
@@ -146,26 +147,21 @@ def _e12_text(m: Mat2) -> str:
     return str(m.e12)
 
 
-def _qi_fields(m: Mat2) -> dict:
-    x = fixed_point(m)
-    return {f: str(getattr(x, f)) for f in "PBQD"}
-
-
 def _cohn_json(m: Mat2) -> str:
-    """KINDS["cohn"].encode(m), a 2 x 2 list, as JSON at nesting level 3."""
+    """m's entries, a 2 x 2 list of decimal strings, as JSON at nesting level 3."""
     return (f'[\n    [\n     "{m.e11}",\n     "{m.e12}"\n    ],'
             f'\n    [\n     "{m.e21}",\n     "{m.e22}"\n    ]\n   ]')
 
 
 def _qi_json(m: Mat2) -> str:
-    """_qi_fields(m), keys in sorted order, as JSON at nesting level 3."""
+    """fixed_point(m)'s fields as decimal strings, keys sorted, as JSON at nesting level 3."""
     x = fixed_point(m)
     return f'{{\n    "B": "{x.B}",\n    "D": "{x.D}",\n    "P": "{x.P}",\n    "Q": "{x.Q}"\n   }}'
 
 
 KINDS = {
     "farey": Kind(lambda a: (Fraction(0), Fraction(1)), farey_mediant,
-                  format_fraction, format_fraction),
+                  format_fraction),
     # The Markov fractions as the index e11/e12 of the a = 0 Cohn tree, the
     # source paper's theorem, and the Markov numbers as its e12 = trace / 3.
     # The regions are the Cohn matrices, so a node costs one integer product
@@ -173,22 +169,21 @@ KINDS = {
     # det = 1 and trace = 3 * e12, integer products keep det = 1, so e11 and
     # e12 are coprime, and on the a = 0 tree e12 is a Markov number, so > 0.
     "markov": Kind(lambda a: (cohn_A(0).m, cohn_B(0).m), Mat2.__matmul__,
-                   _index_text, _index_text, lift=cohn_index),
+                   _index_text, lift=cohn_index),
     "triple": Kind(lambda a: (cohn_A(0).m, cohn_B(0).m), Mat2.__matmul__,
-                   _e12_text, _e12_text, lift=lambda m: m.e12),
+                   _e12_text, lift=lambda m: m.e12),
     "cohn": Kind(lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__, format_mat2,
-                 lambda m: [[str(m.e11), str(m.e12)], [str(m.e21), str(m.e22)]],
                  takes_a=True, json_text=_cohn_json),
     # Plain concatenation: the seeds are even words of positive ints and
     # concatenation keeps them so; cf_concat's checks are for callers' words.
     "cf": Kind(lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), add,
-               format_cf_word, format_cf_word, join=_splice),
+               format_cf_word, join=_splice),
     # The cf tree's convergent matrices, by the concatenation rule: a word's
     # matrix is the product of its parents', and its fixed point the word's
     # periodization.
     "irrational": Kind(lambda a: (convergent_matrix(WORD_SEED_LEFT),
                                   convergent_matrix(WORD_SEED_RIGHT)),
-                       Mat2.__matmul__, lambda m: format_qi(fixed_point(m)), _qi_fields,
+                       Mat2.__matmul__, lambda m: format_qi(fixed_point(m)),
                        lift=fixed_point, json_text=_qi_json),
 }
 
@@ -199,7 +194,8 @@ def _kind(name: str) -> Kind:
     try:
         return KINDS[name]
     except (KeyError, TypeError):
-        raise DomainError(f"unknown tree kind {name!r}; expected one of {TREE_KINDS}") from None
+        raise DomainError(f"unknown tree kind {shown(name)}; "
+                          f"expected one of {TREE_KINDS}") from None
 
 
 @dataclass(frozen=True)
@@ -383,9 +379,10 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
     """What json.dumps(payload, indent=1, sort_keys=True) writes, plus a newline.
 
     The payload is {"kind", "depth", "a" (for a kind that takes it),
-    "nodes": [{"path", "value", "left", "right"}, ...]}, each value as its
-    kind encodes it.  Keys come in sorted order, and a node's fields sit at
-    nesting level 3.  Paths are letters L and R, or '-', so need no escaping.
+    "nodes": [{"path", "value", "left", "right"}, ...]}, each value its
+    kind's JSON template, or else its text as a JSON string.  Keys come in
+    sorted order, and a node's fields sit at nesting level 3.  Paths are
+    letters L and R, or '-', so need no escaping.
     Written to the open binary file out; given none, returned as text.
     """
     if out is None:
@@ -394,7 +391,7 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
-                      spec.json_text or (lambda region: json.dumps(spec.encode(region))),
+                      spec.json_text or (lambda region: json.dumps(spec.text(region))),
                       spec.join, walk)
         return ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": '
                             f'"{path or "-"}",\n   "right": {right},\n   "value": {value}\n  }}')
@@ -414,11 +411,11 @@ def from_json(text: str) -> TreeExport:
     build_export makes it: a depth above HARD_DEPTH_CAP or |a| >= HARD_A_CAP
     raises DepthLimitError.  The node count is checked before any node is
     grown.
-    Then the tree is regrown beside the file as to_json grows it, and the
-    first node that is not the one to_json writes there, '2/4' for '1/2' or
-    a value its parents do not combine to, raises DomainError, as does every
-    other refusal.  The loaded export is the header; its nodes are grown on
-    first use.
+    Then the tree is regrown beside the file as to_json grows and renders
+    it, and the first node that is not the one to_json writes there, '2/4'
+    for '1/2' or a value its parents do not combine to, raises DomainError,
+    as does every other refusal.  The loaded export is the header; its nodes
+    are grown on first use.
     """
     try:
         payload = json.loads(text)
@@ -433,11 +430,13 @@ def from_json(text: str) -> TreeExport:
             raise ValueError(f"{len(raw_nodes)} nodes do not fill a tree of depth {depth}")
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed tree export: {exc}") from exc
-    grown = _grow(spec, depth, a, spec.encode, spec.join)
+    parsed = ((lambda region: json.loads(spec.json_text(region))) if spec.json_text
+              else spec.text)
+    grown = _grow(spec, depth, a, parsed, spec.join)
     for raw, (path, left, right, value) in zip(raw_nodes, grown):
-        shown = format_path(path)
-        if raw != {"path": shown, "left": left, "right": right, "value": value}:
-            raise DomainError(f"malformed tree export: node {shown} is not the node "
+        where = format_path(path)
+        if raw != {"path": where, "left": left, "right": right, "value": value}:
+            raise DomainError(f"malformed tree export: node {where} is not the node "
                               f"the {kind} tree grows there")
     return export
 
@@ -526,5 +525,5 @@ def render(export: TreeExport, fmt: str, out: Optional[BinaryIO] = None) -> Opti
     given none, returned as text."""
     writer = EXPORT_FORMATS.get(fmt) if isinstance(fmt, str) else None
     if writer is None:
-        raise DomainError(f"unknown export format {fmt!r}; expected json, dot, or csv")
+        raise DomainError(f"unknown export format {shown(fmt)}; expected json, dot, or csv")
     return writer(export, out)

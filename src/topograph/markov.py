@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 from .cohn import cohn_at, cohn_index
-from .errors import DepthLimitError, DomainError, InvariantError, PreconditionError
+from .errors import DepthLimitError, DomainError, InvariantError, PreconditionError, shown
 from .rational import check_int, check_rational, format_fraction
 from .tree import _check_path
 
@@ -34,7 +34,8 @@ def springborn_mediant(lo: Fraction, hi: Fraction) -> Fraction:
     lo, hi = check_rational(lo, "lo"), check_rational(hi, "hi")
     if lo >= hi:
         raise PreconditionError(
-            f"weighted mediant needs lo < hi, got {format_fraction(lo)} >= {format_fraction(hi)}"
+            f"weighted mediant needs lo < hi, got {shown(lo, format_fraction)} >= "
+            f"{shown(hi, format_fraction)}"
         )
     return Fraction(
         lo.numerator * lo.denominator + hi.numerator * hi.denominator,
@@ -77,7 +78,8 @@ class MarkovTriple:
     def __post_init__(self):
         x, y, z = (check_int(c, "triple component", 1) for c in (self.x, self.y, self.z))
         if x * x + y * y + z * z != 3 * x * y * z:
-            raise DomainError(f"{(x, y, z)} does not satisfy x^2 + y^2 + z^2 = 3xyz")
+            raise DomainError(f"({shown(x)}, {shown(y)}, {shown(z)}) does not satisfy "
+                              "x^2 + y^2 + z^2 = 3xyz")
 
     def as_tuple(self):
         return (self.x, self.y, self.z)
@@ -91,7 +93,7 @@ def vieta_flip(t: MarkovTriple, position: str) -> MarkovTriple:
     is an InvariantError (unreachable for a valid triple).
     """
     if position not in ("x", "y", "z"):
-        raise DomainError(f"position must be one of 'x', 'y', 'z', got {position!r}")
+        raise DomainError(f"position must be one of 'x', 'y', 'z', got {shown(position)}")
     x, y, z = t.as_tuple()
     c = {"x": x, "y": y, "z": z}[position]
     a, b = {"x": (y, z), "y": (x, z), "z": (x, y)}[position]
@@ -158,7 +160,7 @@ def markov_child(x: int, y: int) -> int:
     disc = 9 * x * x * y * y - 4 * (x * x + y * y)
     root = isqrt(disc)
     if root * root != disc or (3 * x * y + root) % 2:
-        raise DomainError(f"parents {(x, y)} are not adjacent Markov numbers")
+        raise DomainError(f"parents ({shown(x)}, {shown(y)}) are not adjacent Markov numbers")
     return (3 * x * y + root) // 2
 
 

@@ -16,7 +16,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, shown
 
 
 # ============================================================
@@ -35,7 +35,7 @@ def check_int(x, what: str, least: int | None = None) -> int:
     """x if an int, not a bool, and not below least if given; else DomainError naming what."""
     if isinstance(x, bool) or not isinstance(x, int) or least is not None and x < least:
         bound = "" if least is None else f" >= {least}"
-        raise DomainError(f"{what} must be an int{bound}, got {x!r}")
+        raise DomainError(f"{what} must be an int{bound}, got {shown(x)}")
     return x
 
 
@@ -100,7 +100,7 @@ def farey_mediant(x: Fraction, y: Fraction) -> Fraction:
     """
     if not is_farey_neighbors(x, y):
         raise PreconditionError(
-            f"{format_fraction(x)} and {format_fraction(y)} are not Farey neighbors"
+            f"{shown(x, format_fraction)} and {shown(y, format_fraction)} are not Farey neighbors"
         )
     return Fraction(
         x.numerator + y.numerator, x.denominator + y.denominator
@@ -141,7 +141,7 @@ def partial_quotients(p: int, q: int) -> list:
     2-core VM, CPython 3.11).  A q <= 0 raises PreconditionError.
     """
     if q <= 0:
-        raise PreconditionError(f"partial quotients need q > 0, got {q}")
+        raise PreconditionError(f"partial quotients need q > 0, got {shown(q, str)}")
     a, q_next = divmod(p, q)
     quotients = [a]
     p, q = q, q_next
@@ -170,7 +170,7 @@ def cf_expand_even(x: Fraction) -> tuple:
     """
     x = check_rational(x, "x")
     if x <= 1:
-        raise DomainError(f"even expansion needs x > 1, got {format_fraction(x)}")
+        raise DomainError(f"even expansion needs x > 1, got {shown(x, format_fraction)}")
     word = partial_quotients(x.numerator, x.denominator)
     if len(word) % 2:
         word[-1] -= 1

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import starmap
 from typing import Any, Callable, Iterator
 
-from .errors import CombineError, DepthLimitError, DomainError, PreconditionError
+from .errors import CombineError, DepthLimitError, DomainError, PreconditionError, shown
 from .rational import check_int, check_rational, partial_quotients
 
 # Hard ceiling on enumeration depth, a backstop only: each level has twice
@@ -60,7 +60,7 @@ PATH_ALPHABET = frozenset("LR")
 
 def _check_path(path: str) -> str:
     if not isinstance(path, str) or not PATH_ALPHABET.issuperset(path):
-        raise DomainError(f"path must be a string over 'L'/'R', got {path!r}")
+        raise DomainError(f"path must be a string over 'L'/'R', got {shown(path)}")
     return path
 
 
@@ -122,9 +122,9 @@ def check_depth(depth: int) -> None:
     DepthLimitError.
     """
     if check_int(depth, "depth") < 0:
-        raise PreconditionError(f"depth must be >= 0, got {depth}")
+        raise PreconditionError(f"depth must be >= 0, got {shown(depth, str)}")
     if depth > HARD_DEPTH_CAP:
-        raise DepthLimitError(f"depth {depth} exceeds cap {HARD_DEPTH_CAP}")
+        raise DepthLimitError(f"depth {shown(depth, str)} exceeds cap {HARD_DEPTH_CAP}")
 
 
 def check_point_size(size: int) -> None:
@@ -148,7 +148,7 @@ def locate_runs(t: Fraction) -> list:
     """
     t = check_rational(t, "coordinate")
     if not 0 < t < 1:
-        raise DomainError(f"locate needs 0 < t < 1, got {t}")
+        raise DomainError(f"locate needs 0 < t < 1, got {shown(t, str)}")
     check_point_size(t.denominator)
     quotients = partial_quotients(t.denominator, t.numerator)
     quotients[0] -= 1
@@ -192,7 +192,7 @@ def value_at(t: Fraction, seed_left, seed_right, combine: Callable, power: Calla
     """
     t = check_rational(t, "coordinate")
     if not 0 <= t <= 1:
-        raise DomainError(f"coordinate must lie in [0, 1], got {t}")
+        raise DomainError(f"coordinate must lie in [0, 1], got {shown(t, str)}")
     if t == 0:
         return seed_left
     if t == 1:

@@ -48,7 +48,7 @@ from .cftree import (
     qi_satisfies,
 )
 from .cohn import check_cohn_parameter, cohn_A, cohn_B
-from .errors import DepthLimitError, DomainError
+from .errors import DepthLimitError, DomainError, shown
 from .export import KINDS
 from .markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, springborn_mediant, vieta_walk
 from .rational import (
@@ -472,7 +472,7 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
         raise DomainError(f"no suite named; {expected}")
     for name in names:
         if not (isinstance(name, str) and name in SUITES):
-            raise DomainError(f"unknown suite {name!r}; {expected}")
+            raise DomainError(f"unknown suite {shown(name)}; {expected}")
     if len(set(names)) < len(names):
         raise DomainError(f"--suites must be distinct, got {', '.join(names)}")
     if "index" in names and not a_values:

@@ -21,9 +21,11 @@ from topograph import (
     CohnMatrix,
     DepthLimitError,
     DomainError,
+    InvariantError,
     MarkovTriple,
     Mat2,
     PreconditionError,
+    TreeExport,
     build_export,
     cf_eval,
     cf_expand_even,
@@ -45,14 +47,17 @@ from topograph import (
     markov_irrationality,
     markov_triple_at,
     qi_compare,
+    render,
     run_suites,
     springborn_mediant,
     to_json,
     trace_map,
+    vieta_flip,
 )
 from topograph import cli
 from topograph.cli import main
 from topograph.export import KINDS
+from topograph.rational import check_int
 from topograph.tree import check_point_size
 from topograph.verify import DEFAULT_A_VALUES, HARD_A_VALUES_CAP
 
@@ -571,6 +576,46 @@ def test_a_point_size_is_named_by_its_bits():
             check_point_size(size)
         assert str(refused.value) == (f"point query size of {bits} bits exceeds cap "
                                       f"q * m <= {HARD_POINT_CAP}")
+
+
+# A refusal shows a value past errors.SHOWN_INT_BITS bits by its size, so
+# each of these raises the error its site intends, and at once; str and repr
+# raise ValueError for an int of more than 4,300 digits.  The CLI hands the
+# library strings, so only a library caller can pass them.
+HUGE = 10**5000
+HUGE_REFUSALS = {
+    "TreeExport kind": (lambda: TreeExport(HUGE, 1, None), DomainError),
+    "TreeExport depth": (lambda: TreeExport("farey", HUGE, None), DepthLimitError),
+    "build_export depth": (lambda: build_export("farey", -HUGE), PreconditionError),
+    "render format": (lambda: render(build_export("farey", 1), HUGE), DomainError),
+    "run_suites name": (lambda: run_suites([HUGE], 1), DomainError),
+    "run_suites depth": (lambda: run_suites(["relations"], HUGE), DepthLimitError),
+    "check_int": (lambda: check_int(-HUGE, "x", 1), DomainError),
+    "cohn_at": (lambda: cohn_at(HUGE), DomainError),
+    "markov_fraction": (lambda: markov_fraction(HUGE), DomainError),
+    "locate": (lambda: locate(Fraction(HUGE, 3)), DomainError),
+    "cf_expand_even": (lambda: cf_expand_even(Fraction(1, HUGE)), DomainError),
+    "cf_eval": (lambda: cf_eval([1, -HUGE]), DomainError),
+    "Mat2 **": (lambda: Mat2(1, 0, 0, 1) ** -HUGE, DomainError),
+    "farey_mediant": (lambda: farey_mediant(Fraction(HUGE), Fraction(0)), PreconditionError),
+    "springborn_mediant": (lambda: springborn_mediant(Fraction(HUGE), Fraction(0)),
+                           PreconditionError),
+    "MarkovTriple": (lambda: MarkovTriple(HUGE, 1, 1), DomainError),
+    "markov_child": (lambda: markov_child(HUGE, 1), DomainError),
+    "vieta_flip": (lambda: vieta_flip(MarkovTriple(1, 1, 1), HUGE), DomainError),
+    "make_qi": (lambda: make_qi(0, 1, 1, -HUGE), DomainError),
+    "cohn_index": (lambda: cohn_index(Mat2(HUGE, 0, 0, 0)), DomainError),
+    "CohnMatrix": (lambda: CohnMatrix(Mat2(HUGE, 0, 0, 1), 0), InvariantError),
+}
+
+
+@pytest.mark.parametrize("case", HUGE_REFUSALS)
+def test_a_huge_value_is_refused_by_its_site_at_once(case):
+    call, error = HUGE_REFUSALS[case]
+    started = time.perf_counter()
+    with pytest.raises(error, match=" bits>"):
+        call()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_the_index_suite_with_no_cohn_parameter_raises_before_any_suite_runs(monkeypatch):

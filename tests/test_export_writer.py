@@ -1,7 +1,8 @@
 """The direct writers against the routes they replaced.
 
 Each writer grows the tree from the export's header and renders each
-distinct region once, and from_json encodes each once; a cf word's render
+distinct region once, and from_json reads back each region's render once:
+its text, or a template kind's parsed JSON template; a cf word's render
 is spliced from its parents' renders, and the markov and triple trees are
 grown as the a = 0 Cohn tree and read off its matrices.  The references
 here share none of that: they grow each tree with its original rule (the
@@ -43,7 +44,7 @@ from topograph import (
     to_dot,
     to_json,
 )
-from topograph.cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, format_qi
+from topograph.cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, fixed_point, format_qi
 from topograph.errors import DepthLimitError, DomainError
 from topograph.export import KINDS, _csv_cell
 from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT, markov_child
@@ -264,7 +265,7 @@ CF = KINDS["cf"]
 # The four renders of a word, each from format_cf_word letter by letter.
 WORD_RENDERS = {
     "text": CF.text,
-    "json": lambda word: json.dumps(CF.encode(word)),
+    "json": lambda word: json.dumps(CF.text(word)),
     "csv": lambda word: _csv_cell(CF.text(word)),
     "dot": lambda word: '"' + CF.text(word) + '"',
 }
@@ -291,10 +292,11 @@ def test_csv_quotes_as_csv_writer_does():
 @pytest.mark.parametrize("kind", TREE_KINDS)
 def test_each_region_is_serialized_once(kind, monkeypatch):
     spec = KINDS[kind]
-    # A kind with a JSON template writes its JSON from it, not from encode;
-    # from_json still compares each parsed node with encode's.
-    template = "json_text" if spec.json_text else "encode"
-    calls = dict.fromkeys(["encode", "text", "json_text"], 0)
+    # A kind with a JSON template writes its JSON from it, and from_json
+    # parses it back; every other kind's JSON, and what from_json compares
+    # with, is its text.
+    json_from = "json_text" if spec.json_text else "text"
+    calls = dict.fromkeys(["text", "json_text"], 0)
 
     def counted(name):
         def fn(value):
@@ -303,7 +305,7 @@ def test_each_region_is_serialized_once(kind, monkeypatch):
         return fn
 
     monkeypatch.setitem(KINDS, kind, replace(
-        spec, encode=counted("encode"), text=counted("text"),
+        spec, text=counted("text"),
         json_text=counted("json_text") if spec.json_text else None))
     for depth in range(9):
         # A cf word's render is spliced from its parents', so only the two
@@ -313,26 +315,31 @@ def test_each_region_is_serialized_once(kind, monkeypatch):
         tree = build_export(kind, depth, 1)
         calls.update(none)
         text = to_json(tree)
+        assert calls == {**none, json_from: formatted}, depth
+        calls.update(none)
         to_csv(tree)
-        assert calls == {**none, template: formatted, "text": formatted}, depth
+        assert calls == {**none, "text": formatted}, depth
         # A loaded tree is regrown, so its nodes share regions as built ones do.
         calls.update(none)
         loaded = from_json(text)
-        assert calls == {**none, "encode": formatted}, depth
+        assert calls == {**none, json_from: formatted}, depth
         calls.update(none)
         to_json(loaded)
+        assert calls == {**none, json_from: formatted}, depth
+        calls.update(none)
         to_csv(loaded)
-        assert calls == {**none, template: formatted, "text": formatted}, depth
+        assert calls == {**none, "text": formatted}, depth
 
 
-def _json_templates_match_json_dumps(kind: str, a) -> None:
+def _json_templates_match_json_dumps(kind: str, a, ref) -> None:
     # A node's fields sit at nesting level 3, so each line of a value after
     # its first is indented three more spaces than json.dumps indents it.
+    # ref is this file's own encoder of a region, not the package's.
     spec = KINDS[kind]
     nodes = list(enumerate_tree(*spec.seeds(a), spec.combine, 8))
     regions = [nodes[0].left, nodes[0].right] + [node.value for node in nodes]
     for m in regions:
-        expected = json.dumps(spec.encode(m), indent=1, sort_keys=True).replace("\n", "\n   ")
+        expected = json.dumps(ref(m), indent=1, sort_keys=True).replace("\n", "\n   ")
         assert spec.json_text(m) == expected, m
     assert len(regions) == 2 ** 9 + 1
 
@@ -340,8 +347,8 @@ def _json_templates_match_json_dumps(kind: str, a) -> None:
 @pytest.mark.parametrize("a", [*DEFAULT_A_VALUES, 2**64 - 1, -(2**64 - 1)])
 def test_the_cohn_json_template_is_the_generic_route(a):
     # The generic route is json.dumps; negative entries and 20-digit ones included.
-    _json_templates_match_json_dumps("cohn", a)
+    _json_templates_match_json_dumps("cohn", a, FORMATTERS["cohn"][1])
 
 
 def test_the_irrational_json_template_is_the_generic_route():
-    _json_templates_match_json_dumps("irrational", None)
+    _json_templates_match_json_dumps("irrational", None, lambda m: _qi_fields(fixed_point(m)))

@@ -8,7 +8,10 @@ tree holds both walkers, the breadth-first reference and the depth-first
 core the exports stream from, so no other module takes a queue,
 TreeExport checks itself as it is made, the one header rule, so export reads
 tree.check_depth and cohn.check_cohn_parameter only in its __post_init__,
-and export.build_export is the one place the package makes a header.  The
+and export.build_export is the one place the package makes a header.  A
+region's JSON has one definition, its kind's text as a JSON string or its
+json_text template, so export.Kind holds no second encoder and from_json,
+which parses those same renders back, is the one json.loads in export.  The
 verify window caches one tree, the Markov tree every suite shares; a tree
 read by one suite is walked by that suite and held by nothing.
 rational.check_int is the one integer rule, so only it and check_rational,
@@ -159,6 +162,21 @@ def test_the_header_rule_runs_only_as_a_header_is_made():
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
              and node.id in {"check_depth", "check_cohn_parameter"}]
     assert sorted(reads) == [("check_cohn_parameter", True), ("check_depth", True)]
+
+
+def test_a_region_has_one_json_definition():
+    # A second encoder, read only by from_json, would be free to drift from
+    # what the writers write.
+    [export] = [path for path in SOURCES if path.stem == "export"]
+    tree = ast.parse(export.read_text(), str(export))
+    [kind] = [cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef) and cls.name == "Kind"]
+    fields = {node.target.id for node in kind.body if isinstance(node, ast.AnnAssign)}
+    assert {"text", "json_text"} <= fields and "encode" not in fields
+    function_of = _function_of(tree)
+    loads = {function_of.get(id(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "loads"
+             and getattr(node.value, "id", None) == "json"}
+    assert loads == {"from_json"}
 
 
 def _cached_properties(path: Path) -> list:
