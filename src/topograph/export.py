@@ -30,17 +30,12 @@ the levels once the walk is done, so a walk that raises writes nothing: the
 CLI opens --out only at the first write, so a failed export never creates or
 truncates it.  Given no file, a writer returns its text, written to memory.
 
-A node is a function of its two parent regions alone, so the root's two
-subtrees share nothing, and from _SPLIT_MIN_NODES nodes on, given two CPUs,
-a writer grows them on two cores: this process walks the root and its L
-subtree, and a forked child the R subtree from (root, right seed).  Within
-each level the L subtree's nodes come first, so each channel is written as
-this process's part, then the child's: the same bytes.  The child writes
-its part into a temp file made before the fork and sends back only where
-each channel's chunks lie, so this process copies them out a chunk at a
-time; the child never touches the output.  A split that fails in any way
-is redone by the plain in-process walk, the rule tree._on_two_cores
-states.
+From _SPLIT_MIN_NODES nodes on, by tree._split's rule, a writer walks the
+root and its L subtree here and the R subtree, from (root, right seed), in
+a forked child, which writes its part to a temp file and sends back only
+where each channel's chunks lie.  Each channel is written as this process's
+part, then the child's, a chunk at a time: within each level the L
+subtree's nodes come first, so these are the same bytes.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 one text render of the regions its walk carries.  The markov and triple
@@ -83,11 +78,10 @@ from .rational import (
 )
 from .tree import (
     Node,
-    _on_two_cores,
     _preorder,
     _right_subtree,
     _root_and_left,
-    _two_cpus,
+    _split,
     _walk,
     check_depth,
     format_path,
@@ -323,42 +317,41 @@ def _write_by_level(out: BinaryIO, head: str, channels: int, texts: Callable, ta
 
     A pre-order walk reaches each level from left to right, so giving each
     level of each part of a file its own channel turns the walk's texts into
-    the breadth-first file.  A tree of depth that has _SPLIT_MIN_NODES
-    nodes or more is split, given two CPUs: this process spools the root and
-    its L subtree, and a forked child the R subtree, whose texts come after
-    the L subtree's in every channel.  The child spools into a temp file
-    made before the fork and sends back only the (offset, size) chunks, so
-    this process copies its text out a chunk at a time.  A split that fails
-    in any way is closed and redone by the one in-process spool
-    (tree._on_two_cores).  Nothing reaches out before every walk is done,
+    the breadth-first file.  From _SPLIT_MIN_NODES nodes on, by tree._split's
+    rule, this process spools the root and its L subtree, and a forked child
+    spools the R subtree, whose texts follow the L subtree's in every
+    channel, into a temp file made before the fork and sends back only the
+    (offset, size) chunks.  Nothing reaches out before every walk is done,
     so a walk that raises writes nothing, and an out that opens its file at
     the first write never opens it.
     """
-    parts = []
+    parts = []  # the spools, held here alone so that dropping them frees their text
+
+    def halves():
+        import tempfile
+
+        parts[:] = _Spool(channels), _Spool(channels, tempfile.TemporaryFile())
+
+        def child():
+            theirs = parts[1]
+            theirs.add(texts(_right_subtree))
+            for channel in range(channels):
+                if theirs.held[channel]:
+                    theirs.move(channel)
+            theirs.spill.flush()  # the child leaves by os._exit, which flushes nothing
+            return theirs.chunks
+
+        return (lambda: parts[0].add(texts(_root_and_left)), child,
+                lambda _, chunks: setattr(parts[1], "chunks", chunks))
+
+    def alone():
+        while parts:  # a failed split's spools, closed and dropped
+            parts.pop().close()
+        parts.append(_Spool(channels))
+        parts[0].add(texts(_preorder))
+
     try:
-        if 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES and _two_cpus():
-            import tempfile
-
-            mine, theirs = _Spool(channels), _Spool(channels, tempfile.TemporaryFile())
-            parts += [mine, theirs]
-
-            def child():
-                theirs.add(texts(_right_subtree))
-                for channel in range(channels):
-                    if theirs.held[channel]:
-                        theirs.move(channel)
-                theirs.spill.flush()  # the child leaves by os._exit, which flushes nothing
-                return theirs.chunks
-
-            try:
-                _, theirs.chunks = _on_two_cores(lambda: mine.add(texts(_root_and_left)), child)
-            except Exception:  # redone by the in-process spool below
-                mine.close()
-                theirs.close()
-                parts.clear()
-        if not parts:
-            parts.append(_Spool(channels))
-            parts[0].add(texts(_preorder))
+        _split(depth, _SPLIT_MIN_NODES, halves, alone)
         out.write(head.encode())
         for channel in range(channels):
             for part in parts:

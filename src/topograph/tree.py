@@ -14,10 +14,13 @@ CombineError that records where in the tree it happened.  It holds two
 walkers over the same nodes: _walk, breadth-first, is the reference, and
 _preorder, depth-first, holds only O(depth) regions.  Pre-order reaches each
 level from left to right, which is breadth-first order within that level,
-so the exports stream from _preorder and regroup its nodes by level, and
-its two parts, the root with its L subtree and the R subtree, can be walked
-by two processes and joined level by level (_on_two_cores, the package's
-one fork).
+so the exports stream from _preorder and regroup its nodes by level.
+
+A node is a function of its two parent regions alone, so _preorder's two
+parts, the root with its L subtree and the R subtree, can be walked by two
+processes and joined level by level.  _split holds the one split rule, for
+the exports and verify alike, and the one failure rule: a split that raises
+is redone whole in this process (_on_two_cores is the package's one fork).
 
 Point queries take the run-length route instead: value_at reads the path of
 a coordinate off its continued fraction as runs of equal steps (locate_runs)
@@ -268,26 +271,39 @@ def _right_subtree(seed_left, seed_right, combine: Callable, depth: int) -> Iter
         yield from _preorder(root, seed_right, combine, depth, "R")
 
 
-def _two_cpus() -> bool:
-    """Whether this process may run on two CPUs or more."""
-    return hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2
+def _split(depth: int, min_nodes: int, halves: Callable, alone: Callable) -> Any:
+    """merge(*_on_two_cores(parent, child)) for (parent, child, merge) =
+    halves(), or alone(): the package's one split rule.
+
+    A tree of depth splits when it has min_nodes nodes or more and this
+    process may run on two CPUs or more (os.sched_getaffinity); otherwise
+    halves is never called.  A split that raises an Exception anywhere, in
+    halves, the fork, either half or merge, is dropped and alone() redoes
+    all of its work in this process: the one authority on what an input
+    gives, errors included.  A KeyboardInterrupt propagates, never redone.
+    """
+    if (2 ** (depth + 1) - 1 >= min_nodes and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        try:
+            parent, child, merge = halves()
+            return merge(*_on_two_cores(parent, child))
+        except Exception:
+            pass  # redone in process below
+    return alone()
 
 
 def _on_two_cores(parent: Callable, child: Callable) -> tuple:
     """(parent(), child()), with child() run by a forked child process.
 
-    The package's one fork, and its one failure rule: a split that fails in
-    any way raises here, and its caller redoes all of the split's work in
-    its plain in-process run, which is the one authority on what an input
-    gives, errors included.  The child sends child()'s value back pickled
-    through a pipe and exits with status 0, or exits with status 1 if
-    child() raises, by os._exit, so it never returns into the caller's
-    stack or flushes the stdio buffers it inherited.  An os.fork that
-    raises does so with the pipe closed, a parent() that raises does so
-    once the child is killed and reaped, and a child that did not exit 0
-    after sending a value gives ChildProcessError.  The child is reaped in
-    every case, and killed first if the parent's side raised,
-    KeyboardInterrupt included.
+    The package's one fork, called only by _split, which redoes a split
+    that raises here.  The child sends child()'s value back pickled through
+    a pipe and exits with status 0, or exits with status 1 if child()
+    raises, by os._exit, so it never returns into the caller's stack or
+    flushes the stdio buffers it inherited.  An os.fork that raises does so
+    with the pipe closed, a parent() that raises does so once the child is
+    killed and reaped, and a child that did not exit 0 after sending a
+    value gives ChildProcessError.  The child is reaped in every case, and
+    killed first if the parent's side raised, KeyboardInterrupt included.
     """
     import pickle  # only a split pays for these imports
     import signal

@@ -17,16 +17,13 @@ assert; they return a VerifyReport, and the CLI turns a failing report into
 exit code 1.
 
 The two groups share nothing but the Markov window, so from depth 8 (511
-nodes) on, given two CPUs, run_suites runs them on both: a forked child runs
-the word-tree suites (words, periodization) and the two that read no tree
-(companions, homomorphism), and the parent runs relations, index,
-monotonicity and distinctness.  The parent builds the Markov window before
-it forks, and the child inherits it.  The child's reports come back pickled
-through a pipe, so counts, counterexamples and the order of the reports are
-those of one process; only the per-suite times are each process's own.  A
-split that fails in any way is redone by the plain in-process run, the rule
-tree._on_two_cores states, so what an error raises is what one process
-raises.  A peak RSS read in the parent leaves out the child's.
+nodes) on run_suites runs them on two cores, by tree._split's rule: a
+forked child runs the word-tree suites (words, periodization) and the two
+that read no tree (companions, homomorphism) on the Markov window it
+inherits, and the parent runs relations, index, monotonicity and
+distinctness.  The child's reports come back pickled, so counts,
+counterexamples and their order are those of one process; only the
+per-suite times, and a peak RSS read in the parent, are each process's own.
 """
 
 from __future__ import annotations
@@ -59,8 +56,7 @@ from .rational import (
     format_fraction,
 )
 from .tree import (
-    _on_two_cores,
-    _two_cpus,
+    _split,
     check_depth,
     descend,
     enumerate_tree,
@@ -449,13 +445,10 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
     an unknown or repeated name, a repeated Cohn parameter or, when index
     runs, no Cohn parameter at all raises DomainError.
 
-    The run splits when names holds suites of both groups, the process may
-    run on two CPUs or more, and the window has _SPLIT_MIN_NODES nodes or
-    more: a forked child runs the named FORKED_SUITES on the window it
-    inherits, the parent the rest, and the reports come back in listed
-    order.  A split that fails in any way falls through to the in-process
-    run of the whole list (tree._on_two_cores), which returns or raises
-    what one process does.
+    When names holds suites of both groups, a window of _SPLIT_MIN_NODES
+    nodes or more is split by tree._split's rule: a forked child runs the
+    named FORKED_SUITES on the window it inherits, the parent the rest, and
+    the reports come back in listed order.
     """
     names = _listed(names, "suites")
     check_depth(depth)
@@ -479,17 +472,15 @@ def run_suites(names, depth: int, a_values=DEFAULT_A_VALUES) -> list:
         raise DomainError("--a-values must name a Cohn parameter for the index suite")
     window = Window(depth, a_values)
     forked = [name for name in names if name in FORKED_SUITES]
-    if 0 < len(forked) < len(names) and 2 ** (depth + 1) - 1 >= _SPLIT_MIN_NODES and _two_cpus():
-        try:
-            window.markov  # the parent's suites all read it, so the child inherits it
-            local, child = _on_two_cores(
-                lambda: _run(window, [name for name in names if name not in forked]),
-                lambda: _run(window, forked))
-        except Exception:
-            pass  # redone by the in-process run below
-        else:
-            by_name = {report.suite: report for report in local + child}
-            return [by_name[name] for name in names]
+    rest = [name for name in names if name not in forked]
+
+    def halves():
+        window.markov  # the parent's suites all read it, so the child inherits it
+        return (lambda: _run(window, rest), lambda: _run(window, forked),
+                lambda local, child: sorted(local + child, key=lambda r: names.index(r.suite)))
+
+    if forked and rest:
+        return _split(depth, _SPLIT_MIN_NODES, halves, lambda: _run(window, names))
     return _run(window, names)
 
 

@@ -9,12 +9,13 @@ depth, and compares byte for byte with the in-process output: written to
 in any way, a child that sends nothing because its walk raised, it exited or
 it was killed, or a walk that raises in the parent, which kills the child,
 is redone by the in-process walk of the whole tree, by the rule
-tree._on_two_cores states: it writes the in-process bytes or raises as one
+tree._split states: it writes the in-process bytes or raises as one
 process does, and then --out is never created.  No child may outlive a
 writer.
 """
 
 import errno
+import gc
 import os
 import signal
 import subprocess
@@ -188,6 +189,23 @@ def test_a_child_that_sends_nothing_leaves_its_half_to_the_parent(
     _no_child_left()
 
 
+def test_a_failed_split_drops_its_spools_before_the_in_process_walk(forced_split, monkeypatch):
+    # So the text the parent's half held is freed before the walk that redoes it.
+    live = []
+
+    def act(in_child):
+        if in_child:
+            os._exit(7)
+        gc.collect()
+        live.append(sum(isinstance(o, export._Spool) for o in gc.get_objects()))
+
+    _farey_acting(monkeypatch, act, Fraction(3, 5))  # RL: in the child's half and the redo
+    render(build_export("farey", 5), "csv")
+    assert live == [1]
+    assert len(forced_split) == 1
+    _no_child_left()
+
+
 def _raises(in_child):
     raise ValueError("planted failure")
 
@@ -252,6 +270,35 @@ def test_a_fork_that_cannot_start_writes_the_in_process_bytes(monkeypatch, tmp_p
     assert main(argv) == 0
     assert (tmp_path / "tree.csv").read_bytes() == want
     assert calls == [1]
+    assert len(os.listdir("/proc/self/fd")) == fds
+    _no_child_left()
+
+
+def test_a_split_whose_temp_file_cannot_be_made_writes_the_in_process_bytes(
+        monkeypatch, tmp_path):
+    """No level of farey at depth 12 passes _SPILL_BYTES, so one process
+    needs no temp file, and a split that cannot make the child's is redone
+    in process, forking nothing."""
+    import tempfile
+
+    tree = build_export("farey", 12)
+    want = _in_process(monkeypatch, lambda: render(tree, "csv"))
+    assert len(want.encode()) == 261510
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    calls, forks, real_fork = [], [], os.fork
+
+    def no_space():
+        calls.append(1)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", no_space)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    fds = len(os.listdir("/proc/self/fd"))
+    assert render(tree, "csv") == want
+    target = tmp_path / "tree.csv"
+    assert main(_argv("farey", 12, 0, "csv") + ["--out", str(target)]) == 0
+    assert target.read_bytes() == want.encode()
+    assert (calls, forks) == ([1, 1], [])
     assert len(os.listdir("/proc/self/fd")) == fds
     _no_child_left()
 

@@ -19,11 +19,11 @@ which refuses a bool as a rational, tell a bool from an int; and
 rational.parse_int the one rule for integer text, so only it calls int.  The
 CLI writes --out in place, so it names no temp file, rename or mode copy.
 tree._on_two_cores is the package's one parallelism: one os.fork, called
-only by verify's split (run_suites) and the exports' split
-(_write_by_level), each of which redoes a failed split with its own
-in-process run, by the one rule that helper's docstring states; no thread
-or process pool; pickle, which only a split needs, is imported there and
-not by import topograph.
+only by tree._split, the one split rule, which alone reads the CPU affinity
+and redoes a failed split in process; and _split is called only by verify's
+split (run_suites) and the exports' split (_write_by_level).  No thread or
+process pool; pickle, which only a split needs, is imported in
+_on_two_cores and not by import topograph.
 """
 
 import ast
@@ -273,12 +273,12 @@ def test_the_cli_writes_out_in_place():
     assert _names(cli) & {"os.replace", "os.rename", "os.fchmod", "tempfile", "stat"} == set()
 
 
-def _forks(path: Path) -> list:
-    """The enclosing function (or None) of every read of os.fork in a module."""
+def _os_reads(path: Path, name: str) -> list:
+    """The enclosing function (or None) of every read of os.<name> in a module."""
     tree = ast.parse(path.read_text(), str(path))
     function_of = _function_of(tree)
     return [function_of.get(id(node)) for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "fork"
+            if isinstance(node, ast.Attribute) and node.attr == name
             and getattr(node.value, "id", None) == "os"]
 
 
@@ -291,11 +291,18 @@ def _callers(path: Path, name: str) -> list:
 
 
 def test_one_helper_forks_and_nothing_else_runs_in_parallel():
-    forks = [(path.stem, function) for path in SOURCES for function in _forks(path)]
-    assert forks == [("tree", "_on_two_cores")]
-    callers = sorted((path.stem, function) for path in SOURCES
-                     for function in _callers(path, "_on_two_cores"))
-    assert callers == [("export", "_write_by_level"), ("verify", "run_suites")]
+    def reads(name):
+        return sorted((path.stem, function) for path in SOURCES
+                      for function in _os_reads(path, name))
+
+    def callers(name):
+        return sorted((path.stem, function) for path in SOURCES
+                      for function in _callers(path, name))
+
+    assert reads("fork") == [("tree", "_on_two_cores")]
+    assert callers("_on_two_cores") == [("tree", "_split")]
+    assert callers("_split") == [("export", "_write_by_level"), ("verify", "run_suites")]
+    assert reads("sched_getaffinity") == [("tree", "_split")]
     pools = {(path.stem, name) for path in SOURCES for name, relative in _imports(path)
              if not relative and name in {"multiprocessing", "concurrent", "threading"}}
     assert pools == set()

@@ -1,5 +1,5 @@
-"""The shared tree walker: descent, lookup, enumeration, mirroring, and the
-one fork helper's contract."""
+"""The shared tree walker: descent, lookup, enumeration, mirroring, the one
+fork helper's contract, and the one split rule built on it."""
 
 import errno
 import os
@@ -268,4 +268,102 @@ def test_a_fork_that_cannot_start_raises_with_the_pipe_closed(monkeypatch):
         tree._on_two_cores(lambda: "parent", lambda: "child")
     assert raised.value.errno == errno.EAGAIN
     assert _open_fds() == fds
+    _no_child_left()
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """Two CPUs in the affinity; returns the pids that called os.fork."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks, real_fork = [], os.fork
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _halves(parent=lambda: "parent", child=lambda: "child", calls=None):
+    """A halves() that records its call and merges the two values into a tuple."""
+    def halves():
+        if calls is not None:
+            calls.append("halves")
+        return parent, child, lambda local, theirs: ("merged", local, theirs)
+
+    return halves
+
+
+@pytest.mark.parametrize("depth,min_nodes,affinity", [
+    (2, 8, {0, 1}),
+    (3, 8, {0}),
+    (3, 8, None),
+], ids=["below-min-nodes", "one-cpu", "no-affinity"])
+def test_a_split_not_tried_never_calls_halves(two_cpus, monkeypatch, depth, min_nodes,
+                                               affinity):
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity")
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity)
+    calls = []
+    assert tree._split(depth, min_nodes, _halves(calls=calls), lambda: "alone") == "alone"
+    assert calls == []
+    assert two_cpus == []
+
+
+def test_a_healthy_split_returns_what_merge_returns(two_cpus):
+    # Depth 3 has 15 nodes, the threshold here.
+    def alone():
+        raise AssertionError("alone ran after a healthy split")
+
+    merged, local, (child_pid, value) = tree._split(
+        3, 15, _halves(os.getpid, lambda: (os.getpid(), "child")), alone)
+    assert (merged, value) == ("merged", "child")
+    assert local == os.getpid() != child_pid
+    assert two_cpus == [os.getpid()]
+    _no_child_left()
+
+
+def _halves_raises():
+    raise OSError(errno.ENOSPC, "No space left on device")
+
+
+def _fork_fails(monkeypatch):
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("failure,forks", [
+    (lambda monkeypatch: _halves_raises, 0),
+    (lambda monkeypatch: _fork_fails(monkeypatch) or _halves(), 0),
+    (lambda monkeypatch: _halves(parent=_raise), 1),
+    (lambda monkeypatch: _halves(child=lambda: os._exit(0)), 1),
+    (lambda monkeypatch: _halves(child=lambda: os._exit(7)), 1),
+    (lambda monkeypatch: _halves(child=lambda: os.kill(os.getpid(), signal.SIGKILL)), 1),
+], ids=["halves-raises", "fork-eagain", "parent-raises", "child-exits-0", "child-exits-7",
+        "child-killed"])
+def test_a_failed_split_returns_what_alone_returns(two_cpus, monkeypatch, failure, forks):
+    halves = failure(monkeypatch)
+    fds = _open_fds()
+    assert tree._split(3, 15, halves, lambda: "alone") == "alone"
+    assert len(two_cpus) == forks
+    assert _open_fds() == fds
+    _no_child_left()
+
+
+def test_an_interrupt_in_the_split_propagates_with_the_child_reaped(two_cpus):
+    def parent():
+        raise KeyboardInterrupt
+
+    def alone():
+        raise AssertionError("alone redid an interrupted split")
+
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        tree._split(3, 15, _halves(parent, lambda: time.sleep(60)), alone)
+    assert time.perf_counter() - started < 30
+    assert two_cpus == [os.getpid()]
     _no_child_left()
