@@ -17,7 +17,7 @@ assert; they return a VerifyReport, and the CLI turns a failing report into
 exit code 1.
 
 The two groups share nothing but the Markov window, so from depth 8 (511
-nodes) on run_suites runs them on two cores, by tree._split's rule: a
+nodes) on, run_suites runs them on two cores by tree._split's rule: a
 forked child runs the word-tree suites (words, periodization) and the two
 that read no tree (companions, homomorphism) on the Markov window it
 inherits, and the parent runs relations, index, monotonicity and

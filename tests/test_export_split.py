@@ -9,7 +9,7 @@ depth, and compares byte for byte with the in-process output: written to
 in any way, a child that sends nothing because its walk raised, it exited or
 it was killed, or a walk that raises in the parent, which kills the child,
 is redone by the in-process walk of the whole tree, by the rule
-tree._split states: it writes the in-process bytes or raises as one
+tree._on_two_cores states: it writes the in-process bytes or raises as one
 process does, and then --out is never created.  No child may outlive a
 writer.
 """

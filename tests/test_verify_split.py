@@ -8,7 +8,7 @@ order of the reports, the recorded corrupted-input reports, and what an
 exception makes of the exit code.  A split that fails in any way, a child
 that sends no reports because a suite raised, it exited or it was killed,
 or a parent suite that raises, is redone by the in-process run of the whole
-list, by the rule tree._split states; a healthy child's suites never
+list, by the rule tree._on_two_cores states; a healthy child's suites never
 run in the parent.  No child may outlive run_suites.
 """
 
