@@ -21,23 +21,23 @@ from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import DomainError, shown
-from .rational import Mat2, _convergents, _validate_word, cf_eval, check_int, check_rational
+from .rational import Mat2, Word, _convergents, _validate_word, cf_eval, check_int, check_rational
 from .tree import check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
 WORD_SEED_RIGHT = (1, 1)
 
 
-def markov_cf(t: Fraction) -> tuple:
-    """Even continued fraction word of 2 + markov_fraction(t).
+def markov_cf(t: Fraction) -> Word:
+    """Even continued fraction word of 2 + markov_fraction(t), as a Word.
 
     Built structurally, without expanding a fraction: value_at on the mirror
     image of the word tree, which puts (1,1) at t = 0 and (2,2) at t = 1.
-    The tests compare it with the step-by-step cf_concat descend on the
-    mirrored path, and the words suite compares the concatenation tree with
-    cf_expand_even.
+    Joining and repeating the seeds keeps letters 1, 2 and an even length, so
+    the Word is made unchecked.  The tests compare it with the cf_concat
+    descend on the mirrored path, the words suite with cf_expand_even.
     """
-    return value_at(t, *mirrored(WORD_SEED_LEFT, WORD_SEED_RIGHT, add), mul)
+    return tuple.__new__(Word, value_at(t, *mirrored(WORD_SEED_LEFT, WORD_SEED_RIGHT, add), mul))
 
 
 # ============================================================
@@ -90,10 +90,15 @@ def fixed_point(m: Mat2) -> QuadraticIrrational:
     That is the periodization of any even word whose convergent matrix is
     m = (p_k p_{k-1} / q_k q_{k-1}).  periodic_value passes the kernel's
     matrix; the verify window and the irrational export carry it instead.
+    Its discriminant tr^2 - 4 det lies strictly between (|tr| - 1)^2 and tr^2
+    at det 1 and |tr| >= 3, so int entries with q_k > 0 skip make_qi's isqrt.
     """
     pk, pk1, qk, qk1 = m.e11, m.e12, m.e21, m.e22
-    disc = (qk1 - pk) ** 2 + 4 * qk * pk1
-    return make_qi(pk - qk1, 1, 2 * qk, disc)
+    tr = pk + qk1
+    if (type(pk) is type(pk1) is type(qk) is type(qk1) is int and qk > 0
+            and not -3 < tr < 3 and pk * qk1 - pk1 * qk == 1):
+        return QuadraticIrrational(pk - qk1, 1, 2 * qk, tr * tr - 4)
+    return make_qi(pk - qk1, 1, 2 * qk, (qk1 - pk) ** 2 + 4 * qk * pk1)
 
 
 def markov_irrationality(mf: Fraction) -> QuadraticIrrational:

@@ -122,12 +122,13 @@ def cmd_cf(args) -> int:
     if args.m is not None and args.mode != "companion":
         raise TopographError("--m applies only to --mode companion")
     t = parse_fraction(args.coordinate)
-    word = markov_cf(t)
     payload = {"coordinate": format_fraction(t)}
     if args.mode == "word":
+        word = markov_cf(t)
         payload["word"] = format_cf_word(word)
         payload["value"] = format_fraction(cf_eval(word))
     elif args.mode == "periodic":
+        word = markov_cf(t)
         payload["word"] = format_cf_word(word, periodic=True)
         payload["value"] = format_qi(periodic_value(word))
     else:

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DepthLimitError, DomainError, InvariantError, shown
-from .rational import Mat2, check_int
+from .rational import Mat2, _mul, _pow, check_int
 from .tree import value_at
 
 
@@ -88,37 +88,37 @@ def check_cohn_parameter(a: int) -> None:
         raise DepthLimitError(f"Cohn parameter of {a.bit_length()} bits exceeds cap |a| < 2**64")
 
 
-def _a_seed(a: int) -> Mat2:
-    return Mat2(a, 1, 3 * a - a * a - 1, 3 - a)
+def _a_seed(a: int) -> tuple:
+    return a, 1, 3 * a - a * a - 1, 3 - a
 
 
-def _b_seed(a: int) -> Mat2:
-    return Mat2(2 * a + 1, 2, -2 * a * a + 4 * a + 2, 5 - 2 * a)
+def _b_seed(a: int) -> tuple:
+    return 2 * a + 1, 2, -2 * a * a + 4 * a + 2, 5 - 2 * a
 
 
 def cohn_A(a: int) -> CohnMatrix:
     """Left seed of the parameter-a tree; sits at coordinate t = 0."""
     check_cohn_parameter(a)
-    return CohnMatrix(_a_seed(a), a)
+    return CohnMatrix(Mat2(*_a_seed(a)), a)
 
 
 def cohn_B(a: int) -> CohnMatrix:
     """Right seed of the parameter-a tree; sits at coordinate t = 1."""
     check_cohn_parameter(a)
-    return CohnMatrix(_b_seed(a), a)
+    return CohnMatrix(Mat2(*_b_seed(a)), a)
 
 
 def cohn_at(t: Fraction, a: int = 0) -> CohnMatrix:
     """Cohn matrix at coordinate t in [0, 1] for parameter a.
 
-    value_at gives the seeds at the boundaries and one Mat2 power and product
-    per run of the path inside.  The tests compare it with the step-by-step
-    Mat2 @ descend along locate(t); the index suite checks the enumerated
-    Cohn tree against the Markov fractions.  a is checked once, here, and
-    the result once, as a CohnMatrix; the seeds are read as bare matrices.
+    value_at gives the seeds at the boundaries and one _pow and _mul of entry
+    tuples per run of the path inside.  The tests compare it with the
+    step-by-step Mat2 @ descend along locate(t); the index suite checks the
+    enumerated Cohn tree against the Markov fractions.  a is checked once,
+    here, and the result once, as a CohnMatrix.
     """
     check_cohn_parameter(a)
-    return CohnMatrix(value_at(t, _a_seed(a), _b_seed(a), Mat2.__matmul__, Mat2.__pow__), a)
+    return CohnMatrix(Mat2(*value_at(t, _a_seed(a), _b_seed(a), _mul, _pow)), a)
 
 
 def cohn_index(c) -> Fraction:

@@ -115,7 +115,7 @@ def farey_mediant(x: Fraction, y: Fraction) -> Fraction:
 # even-length words because concatenation of even words is associative on
 # values, which is what the word tree is built on.
 
-def _validate_word(word, *, even: bool = False) -> tuple:
+def _letters(word) -> tuple:
     w = tuple(word)
     if not w:
         raise DomainError("continued fraction word must be nonempty")
@@ -124,6 +124,24 @@ def _validate_word(word, *, even: bool = False) -> tuple:
     if not (set(map(type, w)) == {int} and min(w) >= 1):
         for c in w:
             check_int(c, "continued fraction quotient", 1)
+    return w
+
+
+class Word(tuple):
+    """A continued fraction word, checked as it is made (and as it is unpickled):
+    a nonempty tuple of ints >= 1.  _validate_word takes a Word as it is."""
+
+    __slots__ = ()
+
+    def __new__(cls, letters):
+        return tuple.__new__(cls, _letters(letters))
+
+    def __reduce__(self):  # pickle rebuilds through __new__, and so checks, at every protocol
+        return Word, (tuple(self),)
+
+
+def _validate_word(word, *, even: bool = False) -> tuple:
+    w = word if type(word) is Word else _letters(word)
     if even and len(w) % 2:
         raise PreconditionError(f"word length must be even, got {len(w)}")
     return w
@@ -208,11 +226,11 @@ def _convergents(word) -> tuple:
     homomorphism from concatenation, so a word longer than _PLAIN_MAX is cut
     into _CHUNK-letter chunks, each chunk's matrix comes from
     _leaf_convergents (memoized by the chunk for this call), and the chunk
-    matrices are multiplied pairwise, level by level.  Balanced products
-    multiply big ints of equal size, which makes the whole subquadratic in
-    the word length, where a left-to-right fold is quadratic.  The tests
-    compare it with a Mat2 fold per letter and, on long words, with the
-    recurrence over every letter.
+    matrices are multiplied pairwise by _mul, level by level.  Balanced
+    products multiply big ints of equal size, which makes the whole
+    subquadratic in the word length, where a left-to-right fold is
+    quadratic.  The tests compare it with a Mat2 fold per letter and, on
+    long words, with the recurrence over every letter.
     """
     if len(word) <= _PLAIN_MAX:
         return _leaf_convergents(word)
@@ -224,15 +242,8 @@ def _convergents(word) -> tuple:
         if m is None:
             m = memo[chunk] = _leaf_convergents(chunk)
         level.append(m)
-    while len(level) > 1:
-        paired = [
-            (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
-             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
-            for (a11, a12, a21, a22), (b11, b12, b21, b22) in zip(level[::2], level[1::2])
-        ]
-        if len(level) % 2:
-            paired.append(level[-1])
-        level = paired
+    while len(level) > 1:  # pairs multiplied, an odd one out carried up
+        level = list(map(_mul, level[::2], level[1::2])) + level[len(level) // 2 * 2:]
     return level[0]
 
 
@@ -274,6 +285,26 @@ def parse_cf_word(text: str) -> tuple:
 # 2x2 integer matrices
 # ============================================================
 
+def _mul(a: tuple, b: tuple) -> tuple:
+    """Product a.b of two (e11, e12, e21, e22) tuples, the kernel under Mat2."""
+    (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
+    return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
+            a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
+
+
+def _pow(a: tuple, n: int) -> tuple:
+    """a^n for an int n >= 0, squaring only while higher bits of n remain (Knuth,
+    TAOCP vol. 2, 4.6.3, Algorithm A): a^(2^k) is k squarings and no other product."""
+    result = None
+    while True:
+        if n & 1:
+            result = a if result is None else _mul(result, a)
+        n >>= 1
+        if not n:
+            return (1, 0, 0, 1) if result is None else result
+        a = _mul(a, a)
+
+
 @dataclass(frozen=True)
 class Mat2:
     """2x2 integer matrix (e11 e12 / e21 e22) with exact arithmetic."""
@@ -297,14 +328,7 @@ class Mat2:
 
     def __pow__(self, n: int) -> "Mat2":
         check_int(n, "matrix power", 0)
-        result = Mat2.identity()
-        base = self
-        while n:
-            if n & 1:
-                result = result @ base
-            base = base @ base
-            n >>= 1
-        return result
+        return Mat2(*_pow((self.e11, self.e12, self.e21, self.e22), n))
 
     def det(self) -> int:
         return self.e11 * self.e22 - self.e12 * self.e21

@@ -173,9 +173,9 @@ def descend_runs(seed_left, seed_right, combine: Callable, power: Callable, runs
 
     From the parent pair (X, Y) the node is X.Y; a run of k L steps leads to
     the pair (X, X^k.Y) and a run of k R steps to (X.Y^k, Y), with power(X, k)
-    standing for X^k (Mat2.__pow__ for matrices, tuple repetition for words).
-    So a path of n runs costs n powers and n + 1 combines.  descend is the
-    step-by-step reference.  Combine failures propagate unwrapped.
+    standing for X^k (rational._pow for matrix tuples, tuple repetition for
+    words).  So a path of n runs costs n powers and n + 1 combines.  descend
+    is the step-by-step reference.  Combine failures propagate unwrapped.
     """
     left, right = seed_left, seed_right
     for step, k in runs:

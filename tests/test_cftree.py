@@ -1,5 +1,7 @@
 """Word tree, periodizations, and rational companions."""
 
+import pickle
+import re
 from fractions import Fraction
 from math import isqrt
 
@@ -9,26 +11,38 @@ from hypothesis import strategies as st
 
 from topograph import (
     DomainError,
+    Mat2,
     PreconditionError,
     QuadraticIrrational,
+    cf_concat,
     cf_eval,
     cf_expand_even,
     compare_gap,
     convergent_matrix,
+    descend,
     enumerate_tree,
     farey_mediant,
     format_qi,
     left_companion,
+    locate,
     make_qi,
     markov_cf,
     markov_fraction,
     markov_irrationality,
+    mirror,
     periodic_value,
     qi_compare,
     qi_satisfies,
 )
+from topograph.cftree import fixed_point
+from topograph.rational import Word, _validate_word
 
 GOLDEN = make_qi(1, 1, 2, 5)
+
+# words over small quotients, arbitrary content, even length
+even_words = st.lists(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=1, max_size=20
+).map(lambda pairs: tuple(c for pair in pairs for c in pair))
 
 
 # ============================================================
@@ -62,6 +76,54 @@ def test_words_match_direct_expansion():
         assert cf_eval(word) == 2 + markov_fraction(t)
 
 
+def test_markov_cf_is_a_word_equal_to_the_step_by_step_descend():
+    for t in (Fraction(0), Fraction(1)):
+        assert type(markov_cf(t)) is Word
+    for node in enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 6):
+        word = markov_cf(node.value)
+        assert type(word) is Word
+        assert word == descend((2, 2), (1, 1), cf_concat, mirror(locate(node.value))).value
+
+
+# letters refused as a Word is made, with the message a word has always had
+BAD_LETTERS = {
+    "bool": ([1, True], "continued fraction quotient must be an int >= 1, got True"),
+    "empty": ([], "continued fraction word must be nonempty"),
+    "zero": ([0], "continued fraction quotient must be an int >= 1, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_LETTERS)
+def test_a_word_is_checked_as_it_is_made(case):
+    letters, message = BAD_LETTERS[case]
+    for make in (Word, convergent_matrix, cf_eval):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            make(letters)
+
+
+def test_a_word_is_taken_as_it_is_and_still_checked_for_even_length():
+    word = Word([2, 2, 1, 1])
+    assert word == (2, 2, 1, 1) and type(word) is Word
+    assert _validate_word(word) is word
+    assert _validate_word(word, even=True) is word
+    with pytest.raises(PreconditionError, match="^word length must be even, got 3$"):
+        _validate_word(Word([2, 2, 1]), even=True)
+    # Any other input is checked as it always was, and not copied into a Word.
+    letters = (2, 2)
+    assert _validate_word(letters) is letters
+    assert _validate_word([2, 2]) == letters
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_word_is_checked_again_as_it_is_loaded(protocol):
+    word = Word([2, 2, 1, 1])
+    loaded = pickle.loads(pickle.dumps(word, protocol))
+    assert loaded == word and type(loaded) is Word
+    planted = tuple.__new__(Word, (1, 0))
+    with pytest.raises(DomainError, match="^continued fraction quotient must be an int >= 1, got 0$"):
+        pickle.loads(pickle.dumps(planted, protocol))
+
+
 def test_word_lengths_add_like_the_tree():
     lengths = {}
     for node in enumerate_tree((2, 2), (1, 1), lambda u, v: u + v, 8):
@@ -88,6 +150,63 @@ def test_make_qi_validates():
         make_qi(1, 0, 2, 5)
     with pytest.raises(DomainError):
         make_qi(1, 1, 0, 5)
+
+
+def _make_qi_route(m: Mat2):
+    """fixed_point as make_qi gives it, isqrt and gcd included."""
+    return make_qi(m.e11 - m.e22, 1, 2 * m.e21, (m.e22 - m.e11) ** 2 + 4 * m.e21 * m.e12)
+
+
+def _outcome(route, m: Mat2):
+    """route(m), or the type and message of what it raises."""
+    try:
+        return route(m)
+    except DomainError as exc:
+        return type(exc), str(exc)
+
+
+def test_fixed_point_is_the_make_qi_route_on_the_irrational_tree():
+    seeds = convergent_matrix((2, 2)), convergent_matrix((1, 1))
+    matrices = [*seeds] + [node.value for node in enumerate_tree(*seeds, Mat2.__matmul__, 8)]
+    assert len(matrices) == 2 + 511
+    for m in matrices:
+        assert m.det() == 1
+        assert fixed_point(m) == _make_qi_route(m)
+
+
+@given(even_words)
+def test_fixed_point_is_the_make_qi_route_on_even_words(word):
+    m = convergent_matrix(word)
+    assert fixed_point(m) == _make_qi_route(m)
+
+
+@given(st.fractions(min_value=Fraction(0), max_value=Fraction(1), max_denominator=3000))
+def test_periodization_matches_formula_at_any_coordinate(t):
+    assert periodic_value(markov_cf(t)) == markov_irrationality(markov_fraction(t))
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=11).filter(lambda w: len(w) % 2))
+def test_odd_words_still_take_the_make_qi_route(word):
+    m = convergent_matrix(word)
+    assert m.det() == -1
+    assert fixed_point(m) == _make_qi_route(m)
+
+
+@pytest.mark.parametrize("m,outcome", [
+    (Mat2(1, 1, 0, 1), (DomainError, "D must be a positive nonsquare, got 0")),
+    (Mat2(1, 0, 1, 1), (DomainError, "D must be a positive nonsquare, got 0")),
+    (Mat2(1, -1, 1, 0), (DomainError, "D must be a positive nonsquare, got -3")),
+    (Mat2(0, -1, 1, 0), (DomainError, "D must be a positive nonsquare, got -4")),
+    (Mat2(3, 1, -1, 0), (DomainError, "B and Q must be positive, got B=1, Q=-2")),
+    (Mat2(5.0, 2, 2, 1), (DomainError, "P must be an int, got 4.0")),
+    (Mat2(-1, 2, 1, -3), QuadraticIrrational(2, 1, 2, 12)),
+    (Mat2(5, 2, 2, True), QuadraticIrrational(4, 1, 4, 32)),
+], ids=["tr-2-q-0", "tr-2", "tr-1", "tr-0", "q-negative", "float-entry", "tr-negative",
+        "bool-entry"])
+def test_fixed_point_outside_the_det_1_route_keeps_make_qi_outcomes(m, outcome):
+    # Each has |tr| < 3, q_k <= 0 or an entry that is no int, and so leaves the
+    # det-1 route, but tr-negative: a trace of -4 takes it.
+    assert _outcome(fixed_point, m) == _outcome(_make_qi_route, m) == outcome
 
 
 def test_format_qi():

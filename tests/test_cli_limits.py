@@ -109,6 +109,18 @@ def test_largest_word_queries_answer_in_time(capsys, argv, answer):
     assert elapsed < AT_CAP_S
 
 
+def test_companion_mode_builds_no_word_of_its_own(capsys, monkeypatch):
+    # left_companion builds the word it repeats; only the word and periodic
+    # modes print the word itself.
+    def refuse(t):
+        raise AssertionError("cf --mode companion called markov_cf")
+
+    monkeypatch.setattr(cli, "markov_cf", refuse)
+    code, out, err, _ = run_cli(capsys, "cf", "1/2", "--mode", "companion", "--m", "2")
+    assert code == 0 and err == ""
+    assert "\ncompanion = 179/75\n" in out
+
+
 @pytest.mark.parametrize("path", ["L" * 5000, "LR" * 20], ids=["L*5000", "(LR)*20"])
 def test_oversized_triple_path_exits_2_at_once(capsys, path):
     code, out, err, elapsed = run_cli(capsys, "triple", path)

@@ -16,7 +16,9 @@ verify window caches one tree, the Markov tree every suite shares; a tree
 read by one suite is walked by that suite and held by nothing.
 rational.check_int is the one integer rule, so only it and check_rational,
 which refuses a bool as a rational, tell a bool from an int; and
-rational.parse_int the one rule for integer text, so only it calls int.  The
+rational.parse_int the one rule for integer text, so only it calls int.  A
+rational.Word is checked as it is made, and only cftree.markov_cf, whose
+words are grown from the checked seeds, makes one without the check.  The
 CLI writes --out in place, so it names no temp file, rename or mode copy.
 tree._on_two_cores is the package's one parallelism: one os.fork, called
 only by tree._split, the one split rule, which alone reads the CPU affinity
@@ -231,6 +233,23 @@ def test_only_check_int_tells_a_bool_from_an_int():
     # and message, and the argument it forgets takes True as 1.
     tests = {(path.stem, function) for path in SOURCES for function in _bool_tests(path)}
     assert tests == {("rational", "check_int"), ("rational", "check_rational")}
+
+
+def _tuple_news(path: Path) -> set:
+    """(enclosing function, first argument) of every call tuple.__new__(...) in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return {(function_of.get(id(node)), getattr(node.args[0], "id", None) if node.args else None)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "__new__" and getattr(node.func.value, "id", None) == "tuple"}
+
+
+def test_only_markov_cf_makes_a_word_unchecked():
+    # A Word is taken as checked: Word.__new__ checks, and markov_cf's word is
+    # made from the checked seeds by concatenation and repetition alone.
+    makers = {(path.stem, *maker) for path in SOURCES for maker in _tuple_news(path)}
+    assert makers == {("rational", "__new__", "cls"), ("cftree", "markov_cf", "Word")}
 
 
 def _int_calls(path: Path) -> set:

@@ -3,6 +3,7 @@
 import random
 import re
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given
@@ -26,6 +27,8 @@ from topograph import (
     parse_int,
     partial_quotients,
 )
+from topograph import rational
+from topograph.rational import _mul, _pow
 from topograph.verify import Window
 
 # words over small quotients, arbitrary content, even length
@@ -232,6 +235,53 @@ def test_mat2_algebra():
     assert a ** 3 == a @ a @ a
     with pytest.raises(DomainError):
         a ** -1
+
+
+@pytest.mark.parametrize("n", [-1, True, 2.0])
+def test_mat2_power_refuses_what_is_no_int_at_least_0(n):
+    with pytest.raises(DomainError, match=f"^matrix power must be an int >= 0, got {n}$"):
+        Mat2(1, 2, 3, 4) ** n
+
+
+IDENTITY = (1, 0, 0, 1)
+
+
+def test_mul_is_mat2_matmul():
+    rng = random.Random(31)
+    for _ in range(20):
+        a, b = (tuple(rng.randrange(-2**100, 2**100) for _ in range(4)) for _ in range(2))
+        assert Mat2(*_mul(a, b)) == Mat2(*a) @ Mat2(*b)
+
+
+def test_pow_is_the_fold_of_mul():
+    rng = random.Random(31)
+    bases = [IDENTITY, (1, 1, 0, 1), (2, 1, 1, 1), (0, -1, 1, 0), (-3, 7, 2, -5)]
+    bases += [tuple(rng.randrange(-2**100, 2**100) for _ in range(4)) for _ in range(3)]
+    for a in bases:
+        for n in range(71):
+            assert _pow(a, n) == reduce(_mul, [a] * n, IDENTITY)
+        assert Mat2(*a) ** 70 == Mat2(*_pow(a, 70))
+
+
+def test_pow_squares_only_while_bits_remain(monkeypatch):
+    # a^(2^k) is k squarings and no other product; a square past the top bit
+    # would be thrown away.  The quarter turn's powers stay small at any n.
+    mul, squares = _mul, []
+
+    def counted(a, b):
+        squares.append(a is b)
+        return mul(a, b)
+
+    monkeypatch.setattr(rational, "_mul", counted)
+    turns = [IDENTITY, (0, -1, 1, 0), (-1, 0, 0, -1), (0, 1, -1, 0)]
+    for n in [*range(40), *(2**k for k in range(6, 70, 7)), 2**70 - 1]:
+        squares.clear()
+        assert _pow((0, -1, 1, 0), n) == turns[n % 4]
+        k = max(n.bit_length() - 1, 0)
+        assert squares.count(True) == k
+        assert squares.count(False) == max(bin(n).count("1") - 1, 0)
+        if n == 2**k:
+            assert squares == [True] * k
 
 
 def _divmod_quotients(p: int, q: int) -> list:
