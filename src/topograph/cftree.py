@@ -21,7 +21,7 @@ from math import gcd, isqrt
 from operator import add, mul
 
 from .errors import DomainError, shown
-from .rational import Mat2, Word, _convergents, _validate_word, cf_eval, check_int, check_rational
+from .rational import Word, _convergents, _pow, _validate_word, check_int, check_rational
 from .tree import check_point_size, mirrored, value_at
 
 WORD_SEED_LEFT = (2, 2)
@@ -78,22 +78,22 @@ def format_qi(x: QuadraticIrrational) -> str:
 def periodic_value(word) -> QuadraticIrrational:
     """Value of the infinite periodic continued fraction with this period.
 
-    It is the fixed point of the kernel's convergent matrix of the word.
+    It is the fixed point of the word's convergent tuple from the kernel.
     Even length keeps the discriminant positive and the root above 1.
     """
-    return fixed_point(Mat2(*_convergents(_validate_word(word, even=True))))
+    return fixed_point(_convergents(_validate_word(word, even=True)))
 
 
-def fixed_point(m: Mat2) -> QuadraticIrrational:
+def fixed_point(m) -> QuadraticIrrational:
     """Larger root of q_k x^2 + (q_{k-1} - p_k) x - p_{k-1} = 0.
 
     That is the periodization of any even word whose convergent matrix is
-    m = (p_k p_{k-1} / q_k q_{k-1}).  periodic_value passes the kernel's
-    matrix; the verify window and the irrational export carry it instead.
+    m = (p_k p_{k-1} / q_k q_{k-1}), a Mat2 or its tuple: periodic_value's
+    from the kernel, or the one the verify window and irrational export carry.
     Its discriminant tr^2 - 4 det lies strictly between (|tr| - 1)^2 and tr^2
     at det 1 and |tr| >= 3, so int entries with q_k > 0 skip make_qi's isqrt.
     """
-    pk, pk1, qk, qk1 = m.e11, m.e12, m.e21, m.e22
+    pk, pk1, qk, qk1 = m
     tr = pk + qk1
     if (type(pk) is type(pk1) is type(qk) is type(qk1) is int and qk > 0
             and not -3 < tr < 3 and pk * qk1 - pk1 * qk == 1):
@@ -116,12 +116,14 @@ def left_companion(t: Fraction, m: int) -> Fraction:
     """Rational approximant from m repetitions of the word at t.
 
     These sit above the periodization and walk down onto it as m grows.
-    The word has 2qm letters for t = p/q, so q * m beyond HARD_POINT_CAP
-    raises DepthLimitError before any work.
+    By the homomorphism the repeated word's matrix is the word's to the m-th
+    power, one kernel _pow, so no word of 2qm letters is built; q * m beyond
+    HARD_POINT_CAP raises DepthLimitError before any work.
     """
     check_int(m, "repetition count", 1)
     check_point_size(check_rational(t, "coordinate").denominator * m)
-    return cf_eval(markov_cf(t) * m)
+    p, _, q, _ = _pow(_convergents(markov_cf(t)), m)
+    return Fraction(p, q)
 
 
 # ============================================================

@@ -56,16 +56,16 @@ class CohnMatrix:
 
 
 def _check_entries(m: Mat2) -> Mat2:
-    """m, once each entry passes check_int; Mat2 @, the trees' combine, checks none."""
-    for entry in (m.e11, m.e12, m.e21, m.e22):
+    """m, once each entry passes check_int; _mul, the trees' combine, checks none."""
+    for entry in m:
         check_int(entry, "matrix entry")
     return m
 
 
 def _shown(m: Mat2) -> str:
     """m as repr shows it, each entry through errors.shown."""
-    return (f"Mat2(e11={shown(m.e11)}, e12={shown(m.e12)}, "
-            f"e21={shown(m.e21)}, e22={shown(m.e22)})")
+    e11, e12, e21, e22 = map(shown, m)
+    return f"Mat2(e11={e11}, e12={e12}, e21={e21}, e22={e22})"
 
 
 def _matrix(c) -> Mat2:

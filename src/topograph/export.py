@@ -40,14 +40,14 @@ subtree's nodes come first, so these are the same bytes.
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
 one text render of the regions its walk carries.  The markov and triple
 trees are grown as the a = 0 Cohn tree, by the source paper's theorem (see
-cohn): a node costs one integer matrix product, and its Markov fraction
-e11/e12 and Markov number e12 are read straight off the matrix, with no gcd
-or square root; the weighted mediant and markov_child stay in markov as the
-reference routes the tests compare with.  A cohn matrix's JSON, and an
-irrational region's, comes from one fixed template; every other kind's JSON
-value is its text, as a JSON string.  The CLI, the exports and verify all
-read KINDS; the verify window reads the irrational tree's convergent
-matrices before the lift.
+cohn): a node costs one rational._mul, the package's one 2x2 product, on
+(e11, e12, e21, e22) int tuples, and its Markov fraction e11/e12 and Markov
+number e12 are read straight off the tuple, with no gcd or square root; the
+weighted mediant and markov_child stay in markov as the reference routes the
+tests compare with.  A cohn matrix's JSON, and an irrational region's, comes
+from one fixed template; every other kind's JSON value is its text, as a
+JSON string.  The CLI, the exports and verify all read KINDS; the verify
+window reads the irrational tree's convergent tuples before the lift.
 
 from_json regrows the tree from the file's header as to_json grows it,
 with the same renders, and loads a file only if every node in it is the one
@@ -70,6 +70,7 @@ from .cohn import check_cohn_parameter, cohn_A, cohn_B, cohn_index
 from .errors import DomainError, shown
 from .rational import (
     Mat2,
+    _mul,
     convergent_matrix,
     farey_mediant,
     format_cf_word,
@@ -98,17 +99,18 @@ class Kind:
 
     seeds(a) is the seed pair and combine fills in every node from its two
     parent regions, so a header (kind, depth, a) fixes the tree.  A region
-    is what the walk carries, which need not be the library's value: text
-    is its one render, for CSV cells, DOT labels and, as a JSON string,
-    JSON; no file's value is read back, since from_json regrows the tree.
-    lift maps a region to the library's value, and only TreeExport.nodes
-    reads it.  json_text is the JSON template of a kind whose JSON value is
-    not a string: it renders a region straight to JSON text at a node's
-    nesting level (3), as json.dumps(..., indent=1, sort_keys=True) would
-    write it there.  join, when set, makes the render of a node's region
-    from the renders of its parent regions, as _splice does for words.
-    Only a kind that takes_a reads the parameter a, and only its exports
-    record it.
+    is what the walk carries, which need not be the library's value (a
+    matrix kind carries (e11, e12, e21, e22) int tuples): text is its one
+    render, for CSV cells, DOT labels and, as a JSON string, JSON; no file's
+    value is read back, since from_json regrows the tree.  lift maps a
+    region to the library's value (a Mat2 for cohn), and only
+    TreeExport.nodes reads it.  json_text is the JSON template of a kind
+    whose JSON value is not a string: it renders a region straight to JSON
+    text at a node's nesting level (3), as json.dumps(..., indent=1,
+    sort_keys=True) would write it there.  join, when set, makes the render
+    of a node's region from the renders of its parent regions, as _splice
+    does for words.  Only a kind that takes_a reads the parameter a, and
+    only its exports record it.
     """
 
     seeds: Callable
@@ -133,21 +135,13 @@ def _splice(s: str, t: str) -> str:
     return s[:s.rindex("]")] + "," + t[t.index("[") + 1:]
 
 
-def _index_text(m: Mat2) -> str:
-    return f"{m.e11}/{m.e12}"
-
-
-def _e12_text(m: Mat2) -> str:
-    return str(m.e12)
-
-
-def _cohn_json(m: Mat2) -> str:
+def _cohn_json(m: tuple) -> str:
     """m's entries, a 2 x 2 list of decimal strings, as JSON at nesting level 3."""
-    return (f'[\n    [\n     "{m.e11}",\n     "{m.e12}"\n    ],'
-            f'\n    [\n     "{m.e21}",\n     "{m.e22}"\n    ]\n   ]')
+    return (f'[\n    [\n     "{m[0]}",\n     "{m[1]}"\n    ],'
+            f'\n    [\n     "{m[2]}",\n     "{m[3]}"\n    ]\n   ]')
 
 
-def _qi_json(m: Mat2) -> str:
+def _qi_json(m: tuple) -> str:
     """fixed_point(m)'s fields as decimal strings, keys sorted, as JSON at nesting level 3."""
     x = fixed_point(m)
     return f'{{\n    "B": "{x.B}",\n    "D": "{x.D}",\n    "P": "{x.P}",\n    "Q": "{x.Q}"\n   }}'
@@ -158,16 +152,16 @@ KINDS = {
                   format_fraction),
     # The Markov fractions as the index e11/e12 of the a = 0 Cohn tree, the
     # source paper's theorem, and the Markov numbers as its e12 = trace / 3.
-    # The regions are the Cohn matrices, so a node costs one integer product
+    # The regions are the Cohn matrices' entry tuples: a node costs one _mul
     # and no gcd or isqrt.  The text is exact: cohn_A(0) and cohn_B(0) check
     # det = 1 and trace = 3 * e12, integer products keep det = 1, so e11 and
     # e12 are coprime, and on the a = 0 tree e12 is a Markov number, so > 0.
-    "markov": Kind(lambda a: (cohn_A(0).m, cohn_B(0).m), Mat2.__matmul__,
-                   _index_text, lift=cohn_index),
-    "triple": Kind(lambda a: (cohn_A(0).m, cohn_B(0).m), Mat2.__matmul__,
-                   _e12_text, lift=lambda m: m.e12),
-    "cohn": Kind(lambda a: (cohn_A(a).m, cohn_B(a).m), Mat2.__matmul__, format_mat2,
-                 takes_a=True, json_text=_cohn_json),
+    "markov": Kind(lambda a: (tuple(cohn_A(0).m), tuple(cohn_B(0).m)), _mul,
+                   lambda m: f"{m[0]}/{m[1]}", lift=lambda m: cohn_index(Mat2(*m))),
+    "triple": Kind(lambda a: (tuple(cohn_A(0).m), tuple(cohn_B(0).m)), _mul,
+                   lambda m: str(m[1]), lift=lambda m: m[1]),
+    "cohn": Kind(lambda a: (tuple(cohn_A(a).m), tuple(cohn_B(a).m)), _mul, format_mat2,
+                 lift=lambda m: Mat2(*m), takes_a=True, json_text=_cohn_json),
     # Plain concatenation: the seeds are even words of positive ints and
     # concatenation keeps them so; cf_concat's checks are for callers' words.
     "cf": Kind(lambda a: (WORD_SEED_LEFT, WORD_SEED_RIGHT), add,
@@ -175,9 +169,9 @@ KINDS = {
     # The cf tree's convergent matrices, by the concatenation rule: a word's
     # matrix is the product of its parents', and its fixed point the word's
     # periodization.
-    "irrational": Kind(lambda a: (convergent_matrix(WORD_SEED_LEFT),
-                                  convergent_matrix(WORD_SEED_RIGHT)),
-                       Mat2.__matmul__, lambda m: format_qi(fixed_point(m)),
+    "irrational": Kind(lambda a: (tuple(convergent_matrix(WORD_SEED_LEFT)),
+                                  tuple(convergent_matrix(WORD_SEED_RIGHT))),
+                       _mul, lambda m: format_qi(fixed_point(m)),
                        lift=fixed_point, json_text=_qi_json),
 }
 

@@ -285,8 +285,8 @@ def parse_cf_word(text: str) -> tuple:
 # 2x2 integer matrices
 # ============================================================
 
-def _mul(a: tuple, b: tuple) -> tuple:
-    """Product a.b of two (e11, e12, e21, e22) tuples, the kernel under Mat2."""
+def _mul(a, b) -> tuple:
+    """Product a.b of two (e11, e12, e21, e22) tuples or Mat2s, the package's one 2x2 product."""
     (a11, a12, a21, a22), (b11, b12, b21, b22) = a, b
     return (a11 * b11 + a12 * b21, a11 * b12 + a12 * b22,
             a21 * b11 + a22 * b21, a21 * b12 + a22 * b22)
@@ -307,7 +307,8 @@ def _pow(a: tuple, n: int) -> tuple:
 
 @dataclass(frozen=True)
 class Mat2:
-    """2x2 integer matrix (e11 e12 / e21 e22) with exact arithmetic."""
+    """2x2 integer matrix (e11 e12 / e21 e22), exact; it unpacks as the
+    (e11, e12, e21, e22) tuple the trees carry, and @ and ** wrap _mul, _pow."""
 
     e11: int
     e12: int
@@ -318,17 +319,15 @@ class Mat2:
     def identity(cls) -> "Mat2":
         return cls(1, 0, 0, 1)
 
+    def __iter__(self):
+        return iter((self.e11, self.e12, self.e21, self.e22))
+
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.e11 * other.e11 + self.e12 * other.e21,
-            self.e11 * other.e12 + self.e12 * other.e22,
-            self.e21 * other.e11 + self.e22 * other.e21,
-            self.e21 * other.e12 + self.e22 * other.e22,
-        )
+        return Mat2(*_mul(self, other))
 
     def __pow__(self, n: int) -> "Mat2":
         check_int(n, "matrix power", 0)
-        return Mat2(*_pow((self.e11, self.e12, self.e21, self.e22), n))
+        return Mat2(*_pow(self, n))
 
     def det(self) -> int:
         return self.e11 * self.e22 - self.e12 * self.e21
@@ -340,8 +339,8 @@ class Mat2:
         return Mat2(self.e11, self.e21, self.e12, self.e22)
 
 
-def format_mat2(m: Mat2) -> str:
-    return f"[[{m.e11},{m.e12}],[{m.e21},{m.e22}]]"
+def format_mat2(m) -> str:
+    return "[[{},{}],[{},{}]]".format(*m)
 
 
 def convergent_matrix(word) -> Mat2:

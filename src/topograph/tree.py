@@ -52,10 +52,12 @@ from .rational import check_int, check_rational, partial_quotients
 HARD_DEPTH_CAP = 24
 
 # Hard ceiling on q * m for a point query at t = p/q, where m is the
-# companion repetition count (1 for every other query).  Word queries build
-# 2qm letters and their values grow to about 1.39 bits per letter; at the cap
+# companion repetition count (1 for every other query).  Values grow to about
+# 1.39 bits per letter of the 2qm-letter word, which only a periodization
+# builds: a companion raises the word's matrix to the m-th power.  At the cap
 # the CLI answers a periodization or a companion in about 0.5 s and tens of
-# MB, about half of it spent writing the answer out in decimal.
+# MB, about half of it spent writing the answer out in decimal (`cf 1/2 --mode
+# companion --m 65536`: 0.53 s and 17 MB; 2-core VM, CPython 3.11.7).
 HARD_POINT_CAP = 2**17
 
 PATH_ALPHABET = frozenset("LR")

@@ -129,12 +129,12 @@ class Window:
     window caches.  mirrored_values(kind) walks KINDS[kind]'s tree anew on
     each call, through tree.mirrored, so its values come in markov's order:
     the word at each node for "cf", and for "irrational" (before its lift)
-    the word's convergent matrix, carried down the word tree by Mat2
-    products rather than computed from the word.  The window's leaves run
-    left to right in t, and the first leaf's left, then each leaf's value
-    and right, lists every node and both seeds in increasing t.  a_values
-    are the index suite's Cohn parameters, already checked by run_suites.
-    No tree is enumerated beyond depth.
+    the word's convergent matrix as an entry tuple, carried down the word
+    tree by rational._mul rather than computed from the word.  The window's
+    leaves run left to right in t, and the first leaf's left, then each
+    leaf's value and right, lists every node and both seeds in increasing t.
+    a_values are the index suite's Cohn parameters, already checked by
+    run_suites.  No tree is enumerated beyond depth.
     """
 
     def __init__(self, depth: int, a_values=DEFAULT_A_VALUES):
@@ -244,14 +244,13 @@ def suite_index(window: Window) -> VerifyReport:
     for a in window.a_values:
         # Seeded through this module's cohn_A and cohn_B, so a test can plant
         # a matrix that is not a Cohn matrix and see every check catch it.
-        cohn_nodes = enumerate_tree(cohn_A(a).m, cohn_B(a).m, KINDS["cohn"].combine,
-                                    window.depth)
-        leaves = []  # each leaf's matrix and its right region's, in increasing t
+        cohn_nodes = enumerate_tree(tuple(cohn_A(a).m), tuple(cohn_B(a).m),
+                                    KINDS["cohn"].combine, window.depth)
+        leaves = []  # each leaf's top row and its right region's, in increasing t
         for node, cnode in zip(window.markov, cohn_nodes):
             p, q = node.value.numerator, node.value.denominator
-            m, path = cnode.value, cnode.path
-            e11, e12 = m.e11, m.e12
-            det, trace = m.det(), m.trace()
+            (e11, e12, e21, e22), path = cnode.value, cnode.path
+            det, trace = e11 * e22 - e12 * e21, e11 + e22
             report.record("det", det == 1, path, lambda: f"det = {det}", a=a)
             report.record("trace", trace == 3 * e12, path,
                           lambda: f"trace = {trace}, e12 = {e12}", a=a)
@@ -263,15 +262,14 @@ def suite_index(window: Window) -> VerifyReport:
             if a == 0:
                 num = 3 * p * q - p * p - 1
                 div, rem = divmod(num, q)
-                report.record("bottom-row", rem == 0 and (m.e21, m.e22) == (div, 3 * q - p),
-                              path, lambda: f"bottom row {(m.e21, m.e22)}, "
+                report.record("bottom-row", rem == 0 and (e21, e22) == (div, 3 * q - p),
+                              path, lambda: f"bottom row {(e21, e22)}, "
                                             f"expected ({num}/{q}, {3 * q - p})", a=a)
             if len(path) == window.depth:
-                leaves += (m, cnode.right)
+                leaves += ((e11, e12), cnode.right[:2])
         # The nodes' indexes in increasing t, as (e11, e12) with e12 > 0 or
         # None for e12 = 0; the last region, the right seed, is no node.
-        ordered = [(x.e11, x.e12) if x.e12 > 0 else (-x.e11, -x.e12) if x.e12 else None
-                   for x in leaves[:-1]]
+        ordered = [(u, v) if v > 0 else (-u, -v) if v else None for u, v in leaves[:-1]]
         increasing = None not in ordered and all(
             u1 * v2 < u2 * v1 for (u1, v1), (u2, v2) in zip(ordered, ordered[1:]))
         report.record("monotone", increasing, "", "indexes not strictly increasing in t", a=a)
@@ -313,7 +311,8 @@ def suite_periodization(window: Window) -> VerifyReport:
         want = markov_irrationality(node.value)
         report.record("closed-form", got == want, node.path,
                       lambda: f"periodization {got}, formula {want}")
-        report.record("quadratic", qi_satisfies(want, m.e21, m.e22 - m.e11, -m.e12),
+        pk, pk1, qk, qk1 = m
+        report.record("quadratic", qi_satisfies(want, qk, qk1 - pk, -pk1),
                       node.path, "closed form fails the fixed-point quadratic")
     return report
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import isqrt
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from topograph import (
@@ -35,6 +35,7 @@ from topograph import (
     qi_satisfies,
 )
 from topograph.cftree import fixed_point
+from topograph import rational
 from topograph.rational import Word, _validate_word
 
 GOLDEN = make_qi(1, 1, 2, 5)
@@ -326,6 +327,28 @@ def test_companions_walk_down_onto_the_limit():
             if previous is not None:
                 assert compare_gap(value, previous, limit) == -1
             previous = value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 500).flatmap(lambda q: st.integers(0, q).map(lambda p: Fraction(p, q))),
+       st.integers(1, 8))
+def test_companion_is_the_repeated_word_evaluated(t, m):
+    # The reference builds the 2qm-letter word that left_companion no longer builds.
+    assert left_companion(t, m) == cf_eval(markov_cf(t) * m)
+
+
+def test_companion_at_the_corner_is_the_repeated_word_evaluated():
+    t, m = Fraction(1, 2), 2**16
+    assert left_companion(t, m) == cf_eval(markov_cf(t) * m)
+
+
+def test_companion_checks_no_letter(monkeypatch):
+    # The word is grown from the checked seeds, and its m repetitions are one
+    # matrix power, so no letter is checked again.
+    checked, real = [], rational._letters
+    monkeypatch.setattr(rational, "_letters", lambda word: checked.append(word) or real(word))
+    assert left_companion(Fraction(2, 5), 8) > 2
+    assert checked == []
 
 
 def test_companion_matrices_are_powers():

@@ -25,7 +25,9 @@ only by tree._split, the one split rule, which alone reads the CPU affinity
 and redoes a failed split in process; and _split is called only by verify's
 split (run_suites) and the exports' split (_write_by_level).  No thread or
 process pool; pickle, which only a split needs, is imported in
-_on_two_cores and not by import topograph.
+_on_two_cores and not by import topograph.  rational._mul is the one 2x2
+product: the matrix trees walk it on int tuples and Mat2 @ wraps it, so @
+appears only in verify's homomorphism suite, and no module reads __matmul__.
 """
 
 import ast
@@ -337,3 +339,26 @@ def test_only_the_split_imports_pickle():
                       if isinstance(node, ast.Import)
                       and any(alias.name == "pickle" for alias in node.names)}
     assert importers == {("tree", "_on_two_cores")}
+
+
+def _matmul_sites(path: Path) -> set:
+    """The enclosing function (or None) of every @ or @= in a module."""
+    tree = ast.parse(path.read_text(), str(path))
+    function_of = _function_of(tree)
+    return {function_of.get(id(node)) for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)}
+
+
+def test_only_the_homomorphism_suite_multiplies_with_matmul():
+    # Every production walk multiplies by rational._mul on tuples; the
+    # homomorphism suite checks the convergent kernel against Mat2 @.
+    sites = {(path.stem, function) for path in SOURCES for function in _matmul_sites(path)}
+    assert sites == {("verify", "suite_homomorphism")}
+
+
+def test_no_module_reads_matmul():
+    # A combine of Mat2.__matmul__ would carry a Mat2 per node again.
+    reads = {path.stem for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "__matmul__"}
+    assert reads == set()

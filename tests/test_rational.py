@@ -246,11 +246,42 @@ def test_mat2_power_refuses_what_is_no_int_at_least_0(n):
 IDENTITY = (1, 0, 0, 1)
 
 
-def test_mul_is_mat2_matmul():
+def _random_pairs(count: int) -> list:
+    """Pairs of entry tuples of up to 100 bits, negative entries included."""
     rng = random.Random(31)
-    for _ in range(20):
-        a, b = (tuple(rng.randrange(-2**100, 2**100) for _ in range(4)) for _ in range(2))
-        assert Mat2(*_mul(a, b)) == Mat2(*a) @ Mat2(*b)
+    return [tuple(tuple(rng.randrange(-2**100, 2**100) for _ in range(4)) for _ in range(2))
+            for _ in range(count)]
+
+
+def test_mul_is_the_sympy_matrix_product():
+    # _mul holds the package's one 2x2 product formula; sympy is its oracle.
+    sympy = pytest.importorskip("sympy")
+    for a, b in _random_pairs(20) + [((-1, -2, -3, -4), (-5, -6, -7, -8))]:
+        product = sympy.Matrix(2, 2, list(a)) * sympy.Matrix(2, 2, list(b))
+        assert _mul(a, b) == tuple(int(e) for e in product)
+
+
+@pytest.mark.parametrize("a,b,product", [
+    ((1, 2, 3, 4), (5, 6, 7, 8), (19, 22, 43, 50)),
+    ((5, 6, 7, 8), (1, 2, 3, 4), (23, 34, 31, 46)),
+    ((0, -1, 1, 0), (1, 1, 0, 1), (0, -1, 1, 1)),
+    ((1, 1, 0, 1), (0, -1, 1, 0), (1, -1, 1, 0)),
+    (IDENTITY, (2, 1, 1, 1), (2, 1, 1, 1)),
+])
+def test_mul_multiplies_in_the_order_given(a, b, product):
+    # Worked by hand: (e11 e12 / e21 e22) rows times columns, a on the left.
+    assert _mul(a, b) == product
+
+
+def test_mul_is_mat2_matmul():
+    for a, b in _random_pairs(20):
+        assert Mat2(*a) @ Mat2(*b) == Mat2(*_mul(a, b))
+
+
+def test_mat2_unpacks_as_its_entry_tuple():
+    assert tuple(Mat2(1, 2, 3, 4)) == (1, 2, 3, 4)
+    e11, e12, e21, e22 = Mat2(5, 6, 7, 8)
+    assert (e11, e12, e21, e22) == (5, 6, 7, 8)
 
 
 def test_pow_is_the_fold_of_mul():

@@ -154,7 +154,8 @@ def test_one_window_per_call(monkeypatch):
         # A tree is told apart by its seeds and its root: the word trees come
         # mirrored (seeds swapped, combine reversed), and the mirrored product
         # tree has the seeds of the a = 2 Cohn tree, since
-        # convergent_matrix((1, 1)) == cohn_A(2).m.
+        # convergent_matrix((1, 1)) == cohn_A(2).m.  Matrix trees are seeded
+        # with entry tuples.
         calls.append((seed_left, seed_right, combine(seed_left, seed_right), d))
         return real(seed_left, seed_right, combine, d)
 
@@ -171,9 +172,9 @@ def test_one_window_per_call(monkeypatch):
     assert trees.pop(((1, 1), (2, 2), cf_concat((2, 2), (1, 1)))) == 1
     for a in DEFAULT_A_VALUES:
         a_seed, b_seed = cohn_A(a).m, cohn_B(a).m
-        assert trees.pop((a_seed, b_seed, a_seed @ b_seed)) == 1
+        assert trees.pop((tuple(a_seed), tuple(b_seed), tuple(a_seed @ b_seed))) == 1
     m11, m22 = convergent_matrix((1, 1)), convergent_matrix((2, 2))
-    assert trees.pop((m11, m22, m22 @ m11)) == 1
+    assert trees.pop((tuple(m11), tuple(m22), tuple(m22 @ m11))) == 1
     assert not trees
 
 

@@ -40,7 +40,7 @@ def test_carried_matrices_are_the_kernel_matrices(depth):
     products = list(window.mirrored_values("irrational"))
     assert len(products) == len(words) == 2 ** (depth + 1) - 1
     for word, m in zip(words, products):
-        assert m == convergent_matrix(word), word
+        assert m == tuple(convergent_matrix(word)), word
 
 
 def _level_reversed(seed_left, seed_right, combine, depth):
@@ -62,7 +62,8 @@ def test_mirrored_word_trees_are_the_level_reversed_trees(depth):
     assert list(window.mirrored_values("cf")) == words
     seeds = convergent_matrix((2, 2)), convergent_matrix((1, 1))
     products = _level_reversed(*seeds, Mat2.__matmul__, depth)
-    assert list(window.mirrored_values("irrational")) == products
+    # The window carries entry tuples; the reference walk multiplies Mat2s.
+    assert list(window.mirrored_values("irrational")) == [tuple(m) for m in products]
 
 
 @pytest.mark.parametrize("depth", range(10))
@@ -77,15 +78,18 @@ def test_leaves_read_the_sorted_farey_window(depth):
 
 def _fault_in_carried_product(real, path):
     """enumerate_tree with one node of the carried product tree corrupted."""
+    # The carried regions are entry tuples.
     m11, m22 = convergent_matrix((1, 1)), convergent_matrix((2, 2))
+    t11, t22 = tuple(m11), tuple(m22)
 
     def walk(seed_left, seed_right, combine, depth):
         # The a = 2 Cohn tree has the same seeds; only its root differs.
-        carried = (seed_left, seed_right) == (m11, m22) and combine(m11, m22) == m22 @ m11
+        carried = ((seed_left, seed_right) == (t11, t22)
+                   and combine(t11, t22) == tuple(m22 @ m11))
         for node in real(seed_left, seed_right, combine, depth):
             if carried and node.path == path:
                 # The matrix of the word with one more (1, 1) block.
-                node = replace(node, value=node.value @ m11)
+                node = replace(node, value=tuple(Mat2(*node.value) @ m11))
             yield node
 
     return walk
