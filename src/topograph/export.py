@@ -65,13 +65,13 @@ from itertools import starmap
 from operator import add
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
-from .cftree import WORD_SEED_LEFT, WORD_SEED_RIGHT, fixed_point, format_qi
+from .cftree import MATRIX_SEED_LEFT, MATRIX_SEED_RIGHT, WORD_SEED_LEFT, WORD_SEED_RIGHT
+from .cftree import fixed_point, format_qi
 from .cohn import check_cohn_parameter, cohn_A, cohn_B, cohn_index
 from .errors import DomainError, shown
 from .rational import (
     Mat2,
     _mul,
-    convergent_matrix,
     farey_mediant,
     format_cf_word,
     format_fraction,
@@ -169,10 +169,8 @@ KINDS = {
     # The cf tree's convergent matrices, by the concatenation rule: a word's
     # matrix is the product of its parents', and its fixed point the word's
     # periodization.
-    "irrational": Kind(lambda a: (tuple(convergent_matrix(WORD_SEED_LEFT)),
-                                  tuple(convergent_matrix(WORD_SEED_RIGHT))),
-                       _mul, lambda m: format_qi(fixed_point(m)),
-                       lift=fixed_point, json_text=_qi_json),
+    "irrational": Kind(lambda a: (MATRIX_SEED_LEFT, MATRIX_SEED_RIGHT), _mul,
+                       lambda m: format_qi(fixed_point(m)), lift=fixed_point, json_text=_qi_json),
 }
 
 TREE_KINDS = tuple(KINDS)

@@ -129,7 +129,7 @@ def _letters(word) -> tuple:
 
 class Word(tuple):
     """A continued fraction word, checked as it is made (and as it is unpickled):
-    a nonempty tuple of ints >= 1.  _validate_word takes a Word as it is."""
+    a nonempty tuple of ints >= 1.  _validate_word takes any Word as it is."""
 
     __slots__ = ()
 
@@ -141,7 +141,7 @@ class Word(tuple):
 
 
 def _validate_word(word, *, even: bool = False) -> tuple:
-    w = word if type(word) is Word else _letters(word)
+    w = word if isinstance(word, Word) else _letters(word)
     if even and len(w) % 2:
         raise PreconditionError(f"word length must be even, got {len(w)}")
     return w

@@ -34,7 +34,7 @@ from topograph import (
     qi_compare,
     qi_satisfies,
 )
-from topograph.cftree import fixed_point
+from topograph.cftree import MarkovWord, fixed_point
 from topograph import rational
 from topograph.rational import Word, _validate_word
 
@@ -79,10 +79,10 @@ def test_words_match_direct_expansion():
 
 def test_markov_cf_is_a_word_equal_to_the_step_by_step_descend():
     for t in (Fraction(0), Fraction(1)):
-        assert type(markov_cf(t)) is Word
+        assert type(markov_cf(t)) is MarkovWord
     for node in enumerate_tree(Fraction(0), Fraction(1), farey_mediant, 6):
         word = markov_cf(node.value)
-        assert type(word) is Word
+        assert type(word) is MarkovWord
         assert word == descend((2, 2), (1, 1), cf_concat, mirror(locate(node.value))).value
 
 
@@ -102,11 +102,17 @@ def test_a_word_is_checked_as_it_is_made(case):
             make(letters)
 
 
-def test_a_word_is_taken_as_it_is_and_still_checked_for_even_length():
+def test_a_word_is_taken_as_it_is_and_still_checked_for_even_length(monkeypatch):
     word = Word([2, 2, 1, 1])
     assert word == (2, 2, 1, 1) and type(word) is Word
     assert _validate_word(word) is word
     assert _validate_word(word, even=True) is word
+    # markov_cf's word is a Word too, and is taken as it is, unread.
+    markov_word, checked, real = markov_cf(Fraction(5, 13)), [], rational._letters
+    monkeypatch.setattr(rational, "_letters", lambda word: checked.append(word) or real(word))
+    assert _validate_word(markov_word) is markov_word
+    assert _validate_word(markov_word, even=True) is markov_word
+    assert checked == []
     with pytest.raises(PreconditionError, match="^word length must be even, got 3$"):
         _validate_word(Word([2, 2, 1]), even=True)
     # Any other input is checked as it always was, and not copied into a Word.

@@ -251,7 +251,7 @@ def test_only_markov_cf_makes_a_word_unchecked():
     # A Word is taken as checked: Word.__new__ checks, and markov_cf's word is
     # made from the checked seeds by concatenation and repetition alone.
     makers = {(path.stem, *maker) for path in SOURCES for maker in _tuple_news(path)}
-    assert makers == {("rational", "__new__", "cls"), ("cftree", "markov_cf", "Word")}
+    assert makers == {("rational", "__new__", "cls"), ("cftree", "markov_cf", "MarkovWord")}
 
 
 def _int_calls(path: Path) -> set:

@@ -35,12 +35,13 @@ def _mat2_count(monkeypatch, run) -> int:
 def test_an_export_builds_a_mat2_per_seed_not_per_node(monkeypatch, kind, fmt):
     counts = [_mat2_count(monkeypatch, lambda: render(build_export(kind, depth), fmt))
               for depth in DEPTHS]
-    # The seed pair, each made through cohn_A and cohn_B or convergent_matrix.
-    assert counts == [2, 2]
+    # The seed pair, each made through cohn_A and cohn_B; the irrational
+    # tree's seeds are cftree's tuples, made once at import.
+    assert counts == [0 if kind == "irrational" else 2] * 2
 
 
 def test_the_matrix_suites_build_a_mat2_per_seed_not_per_node(monkeypatch):
     counts = [_mat2_count(monkeypatch, lambda: run_suites(["index", "periodization"], depth))
               for depth in DEPTHS]
-    # Each Cohn tree's seed pair, and the carried product tree's.
-    assert counts == [2 * len(DEFAULT_A_VALUES) + 2] * 2
+    # Each Cohn tree's seed pair; the carried product tree's are cftree's tuples.
+    assert counts == [2 * len(DEFAULT_A_VALUES)] * 2

@@ -4,9 +4,12 @@ The fast routes work run by run (locate_runs, descend_runs) or with plain
 ints (the convergent recurrence); the references are the step-by-step
 descend with each tree's own combine rule, and a Mat2 fold per letter.
 The Cohn matrix at t is also checked against a third route, the word's
-convergent matrix through the paper's theorem (see cohn).
+convergent matrix through the paper's theorem (see cohn).  The periodization
+of markov_cf's word reads its matrix off the matrix tree, run by run; the
+reference is the word's letters through the chunk product tree.
 """
 
+import pickle
 from fractions import Fraction
 from functools import reduce
 from operator import add, mul
@@ -26,16 +29,21 @@ from topograph import (
     convergent_matrix,
     descend,
     farey_mediant,
+    left_companion,
     locate,
     locate_runs,
     markov_cf,
     markov_fraction,
+    markov_irrationality,
     mirror,
     periodic_value,
     springborn_mediant,
     value_at,
 )
+from topograph import cftree, rational
+from topograph.cftree import MarkovWord
 from topograph.markov import MARKOV_SEED_LEFT, MARKOV_SEED_RIGHT
+from topograph.rational import Word
 from topograph.verify import DEFAULT_A_VALUES
 
 QMAX = 3000
@@ -179,3 +187,76 @@ def test_periodic_value_matches_sympy(sympy, word):
     ours = (sympy.Integer(x.P) + x.B * sympy.sqrt(x.D)) / x.Q
     theirs = sympy.continued_fraction_reduce([list(word)])
     assert sympy.expand(ours) == sympy.expand(sympy.radsimp(theirs))
+
+
+# ============================================================
+# markov_cf's word: its periodization and companions from its coordinate
+# ============================================================
+
+CAP = 2**17
+# 1/CAP and (CAP-1)/CAP are one run each; 75025/121393, a ratio of Fibonacci
+# numbers, is 24 runs of one step.
+CAP_CORNER = (Fraction(1, CAP), Fraction(CAP - 1, CAP), Fraction(75025, 121393))
+ends_and_coordinates = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), coordinates)
+
+
+def check_periodic_value(t):
+    word = markov_cf(t)
+    assert type(word) is MarkovWord and word.t == t
+    assert periodic_value(word) == periodic_value(tuple(word))
+
+
+@settings(max_examples=100, deadline=None)
+@given(ends_and_coordinates)
+def test_periodic_value_of_a_markov_word_matches_its_letters(t):
+    check_periodic_value(t)
+
+
+@pytest.mark.parametrize("t", [Fraction(0), Fraction(1), *CAP_CORNER], ids=str)
+def test_periodic_value_of_a_markov_word_matches_its_letters_at_the_corners(t):
+    check_periodic_value(t)
+
+
+def counting(calls, name, real):
+    def counted(*args):
+        calls.append(name)
+        return real(*args)
+    return counted
+
+
+@pytest.mark.parametrize("t", [Fraction(1, 2), Fraction(2, 5), Fraction(5, 13),
+                               Fraction(1, 500), CAP_CORNER[0], CAP_CORNER[2]], ids=str)
+def test_periodic_value_of_a_markov_word_is_one_power_per_run(monkeypatch, t):
+    m = min(3, CAP // t.denominator)
+    word, calls, companion = markov_cf(t), [], left_companion(t, m)
+    monkeypatch.setattr(cftree, "_pow", counting(calls, "_pow", cftree._pow))
+    for module in (cftree, rational):
+        monkeypatch.setattr(module, "_convergents", counting(calls, "_convergents", None))
+    assert periodic_value(word) == markov_irrationality(markov_fraction(t))
+    assert calls == ["_pow"] * len(locate_runs(t))
+    # A companion is one more _pow, of the same matrix; it builds no word.
+    calls.clear()
+    monkeypatch.setattr(cftree, "markov_cf", None)
+    assert left_companion(t, m) == companion
+    assert calls == ["_pow"] * (len(locate_runs(t)) + 1)
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_a_pickled_markov_word_loads_as_a_checked_word(monkeypatch, protocol):
+    word, checked = markov_cf(Fraction(3, 8)), []
+    monkeypatch.setattr(rational, "_letters", counting(checked, "_letters", rational._letters))
+    loaded = pickle.loads(pickle.dumps(word, protocol))
+    assert type(loaded) is Word and loaded == word and checked == ["_letters"]
+    assert periodic_value(loaded) == periodic_value(word)
+
+
+def test_a_markov_word_keeps_its_coordinate_read_only():
+    word = markov_cf(Fraction(3, 8))
+    with pytest.raises(AttributeError, match="^a MarkovWord's t is read-only$"):
+        word.t = Fraction(1, 2)
+    with pytest.raises(AttributeError, match="^a MarkovWord's t is read-only$"):
+        del word.t
+    assert word.t == Fraction(3, 8)
+    assert periodic_value(word) == markov_irrationality(markov_fraction(Fraction(3, 8)))
+    with pytest.raises(TypeError, match="^a MarkovWord is made only by markov_cf$"):
+        MarkovWord(word)
