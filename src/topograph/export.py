@@ -38,7 +38,10 @@ part, then the child's, a chunk at a time: within each level the L
 subtree's nodes come first, so these are the same bytes.
 
 Each tree is one entry of KINDS: its seed pair and combine rule, and the
-one text render of the regions its walk carries.  The markov and triple
+one text render of the regions its walk carries.  The farey tree carries
+(p, q) int pairs and adds them, as the Stern-Brocot tree (Concrete
+Mathematics, §4.5): neighbours keep bc - ad = 1, so no pair needs a gcd;
+rational.farey_mediant stays as the reference route.  The markov and triple
 trees are grown as the a = 0 Cohn tree, by the source paper's theorem (see
 cohn): a node costs one rational._mul, the package's one 2x2 product, on
 (e11, e12, e21, e22) int tuples, and its Markov fraction e11/e12 and Markov
@@ -69,14 +72,7 @@ from .cftree import MATRIX_SEED_LEFT, MATRIX_SEED_RIGHT, WORD_SEED_LEFT, WORD_SE
 from .cftree import fixed_point, format_qi
 from .cohn import check_cohn_parameter, cohn_A, cohn_B, cohn_index
 from .errors import DomainError, shown
-from .rational import (
-    Mat2,
-    _mul,
-    farey_mediant,
-    format_cf_word,
-    format_fraction,
-    format_mat2,
-)
+from .rational import Mat2, _mul, format_cf_word, format_mat2
 from .tree import (
     Node,
     _preorder,
@@ -99,12 +95,16 @@ class Kind:
 
     seeds(a) is the seed pair and combine fills in every node from its two
     parent regions, so a header (kind, depth, a) fixes the tree.  A region
-    is what the walk carries, which need not be the library's value (a
-    matrix kind carries (e11, e12, e21, e22) int tuples): text is its one
-    render, for CSV cells, DOT labels and, as a JSON string, JSON; no file's
-    value is read back, since from_json regrows the tree.  lift maps a
-    region to the library's value (a Mat2 for cohn), and only
-    TreeExport.nodes reads it.  json_text is the JSON template of a kind
+    is what the walk carries, which need not be the library's value (farey
+    carries (p, q) int pairs, a matrix kind (e11, e12, e21, e22) int
+    tuples): text is its one render, for CSV cells, DOT labels and, as a
+    JSON string, JSON; no file's value is read back, since from_json
+    regrows the tree.  lift maps a region to the library's value (a Fraction
+    for farey, a Mat2 for cohn), and only TreeExport.nodes reads it.  The
+    farey pairs need no check: the seeds 0/1 and 1/1 are Farey neighbours,
+    bc - ad = 1, and adding the pairs keeps that with both parents, so every
+    pair is reduced and q > 0 (Concrete Mathematics, §4.5), as det = 1 keeps
+    the Cohn tuples' e11/e12 reduced.  json_text is the JSON template of a kind
     whose JSON value is not a string: it renders a region straight to JSON
     text at a node's nesting level (3), as json.dumps(..., indent=1,
     sort_keys=True) would write it there.  join, when set, makes the render
@@ -148,8 +148,11 @@ def _qi_json(m: tuple) -> str:
 
 
 KINDS = {
-    "farey": Kind(lambda a: (Fraction(0), Fraction(1)), farey_mediant,
-                  format_fraction),
+    # The Farey fractions as (p, q) int pairs, the Stern-Brocot tree: a/b and
+    # c/d are neighbours, bc - ad = 1, and (a + c, b + d) keeps that with both,
+    # so every pair is reduced and q > 0, with no gcd and no neighbour check.
+    "farey": Kind(lambda a: ((0, 1), (1, 1)), lambda x, y: (x[0] + y[0], x[1] + y[1]),
+                  lambda f: f"{f[0]}/{f[1]}", lift=lambda f: Fraction(*f)),
     # The Markov fractions as the index e11/e12 of the a = 0 Cohn tree, the
     # source paper's theorem, and the Markov numbers as its e12 = trace / 3.
     # The regions are the Cohn matrices' entry tuples: a node costs one _mul
@@ -373,10 +376,11 @@ def to_json(export: TreeExport, out: Optional[BinaryIO] = None) -> Optional[str]
     if out is None:
         return _as_text(to_json, export)
     spec = KINDS[export.kind]
+    string = json.encoder.encode_basestring_ascii  # what json.dumps(s) calls for a str s
 
     def texts(walk):
         nodes = _grow(spec, export.depth, export.a,
-                      spec.json_text or (lambda region: json.dumps(spec.text(region))),
+                      spec.json_text or (lambda region: string(spec.text(region))),
                       spec.join, walk)
         return ((len(path), f'{"," if path else ""}\n  {{\n   "left": {left},\n   "path": '
                             f'"{path or "-"}",\n   "right": {right},\n   "value": {value}\n  }}')
@@ -429,7 +433,7 @@ def from_json(text: str) -> TreeExport:
 def _csv_cell(text: str) -> str:
     # Quoted as csv.writer (QUOTE_MINIMAL) quotes: a cell holding a comma, a
     # quote or a line break, with its quotes doubled.
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

@@ -357,7 +357,7 @@ def suite_monotonicity(window: Window) -> VerifyReport:
     def t_text(k: int) -> str:
         # Coordinate of values[k], only ever needed for a counterexample.
         leaf, side = regions[k]
-        return format_fraction(getattr(descend(*farey.seeds(0), farey.combine, leaf.path), side))
+        return farey.text(getattr(descend(*farey.seeds(0), farey.combine, leaf.path), side))
 
     for k, (v1, v2) in enumerate(zip(values, values[1:])):
         report.record("increasing",

@@ -23,7 +23,6 @@ import sys
 import time
 import tracemalloc
 from dataclasses import replace
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -180,7 +179,7 @@ def test_a_child_that_sends_nothing_leaves_its_half_to_the_parent(
         monkeypatch.setattr(export, "_SPILL_BYTES", 1)
     tree = build_export("farey", 5)
     want = _in_process(monkeypatch, lambda: render(tree, fmt))
-    _farey_acting(monkeypatch, act, Fraction(3, 5))  # the RL node, in the child's half
+    _farey_acting(monkeypatch, act, (3, 5))  # the RL node, in the child's half
     assert render(tree, fmt) == want
     target = tmp_path / "tree.out"
     assert main(_argv("farey", 5, 0, fmt) + ["--out", str(target)]) == 0
@@ -199,7 +198,7 @@ def test_a_failed_split_drops_its_spools_before_the_in_process_walk(forced_split
         gc.collect()
         live.append(sum(isinstance(o, export._Spool) for o in gc.get_objects()))
 
-    _farey_acting(monkeypatch, act, Fraction(3, 5))  # RL: in the child's half and the redo
+    _farey_acting(monkeypatch, act, (3, 5))  # RL: in the child's half and the redo
     render(build_export("farey", 5), "csv")
     assert live == [1]
     assert len(forced_split) == 1
@@ -210,7 +209,7 @@ def _raises(in_child):
     raise ValueError("planted failure")
 
 
-@pytest.mark.parametrize("where,path", [(Fraction(2, 5), "LR"), (Fraction(3, 5), "RL")],
+@pytest.mark.parametrize("where,path", [((2, 5), "LR"), ((3, 5), "RL")],
                          ids=["in-parent", "in-child"])
 @pytest.mark.parametrize("fmt", EXPORT_FORMATS)
 def test_a_walk_that_raises_raises_as_in_process(forced_split, monkeypatch, capsys, tmp_path,
@@ -238,9 +237,9 @@ def test_a_parent_that_raises_kills_the_child(forced_split, monkeypatch, tmp_pat
 
     def combine(left, right):
         value = spec.combine(left, right)
-        if value == Fraction(3, 5) and os.getpid() != parent:  # RL, in the child
+        if value == (3, 5) and os.getpid() != parent:  # RL, in the child
             time.sleep(60)
-        if value == Fraction(2, 5):  # LR, in the parent
+        if value == (2, 5):  # LR, in the parent
             raise ValueError("planted failure")
         return value
 
