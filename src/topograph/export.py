@@ -104,9 +104,9 @@ class Kind:
     farey pairs need no check: the seeds 0/1 and 1/1 are Farey neighbours,
     bc - ad = 1, and adding the pairs keeps that with both parents, so every
     pair is reduced and q > 0 (Concrete Mathematics, §4.5), as det = 1 keeps
-    the Cohn tuples' e11/e12 reduced.  json_text is the JSON template of a kind
-    whose JSON value is not a string: it renders a region straight to JSON
-    text at a node's nesting level (3), as json.dumps(..., indent=1,
+    the Cohn tuples' e11/e12 reduced.  json_text is the JSON template of a
+    kind whose JSON value is not a string: it renders a region straight to
+    JSON text at a node's nesting level (3), as json.dumps(..., indent=1,
     sort_keys=True) would write it there.  join, when set, makes the render
     of a node's region from the renders of its parent regions, as _splice
     does for words.  Only a kind that takes_a reads the parameter a, and
